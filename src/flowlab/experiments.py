@@ -636,24 +636,35 @@ def _run_init_continuity(config: ExperimentConfig) -> list:
                 rec["status"] = "degenerate"
                 records.append(rec)
                 continue
-            diff = GridPath(driver.times, sols[2 * i] - sols[2 * i + 1])
-            rec["ratio"] = w_alpha_lambda_norm(diff, config.alpha, lam) / dist
+            try:
+                diff = GridPath(driver.times, sols[2 * i] - sols[2 * i + 1])
+                rec["ratio"] = w_alpha_lambda_norm(diff, config.alpha, lam) / dist
+            except Exception as exc:
+                rec["status"] = f"error: {exc}"
             records.append(rec)
     return records
 
 
 def _summarize_init(config: ExperimentConfig, records: list) -> dict:
-    ratios = [float(r["ratio"]) for r in records if r["status"] == "ok"]
-    med = float(np.median(ratios))
-    return {
+    ratios = np.array([float(r["ratio"]) for r in records if r["status"] == "ok"])
+    summary = {
         "pairs": len(ratios),
-        "ratio_median": med,
-        "ratio_max": float(np.max(ratios)),
-        "ratio_spread": float(np.max(ratios) / med) if med > 0 else np.inf,
-        "max_deviation_from_one": float(np.max(np.abs(np.asarray(ratios) - 1.0))),
+        "ratio_median": np.nan,
+        "ratio_max": np.nan,
+        "ratio_spread": np.nan,
+        "max_deviation_from_one": np.nan,
         "exact_field": _is_exact_field(config.field()),
         "error_records": sum(1 for r in records if str(r["status"]).startswith("error")),
     }
+    if len(ratios):  # with no ok pair every statistic stays NaN, so its check is false
+        med = float(np.median(ratios))
+        summary.update(
+            ratio_median=med,
+            ratio_max=float(np.max(ratios)),
+            ratio_spread=float(np.max(ratios) / med) if med > 0 else np.inf,
+            max_deviation_from_one=float(np.max(np.abs(ratios - 1.0))),
+        )
+    return summary
 
 
 def _checks_init(config: ExperimentConfig, summary: dict) -> dict:

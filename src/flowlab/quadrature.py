@@ -25,6 +25,7 @@ infinite, so those rules require ``phi`` to vanish at the singular node
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import fftconvolve
 
 
@@ -132,26 +133,49 @@ def abs_increment_profile(values: np.ndarray, p: float, h: float, chunk: int = 2
     """All prefix integrals  I[k] = integral_0^{t_k} |f(t_k) - f(y)| (t_k - y)**p dy.
 
     The absolute value (Euclidean over components) breaks the convolution
-    structure, so this runs the O(n^2) product-integration sum in row
-    chunks.  p in (-2, -1).
+    structure, so this runs the O(n^2) product-integration sum in blocks of
+    ``chunk`` rows.  p in (-2, -1).
+
+    Node j < k of row k carries the weight ``cp[k - j]`` with
+    ``cp[g] = beta(g) + gamma(g + 1)``, except node 0, which carries
+    ``beta(k)`` only.  The weights are therefore Toeplitz in k - j: ``cp``
+    is stored once, reversed and zero-padded, and each block's weights are
+    a strided window view of that vector, with every node j >= k landing on
+    the zero padding.  The distances |f(t_k) - f(t_j)| of a block are
+    written into one buffer allocated per call (for d > 1 the squared
+    components are accumulated there before one square root).
     """
     if not (-2.0 < p < -1.0):
         raise ValueError(f"abs_increment_profile requires p in (-2, -1), got {p}")
+    if chunk < 1:
+        raise ValueError(f"abs_increment_profile requires chunk >= 1, got {chunk}")
     vals = np.asarray(values, dtype=float)
     f = vals[:, None] if vals.ndim == 1 else vals
-    n = f.shape[0] - 1
+    n, dim = f.shape[0] - 1, f.shape[1]
     beta, gamma = cell_weights(p, h, n + 1)
-    cp = np.zeros(n + 2)
-    cp[1:-1] = beta[1:-1] + gamma[2:]
+    # rev[n - g] = cp[g] for g = 1..n; rev[n:] = 0 covers every gap g <= 0
+    rev = np.zeros(2 * n)
+    rev[:n] = (beta[1:-1] + gamma[2:])[::-1]
+    rows = min(chunk, n)
+    dist = np.empty((rows, n + 1))
+    sq = np.empty((rows, n + 1)) if dim > 1 else None
     out = np.zeros(n + 1)
-    j = np.arange(n + 1)
     for k0 in range(1, n + 1, chunk):
         k1 = min(k0 + chunk, n + 1)
-        rows = np.arange(k0, k1)
-        d = np.linalg.norm(f[rows, None, :] - f[None, :k1, :], axis=-1)
-        gap = rows[:, None] - j[None, :k1]
-        w = np.where(gap >= 1, cp[np.clip(gap, 0, n + 1)], 0.0)
-        # node j = 0 carries beta(k) only, not beta(k)+gamma(k+1)
-        w[:, 0] = beta[np.clip(rows, 0, n)]
-        out[k0:k1] = np.einsum("kj,kj->k", d, w)
+        m = k1 - k0
+        # row k starts its window at rev[n - k]
+        w = sliding_window_view(rev, k1)[n - k1 + 1 : n - k0 + 1][::-1]
+        d = dist[:m, :k1]
+        np.subtract(f[k0:k1, None, 0], f[None, :k1, 0], out=d)
+        if dim == 1:
+            np.abs(d, out=d)
+        else:
+            np.multiply(d, d, out=d)
+            s = sq[:m, :k1]
+            for c in range(1, dim):
+                np.subtract(f[k0:k1, None, c], f[None, :k1, c], out=s)
+                np.multiply(s, s, out=s)
+                d += s
+            np.sqrt(d, out=d)
+        out[k0:k1] = np.einsum("kj,kj->k", d[:, 1:], w[:, 1:]) + beta[k0:k1] * d[:, 0]
     return out

@@ -5,6 +5,7 @@ import pytest
 
 from flowlab.experiments import (
     ExperimentConfig,
+    ExperimentResult,
     default_config,
     evaluate_checks,
     run_experiment,
@@ -133,6 +134,42 @@ class TestContinuityExperiments:
         res = run_experiment(small("init-continuity"))
         assert res.summary["ratio_spread"] <= 10.0
         assert res.passed
+
+    def test_init_failures_become_error_records(self, monkeypatch):
+        import flowlab.experiments as experiments
+
+        real = experiments.w_alpha_lambda_norm
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise FloatingPointError("injected norm failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "w_alpha_lambda_norm", flaky)
+        cfg = small("init-continuity")
+        res = run_experiment(cfg)
+        errors = [r for r in res.records if str(r["status"]).startswith("error")]
+        assert len(res.records) == cfg.pair_count  # the campaign went on past the failure
+        assert len(errors) == 1
+        assert errors[0]["status"] == "error: injected norm failure"
+        assert res.summary["error_records"] == 1
+        assert not res.checks["no_error_records"]
+
+    def test_init_all_error_records_summarize_to_nan(self, tmp_path):
+        cfg = small("init-continuity", coefficients="builtin:additive:0.8")
+        records = [{"seed": 0, "pair": i, "dist": 0.5, "lambda_weight": 1.0,
+                    "ratio": np.nan, "status": "error: boom"} for i in range(3)]
+        summary = summarize(cfg, records)
+        assert summary["pairs"] == 0
+        for key in ("ratio_median", "ratio_max", "ratio_spread", "max_deviation_from_one"):
+            assert np.isnan(summary[key])
+        checks = evaluate_checks(cfg, summary)
+        assert checks == {"no_error_records": False, "ratio_bounded": False,
+                          "additive_ratio_exactly_one": False}
+        res = ExperimentResult(cfg, records, summary, checks, 0.0)
+        assert verify_result(save_result(res, tmp_path / "all-error")).ok
 
     def test_driver_continuity_decays(self):
         res = run_experiment(small("driver-continuity"))

@@ -1,5 +1,7 @@
 """Product-integration rules against closed forms and brute-force quadrature."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -114,6 +116,42 @@ def test_abs_increment_profile_vector_values():
     prof = abs_increment_profile(vals, p, h)
     ref = abs_increment_profile(np.sqrt(5.0) * t, p, h)
     assert np.allclose(prof, ref, rtol=1e-12)
+
+
+def naive_abs_increment_profile(f, p, h):
+    """The product-integration sum cell by cell, straight from the definitions."""
+    n = f.shape[0] - 1
+    beta, gamma = cell_weights(p, h, n + 1)
+    rows = [tuple(map(float, row)) for row in f]
+    out = np.zeros(n + 1)
+    for k in range(1, n + 1):
+        total = 0.0
+        for j in range(k):  # cell [t_j, t_{j+1}] at distance g = k - j
+            g = k - j
+            total += beta[g] * math.dist(rows[k], rows[j])
+            if j + 1 < k:  # the node at t_k has |f(t_k) - f(t_k)| = 0 against gamma(1) = inf
+                total += gamma[g] * math.dist(rows[k], rows[j + 1])
+        out[k] = total
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+def test_abs_increment_profile_matches_naive_sum(n, d):
+    p, h = -1.45, 1.0 / n
+    f = np.random.default_rng(n + d).standard_normal((n + 1, d)).cumsum(axis=0)
+    expected = naive_abs_increment_profile(f, p, h)
+    for chunk in (1, 7, 256, n + 5):
+        got = abs_increment_profile(f, p, h, chunk=chunk)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0, err_msg=f"chunk={chunk}")
+        if d == 1:
+            assert np.array_equal(abs_increment_profile(f[:, 0], p, h, chunk=chunk), got)
+
+
+@pytest.mark.parametrize("chunk", [0, -4])
+def test_abs_increment_profile_rejects_bad_chunk(chunk):
+    with pytest.raises(ValueError, match="chunk"):
+        abs_increment_profile(np.arange(9.0), -1.3, 0.125, chunk=chunk)
 
 
 def test_cell_weights_trapezoid_limit():
