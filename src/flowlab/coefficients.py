@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Callable, Optional, Union
 
 import numpy as np
-import sympy
 
 __all__ = [
     "CoefficientField",
@@ -174,17 +173,14 @@ def parse_field(spec: str, sigma0: Optional[float] = None) -> CoefficientField:
     raise ValueError(f"cannot parse coefficient field {spec!r}")
 
 
-_ALLOWED_FUNCTIONS = {
-    name: getattr(sympy, name) for name in ("sin", "cos", "exp", "tanh", "cosh", "sinh", "sqrt", "Abs")
-}
+def _compile_expressions(rows, symbols, allowed, label):
+    import sympy
 
-
-def _compile_expressions(rows, symbols, label):
     compiled = []
     for row in rows:
         compiled_row = []
         for text in row:
-            expr = sympy.parse_expr(str(text), local_dict={**{str(s): s for s in symbols}, **_ALLOWED_FUNCTIONS})
+            expr = sympy.parse_expr(str(text), local_dict={**{str(s): s for s in symbols}, **allowed})
             extra = expr.free_symbols - set(symbols)
             if extra:
                 raise ValueError(f"{label} expression {text!r} uses unknown symbols {sorted(map(str, extra))}")
@@ -199,6 +195,9 @@ def load_expression_field(path: Union[str, Path]) -> CoefficientField:
     JSON schema: ``dim``, ``noise_dim``, ``sigma`` (d rows of m expressions),
     ``drift`` (d expressions), optional constants and Holder orders.
     """
+    import sympy  # deferred: only expression fields need it, and it is slow to import
+
+    allowed = {name: getattr(sympy, name) for name in ("sin", "cos", "exp", "tanh", "cosh", "sinh", "sqrt", "Abs")}
     with open(path) as fh:
         doc = json.load(fh)
     d = int(doc["dim"])
@@ -212,8 +211,8 @@ def load_expression_field(path: Union[str, Path]) -> CoefficientField:
         raise ValueError(f"sigma must be {d} rows of {m} expressions")
     if len(drift_row) != d:
         raise ValueError(f"drift must have {d} expressions")
-    sig_fns = _compile_expressions(sigma_rows, symbols, "sigma")
-    dri_fns = _compile_expressions([drift_row], symbols, "drift")[0]
+    sig_fns = _compile_expressions(sigma_rows, symbols, allowed, "sigma")
+    dri_fns = _compile_expressions([drift_row], symbols, allowed, "drift")[0]
 
     def _eval_layer(fns_grid, t, x, out_shape):
         x = _as_batch(x, d)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import fftconvolve
 
 
 def cell_weights(p: float, h: float, gmax: int) -> tuple[np.ndarray, np.ndarray]:
@@ -94,6 +93,8 @@ def kernel_profile(values: np.ndarray, p: float, h: float) -> np.ndarray:
     c = np.zeros(n + 1)
     c[0] = gamma[1]
     c[1:] = beta[1:-1] + gamma[2:]
+    from scipy.signal import fftconvolve  # deferred: scipy.signal is slow to import
+
     out = fftconvolve(f, c[:, None], axes=0)[: n + 1]
     out -= f[0] * gamma[np.arange(1, n + 2)][:, None]
     out[0] = 0.0  # empty integral; clears FFT residue
@@ -120,6 +121,8 @@ def increment_profile(values: np.ndarray, p: float, h: float) -> np.ndarray:
     w_total[0] = 0.0
     cp = np.zeros(n + 1)
     cp[1:] = beta[1:-1] + gamma[2:]
+    from scipy.signal import fftconvolve  # deferred: scipy.signal is slow to import
+
     s = fftconvolve(f, cp[:, None], axes=0)[: n + 1]
     corr = np.zeros(n + 1)
     corr[1:] = gamma[2:]  # row k subtracts f(0) * gamma(k+1); row 0 is zeroed below

@@ -7,12 +7,23 @@ limit.  The backward flow steps in reverse time and subtracts the
 increment evaluated at the right point, which makes it the exact grid
 inverse of the forward map for additive noise.  A Heun-type two-step
 scheme is available for convergence cross-checks.
+
+Every solve runs through one stepping kernel, ``_march``.  It advances a
+batch of members, each from its own start index, against one shared
+driver or one driver per member; sorted by start, the members active at
+a step are a prefix of the batch.  The blow-up guard is checked once per
+block of ``_GUARD_BLOCK`` steps: the block's states are scanned for the
+first crossing in stepping order, which raises the same error, with the
+same time and magnitude, as a check after every step would.  Blocks are
+handed back one at a time, so callers either store the trajectory
+(``solve_*_batch``), keep the states at a few grid marks (``_flow_marks``)
+or reduce each block on the fly without materialising it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -29,13 +40,12 @@ __all__ = [
     "solve_backward",
     "solve_forward_batch",
     "solve_backward_batch",
-    "FlowMap",
-    "flow_compose",
     "sup_estimate_check",
     "SupEstimateReport",
 ]
 
 DEFAULT_BLOWUP_FACTOR = 1e12
+_GUARD_BLOCK = 64  # steps advanced between two checks of the blow-up guard
 
 
 def alpha0(beta: float, delta: float) -> float:
@@ -94,59 +104,94 @@ def _prepare(x0, c: CoefficientField, driver: GridPath, cfg: SolverConfig):
     return x0
 
 
-def _guard(states: np.ndarray, bound: np.ndarray, t: float) -> None:
-    mag = np.linalg.norm(states, axis=-1)
-    if np.any(mag > bound):
-        worst = float(mag.max())
-        raise BlowUpError(
-            f"|X| = {worst:.3e} at t = {t:.6g} crossed the blow-up guard; "
-            "the hypotheses are violated or the grid is too coarse"
-        )
+def _blowup_message(worst: float, t: float) -> str:
+    return (
+        f"|X| = {worst:.3e} at t = {t:.6g} crossed the blow-up guard; "
+        "the hypotheses are violated or the grid is too coarse"
+    )
 
 
-def _step_increments(c, t, states, db, h):
-    return np.einsum("...dm,m->...d", c.sigma(t, states), db) + c.drift(t, states) * h
+def _check_block(block, active, bound, reached_times) -> None:
+    """Raise at the first step of the block at which a started member crossed its bound."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mag = np.linalg.norm(block, axis=-1)
+    over = mag > bound
+    if not over.any():
+        return
+    for j in np.flatnonzero(over.reshape(over.shape[0], -1).any(axis=1)):
+        a = active[j]
+        if over[j, :a].any():
+            raise BlowUpError(_blowup_message(float(mag[j, :a].max()), reached_times[j]))
 
 
-def _forward_values(x0s, k0, c, driver, scheme, blowup_factor):
-    times = driver.times
-    vals = driver.values
-    h = driver.step
-    n = driver.n_steps
-    out = np.empty((x0s.shape[0], n - k0 + 1, c.dim))
-    out[:, 0] = x0s
+def _march(x0s, starts, c, times, values, h, scheme="euler", backward=False,
+           blowup_factor=DEFAULT_BLOWUP_FACTOR):
+    """The stepping kernel: advance every member from its own start index.
+
+    ``x0s`` is (B, ..., d); member i holds x0s[i] at grid index starts[i]
+    (an int or a (B,) array) and steps forward to the end of the grid, or
+    back to its first point when ``backward``.  ``values`` is one shared
+    driver (n+1, m) or one driver per member (B, n+1, m).  Yields
+    ``(reached, states)`` per checked block of at most ``_GUARD_BLOCK``
+    steps, in stepping order: ``reached`` holds the grid indices the
+    steps reach and ``states`` (len(reached), B, ..., d) the members'
+    states there, in the caller's order.  A member that has not started
+    yet holds its initial point.
+    """
+    n = times.shape[0] - 1
+    starts = np.broadcast_to(np.asarray(starts, dtype=np.intp), x0s.shape[:1])
+    # with members sorted by start, the members active at any step form a prefix
+    order = np.argsort(-starts if backward else starts, kind="stable")
+    inverse = None
+    if np.any(order != np.arange(order.size)):
+        inverse = np.argsort(order)
+        x0s, starts = x0s[order], starts[order]
+        if values.ndim == 3:
+            values = values[order]
+    per_member = values.ndim == 3
+    if backward:
+        steps = np.arange(starts[0] - 1, -1, -1)
+        active = np.searchsorted(-starts, -(steps + 1), side="right")
+        reached = steps
+    else:
+        steps = np.arange(starts[0], n)
+        active = np.searchsorted(starts, steps, side="right")
+        reached = steps + 1
+    apply = np.subtract if backward else np.add
     bound = blowup_factor * (1.0 + np.linalg.norm(x0s, axis=-1))
-    state = x0s
-    for k in range(k0, n):
-        db = vals[k + 1] - vals[k]
-        inc = _step_increments(c, times[k], state, db, h)
-        if scheme == "heun":
-            pred = state + inc
-            inc = 0.5 * (inc + _step_increments(c, times[k + 1], pred, db, h))
-        state = state + inc
-        _guard(state, bound, times[k + 1])
-        out[:, k + 1 - k0] = state
-    return out
+    # per-member increments (B, m) broadcast over the state axes between B and d
+    contract = "b...dm,bm->b...d" if per_member else "...dm,m->...d"
+    shared_db = None if per_member else np.diff(values, axis=0)
 
+    def increment(t, s, db):
+        return np.einsum(contract, c.sigma(t, s), db) + c.drift(t, s) * h
 
-def _backward_values(x0s, k1, c, driver, scheme, blowup_factor):
-    times = driver.times
-    vals = driver.values
-    h = driver.step
-    out = np.empty((x0s.shape[0], k1 + 1, c.dim))
-    out[:, k1] = x0s
-    bound = blowup_factor * (1.0 + np.linalg.norm(x0s, axis=-1))
-    state = x0s
-    for k in range(k1 - 1, -1, -1):
-        db = vals[k + 1] - vals[k]
-        inc = _step_increments(c, times[k + 1], state, db, h)
-        if scheme == "heun":
-            pred = state - inc
-            inc = 0.5 * (inc + _step_increments(c, times[k], pred, db, h))
-        state = state - inc
-        _guard(state, bound, times[k])
-        out[:, k] = state
-    return out
+    prev = x0s
+    for lo in range(0, steps.size, _GUARD_BLOCK):
+        ks = steps[lo : lo + _GUARD_BLOCK]
+        block = np.empty(ks.shape + x0s.shape)
+        done = 0
+        try:
+            # steps past a crossing may overflow; they are checked below and discarded
+            with np.errstate(over="ignore", invalid="ignore"):
+                for j, (k, a) in enumerate(zip(ks.tolist(), active[lo : lo + ks.size].tolist())):
+                    t_from, t_to = (times[k + 1], times[k]) if backward else (times[k], times[k + 1])
+                    s = prev[:a]
+                    db = values[:a, k + 1] - values[:a, k] if per_member else shared_db[k]
+                    inc = increment(t_from, s, db)
+                    if scheme == "heun":
+                        inc = 0.5 * (inc + increment(t_to, apply(s, inc), db))
+                    row = block[j]
+                    apply(s, inc, out=row[:a])
+                    if a < len(row):
+                        row[a:] = prev[a:]
+                    prev = row
+                    done = j + 1
+        except Exception:
+            _check_block(block[:done], active[lo:], bound, times[reached[lo:]])
+            raise
+        _check_block(block, active[lo:], bound, times[reached[lo : lo + ks.size]])
+        yield reached[lo : lo + ks.size], (block if inverse is None else block[:, inverse])
 
 
 def solve_forward_batch(
@@ -163,7 +208,12 @@ def solve_forward_batch(
         raise ValueError(f"unknown scheme {scheme!r}")
     x0s = _prepare(x0s, c, driver, cfg)
     k0 = driver.index_of(r)
-    return _forward_values(x0s, k0, c, driver, scheme, blowup_factor)
+    out = np.empty((x0s.shape[0], driver.n_steps - k0 + 1, c.dim))
+    out[:, 0] = x0s
+    for reached, states in _march(x0s, k0, c, driver.times, driver.values, driver.step, scheme,
+                                  blowup_factor=blowup_factor):
+        out[:, reached - k0] = states.swapaxes(0, 1)
+    return out
 
 
 def solve_forward(
@@ -197,7 +247,12 @@ def solve_backward_batch(
     k1 = driver.index_of(t_end)
     if k1 < 1:
         raise ValueError("backward solve needs a positive end time")
-    return _backward_values(x0s, k1, c, driver, scheme, blowup_factor)
+    out = np.empty((x0s.shape[0], k1 + 1, c.dim))
+    out[:, k1] = x0s
+    for reached, states in _march(x0s, k1, c, driver.times, driver.values, driver.step, scheme,
+                                  backward=True, blowup_factor=blowup_factor):
+        out[:, reached] = states.swapaxes(0, 1)
+    return out
 
 
 def solve_backward(
@@ -215,61 +270,24 @@ def solve_backward(
     return GridPath(driver.times[: k1 + 1], values)
 
 
-@dataclass
-class FlowMap:
-    """Two-parameter solution family (r, t, x) -> X_rt(x), solved on demand and cached.
+def _flow_marks(x0s, starts, marks, c: CoefficientField, driver: GridPath, cfg: SolverConfig,
+               backward: bool = False) -> np.ndarray:
+    """Euler states of members started at grid indices ``starts``, at grid indices ``marks``.
 
-    Forward and backward caches are keyed by (start index, initial point);
-    X_rr(x) = x holds exactly because the start value is stored as given.
+    Returns (len(marks), batch, d).  Entry [j, i] is X_{starts[i], marks[j]}(x0s[i])
+    forward, or Y_{marks[j], starts[i]}(x0s[i]) backward, when the mark lies
+    on the member's side of its start; a member holds x0s[i] exactly at its
+    own start and at every index it has not stepped to.
     """
-
-    driver: GridPath
-    config: SolverConfig
-    coefficients: CoefficientField
-    scheme: str = "euler"
-    _forward: dict = field(default_factory=dict, repr=False)
-    _backward: dict = field(default_factory=dict, repr=False)
-
-    def _key(self, idx: int, x: np.ndarray) -> tuple:
-        return idx, np.asarray(x, dtype=float).tobytes()
-
-    def forward(self, r: float, t: float, x) -> np.ndarray:
-        """X_rt(x) for grid times r <= t."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        k0, k1 = self.driver.index_of(r), self.driver.index_of(t)
-        if k1 < k0:
-            raise ValueError("flow needs r <= t")
-        key = self._key(k0, x)
-        if key not in self._forward:
-            self._forward[key] = _forward_values(
-                _prepare(x, self.coefficients, self.driver, self.config),
-                k0, self.coefficients, self.driver, self.scheme, DEFAULT_BLOWUP_FACTOR,
-            )[0]
-        return self._forward[key][k1 - k0]
-
-    def backward(self, r: float, t: float, x) -> np.ndarray:
-        """Y_rt(x) for grid times r <= t: the inverse flow started from x at t."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        k0, k1 = self.driver.index_of(r), self.driver.index_of(t)
-        if k1 < k0:
-            raise ValueError("flow needs r <= t")
-        key = self._key(k1, x)
-        if key not in self._backward:
-            self._backward[key] = _backward_values(
-                _prepare(x, self.coefficients, self.driver, self.config),
-                k1, self.coefficients, self.driver, self.scheme, DEFAULT_BLOWUP_FACTOR,
-            )[0]
-        return self._backward[key][k0]
-
-
-def flow_compose(flow: FlowMap, r: float, tau: float, t: float, x) -> tuple[np.ndarray, np.ndarray]:
-    """Return (X_{tau t}(X_{r tau}(x)), X_{r t}(x)) for discrepancy reporting."""
-    if not (r <= tau <= t):
-        raise ValueError("flow composition needs r <= tau <= t")
-    mid = flow.forward(r, tau, x)
-    composed = flow.forward(tau, t, mid)
-    direct = flow.forward(r, t, x)
-    return composed, direct
+    x0s = _prepare(x0s, c, driver, cfg)
+    marks = list(marks)
+    out = np.broadcast_to(x0s, (len(marks),) + x0s.shape).copy()
+    for reached, states in _march(x0s, starts, c, driver.times, driver.values, driver.step,
+                                  backward=backward):
+        for j, k in enumerate(reached.tolist()):
+            if k in marks:
+                out[marks.index(k)] = states[j]
+    return out
 
 
 @dataclass(frozen=True)

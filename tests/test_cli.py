@@ -1,6 +1,10 @@
 """End-to-end command-line runs through the public entry point."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,3 +173,11 @@ class TestExperimentCommands:
         summary = outdir / "summary.json"
         summary.write_text(summary.read_text().replace('"tol_flow_amplitude":', '"tol_flow_amplitude": 1e9, "_":'))
         assert run_cli("verify", "--result", str(outdir)) == 1
+
+
+def test_cli_import_defers_scipy_signal_and_sympy():
+    # every command pays the import of flowlab.cli; only FFT profiles and file fields need these
+    probe = "import sys, flowlab.cli; print(sorted(m for m in ('scipy.signal', 'sympy') if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"

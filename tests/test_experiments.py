@@ -40,6 +40,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             default_config("flow", ladder=(256, 128))
 
+    @pytest.mark.parametrize("kind", ["flow", "inverse", "rate", "driver-continuity"])
+    def test_rejects_empty_ladder(self, kind):
+        with pytest.raises(ValueError, match="nonempty ladder"):
+            default_config(kind, ladder=())
+
+    @pytest.mark.parametrize("kind", ["flow", "rate"])
+    def test_rejects_rungs_not_dividing_fine_n(self, kind):
+        # such a rung used to fail later, in decimate or polygonal, outside the per-cell try
+        with pytest.raises(ValueError, match=r"\[96\] do not divide fine_n"):
+            default_config(kind, ladder=(64, 96), fine_n=2**10)
+
     def test_solver_gate_applies(self):
         with pytest.raises(ValueError, match="admissible window"):
             default_config("flow", hurst=0.55, alpha=0.3)  # alpha below 1 - H
@@ -55,16 +66,6 @@ class TestConfig:
             ExperimentConfig.from_dict({"kind": "rate", "mystery": 1})
 
 
-def test_named_runners_enforce_kind():
-    from flowlab.experiments import run_flow_experiment, run_rate_experiment
-
-    cfg = small("rate")
-    res = run_rate_experiment(cfg)
-    assert res.summary["ladder"] == [16, 32, 64]
-    with pytest.raises(ValueError, match="kind"):
-        run_flow_experiment(cfg)
-
-
 class TestFlowExperiment:
     def test_geometric_passes_and_counts(self):
         cfg = small("flow")
@@ -78,6 +79,20 @@ class TestFlowExperiment:
         assert res.summary["exact_field"]
         assert res.summary["max_discrepancy"] <= 1e-12
         assert res.passed
+
+    def test_single_rung_cannot_pass_decay_check(self):
+        res = run_experiment(small("flow", ladder=(2**7,)))
+        assert res.summary["doubling_ratios"] == []
+        assert res.checks["median_decay_ratio"] is False
+        assert not res.passed
+
+    def test_all_error_records_fail_every_check(self):
+        cfg = small("flow")
+        records = [{**rec, "status": "error: boom", "disc_forward": np.nan, "disc_backward": np.nan}
+                   for rec in run_experiment(cfg).records]
+        summary = summarize(cfg, records)
+        assert np.isnan(summary["doubling_ratios"]).all()
+        assert not any(evaluate_checks(cfg, summary).values())
 
     def test_degenerate_triples_have_zero_discrepancy(self):
         res = run_experiment(small("flow"))
@@ -103,13 +118,52 @@ class TestInverseExperiment:
         assert res.passed, res.checks
         assert res.summary["probe_inversions"] == 0
 
+    def test_probe_failure_is_one_error_cell(self, tmp_path):
+        # sigma0 = 60 drives the probe's fan across the blow-up guard
+        res = run_experiment(small("inverse", coefficients="builtin:geometric:60.0"))
+        probe = [r for r in res.records if r["point"] == -1]
+        assert len(probe) == 1 and "guard" in probe[0]["status"]
+        assert len(res.records) == 3 * 2 * 15 + 1
+        assert np.isnan(res.summary["probe_inversions"])
+        assert res.summary["error_records"] >= 1
+        assert not res.checks["probe_no_inversions"]
+        assert verify_result(save_result(res, tmp_path / "inverse")).ok
+
     def test_record_count(self):
         res = run_experiment(small("inverse"))
         core = [r for r in res.records if r["status"] != "probe"]
         assert len(core) == 3 * 2 * 15  # seeds x ladder x ordered pairs
 
 
+def all_error_round_trip(cfg, records, tmp_path):
+    summary = summarize(cfg, records)
+    checks = evaluate_checks(cfg, summary)
+    res = ExperimentResult(cfg, records, summary, checks, 0.0)
+    assert verify_result(save_result(res, tmp_path / "all-error")).ok
+    return summary, checks
+
+
 class TestRateExperiment:
+    def test_all_error_records_summarize_to_nan(self, tmp_path):
+        cfg = small("rate")
+        records = [{"seed": 0, "coarse_n": n, "status": "error: boom", "holder_error": np.nan,
+                    "lambda_coarse": np.nan, "lambda_diff": np.nan, "modulus_g": np.nan}
+                   for n in cfg.ladder]
+        summary, checks = all_error_round_trip(cfg, records, tmp_path)
+        for key in ("median_error", "q25", "q75", "median_lambda_coarse", "median_lambda_diff"):
+            assert np.isnan(summary[key]).all(), key
+        for key in ("fitted_slope", "lambda_coarse_ladder_median", "modulus_median"):
+            assert np.isnan(summary[key]), key
+        assert summary["error_records"] == len(cfg.ladder)
+        assert not any(checks.values()), checks
+
+    def test_single_rung_cannot_pass_decrease_checks(self):
+        res = run_experiment(small("rate", ladder=(2**5,)))
+        assert np.isnan(res.summary["fitted_slope"])
+        assert not res.checks["median_error_decreasing"]
+        assert not res.checks["lambda_diff_decreasing"]
+        assert not res.checks["slope_within_band"]
+
     def test_medians_decrease(self):
         res = run_experiment(small("rate"))
         med = res.summary["median_error"]
@@ -170,6 +224,16 @@ class TestContinuityExperiments:
                           "additive_ratio_exactly_one": False}
         res = ExperimentResult(cfg, records, summary, checks, 0.0)
         assert verify_result(save_result(res, tmp_path / "all-error")).ok
+
+    def test_driver_all_error_records_summarize_to_nan(self, tmp_path):
+        cfg = small("driver-continuity")
+        records = [{"seed": 0, "coarse_n": n, "lambda_weight": 5.0, "sol_gap": np.nan,
+                    "lambda_gap": np.nan, "status": "error: boom"} for n in cfg.ladder]
+        summary, checks = all_error_round_trip(cfg, records, tmp_path)
+        assert np.isnan(summary["median_sol_gap"]).all() and np.isnan(summary["median_lambda_gap"]).all()
+        for key in ("ratio_median", "ratio_max", "ratio_spread", "log_correlation"):
+            assert np.isnan(summary[key]), key
+        assert not any(checks.values()), checks
 
     def test_driver_continuity_decays(self):
         res = run_experiment(small("driver-continuity"))

@@ -1,18 +1,23 @@
 """Solver exactness, convergence, flow and inverse structure, sup estimates."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from flowlab import fbm
-from flowlab.coefficients import builtin_field, parse_field
+from flowlab import experiments, fbm
+from flowlab.coefficients import CoefficientField, builtin_field, parse_field
 from flowlab.errors import BlowUpError
+from flowlab.paths import GridPath
 from flowlab.sde import (
-    FlowMap,
+    DEFAULT_BLOWUP_FACTOR,
+    _GUARD_BLOCK,
     SolverConfig,
+    _march,
     alpha0,
     check_order_window,
-    flow_compose,
     solve_backward,
+    solve_backward_batch,
     solve_forward,
     solve_forward_batch,
     sup_estimate_check,
@@ -153,8 +158,7 @@ class TestBackwardSolver:
         y = solve_backward([1.5], 1.0, f, driver, cfg)
         expected = 1.5 - 0.8 * (driver.values[-1, 0] - driver.values[:, 0])
         assert np.abs(y.values[:, 0] - expected).max() < 1e-12
-        flow = FlowMap(driver, cfg, f)
-        assert abs(flow.forward(0.0, 1.0, y.values[0])[0] - 1.5) < 1e-12
+        assert abs(solve_forward_batch(y.values[:1], 0.0, f, driver, cfg)[0, -1, 0] - 1.5) < 1e-12
 
     def test_geometric_inverse_converges(self):
         f = builtin_field("geometric", sigma0=0.5)
@@ -163,49 +167,45 @@ class TestBackwardSolver:
         for n in (2**9, 2**10, 2**11, 2**12):
             d = fine.decimate(2**12 // n)
             c = SolverConfig(0.3, n, 0.75)
-            flow = FlowMap(d, c, f)
-            y = flow.backward(0.0, 1.0, [1.0])
-            discs.append(abs(flow.forward(0.0, 1.0, y)[0] - 1.0))
+            y = solve_backward_batch([1.0], 1.0, f, d, c)[:, 0]
+            discs.append(abs(solve_forward_batch(y, 0.0, f, d, c)[0, -1, 0] - 1.0))
         assert discs[0] > discs[-1]
         assert discs[-1] < 5e-3
 
 
+def compose(f, driver, cfg, r, tau, t, x):
+    """(X_{tau t}(X_{r tau}(x)), X_{rt}(x)) from batch solves on the driver grid."""
+    k_r, k_tau, k_t = (driver.index_of(v) for v in (r, tau, t))
+    mid = solve_forward_batch([x], r, f, driver, cfg)[:, k_tau - k_r]
+    composed = solve_forward_batch(mid, tau, f, driver, cfg)[0, k_t - k_tau]
+    direct = solve_forward_batch([x], r, f, driver, cfg)[0, k_t - k_r]
+    return composed, direct
+
+
 class TestFlowMap:
+    """The two-parameter family (r, t, x) -> X_rt(x) as the batch solvers produce it."""
+
     def test_identity_at_coincident_times(self, driver, cfg):
-        flow = FlowMap(driver, cfg, builtin_field("geometric", sigma0=0.5))
-        x = np.array([1.3])
-        assert np.array_equal(flow.forward(0.5, 0.5, x), x)
-        assert np.array_equal(flow.backward(0.5, 0.5, x), x)
+        f = builtin_field("geometric", sigma0=0.5)
+        x = np.array([[1.3], [-0.7]])
+        k = driver.index_of(0.5)
+        assert np.array_equal(solve_forward_batch(x, 0.5, f, driver, cfg)[:, 0], x)
+        assert np.array_equal(solve_backward_batch(x, 0.5, f, driver, cfg)[:, k], x)
 
     def test_compose_returns_pair(self, driver, cfg):
-        flow = FlowMap(driver, cfg, builtin_field("geometric", sigma0=0.5))
-        composed, direct = flow_compose(flow, 0.0, 0.5, 1.0, [1.0])
+        composed, direct = compose(builtin_field("geometric", sigma0=0.5), driver, cfg, 0.0, 0.5, 1.0, 1.0)
         # one-step schemes compose exactly: both legs replay the same float ops
         assert np.array_equal(composed, direct)
 
     def test_compose_degenerate_triple(self, driver, cfg):
-        flow = FlowMap(driver, cfg, builtin_field("sin"))
-        composed, direct = flow_compose(flow, 0.25, 0.25, 0.25, [0.7])
+        composed, direct = compose(builtin_field("sin"), driver, cfg, 0.25, 0.25, 0.25, 0.7)
         assert np.array_equal(composed, direct)
         assert composed[0] == 0.7
 
     def test_compose_additive_exact(self, driver, cfg):
-        flow = FlowMap(driver, cfg, builtin_field("additive", matrix=np.array([[1.2]])))
-        composed, direct = flow_compose(flow, 0.0, 0.25, 0.75, [0.3])
+        f = builtin_field("additive", matrix=np.array([[1.2]]))
+        composed, direct = compose(f, driver, cfg, 0.0, 0.25, 0.75, 0.3)
         assert np.array_equal(composed, direct)
-
-    def test_time_ordering_enforced(self, driver, cfg):
-        flow = FlowMap(driver, cfg, builtin_field("sin"))
-        with pytest.raises(ValueError):
-            flow_compose(flow, 0.5, 0.25, 1.0, [0.7])
-
-    def test_cache_hit_returns_same_solution(self, driver, cfg):
-        flow = FlowMap(driver, cfg, builtin_field("sin"))
-        a = flow.forward(0.0, 1.0, [0.7])
-        assert len(flow._forward) == 1
-        b = flow.forward(0.0, 0.5, [0.7])
-        assert len(flow._forward) == 1  # same start/point: cached trajectory reused
-        assert np.isfinite(b).all() and np.isfinite(a).all()
 
 
 class TestSupEstimate:
@@ -268,3 +268,270 @@ def test_driver_continuity_of_solutions():
         lams.append(lambda_alpha(fine - h_path, 0.3))
     assert gaps[0] > gaps[-1]
     assert lams[0] > lams[-1]
+
+
+# ---------------------------------------------------------------------------
+# the stepping kernel against a per-step loop that checks the guard every step
+# ---------------------------------------------------------------------------
+
+def oracle_guard(states, bound, t):
+    mag = np.linalg.norm(states, axis=-1)
+    if np.any(mag > bound):
+        worst = float(mag.max())
+        raise BlowUpError(
+            f"|X| = {worst:.3e} at t = {t:.6g} crossed the blow-up guard; "
+            "the hypotheses are violated or the grid is too coarse"
+        )
+
+
+def oracle_increments(c, t, states, db, h):
+    return np.einsum("...dm,m->...d", c.sigma(t, states), db) + c.drift(t, states) * h
+
+
+def oracle_forward(x0s, k0, c, driver, scheme="euler", blowup_factor=DEFAULT_BLOWUP_FACTOR):
+    times, vals, h, n = driver.times, driver.values, driver.step, driver.n_steps
+    out = np.empty((x0s.shape[0], n - k0 + 1, c.dim))
+    out[:, 0] = x0s
+    bound = blowup_factor * (1.0 + np.linalg.norm(x0s, axis=-1))
+    state = x0s
+    for k in range(k0, n):
+        db = vals[k + 1] - vals[k]
+        inc = oracle_increments(c, times[k], state, db, h)
+        if scheme == "heun":
+            pred = state + inc
+            inc = 0.5 * (inc + oracle_increments(c, times[k + 1], pred, db, h))
+        state = state + inc
+        oracle_guard(state, bound, times[k + 1])
+        out[:, k + 1 - k0] = state
+    return out
+
+
+def oracle_backward(x0s, k1, c, driver, scheme="euler", blowup_factor=DEFAULT_BLOWUP_FACTOR):
+    times, vals, h = driver.times, driver.values, driver.step
+    out = np.empty((x0s.shape[0], k1 + 1, c.dim))
+    out[:, k1] = x0s
+    bound = blowup_factor * (1.0 + np.linalg.norm(x0s, axis=-1))
+    state = x0s
+    for k in range(k1 - 1, -1, -1):
+        db = vals[k + 1] - vals[k]
+        inc = oracle_increments(c, times[k + 1], state, db, h)
+        if scheme == "heun":
+            pred = state - inc
+            inc = 0.5 * (inc + oracle_increments(c, times[k], pred, db, h))
+        state = state - inc
+        oracle_guard(state, bound, times[k])
+        out[:, k] = state
+    return out
+
+
+def oracle_probe(config, c):
+    fan = np.sort(np.asarray(config.probe_fan, dtype=float))[:, None]
+    n = config.probe_n
+    spec = fbm.FbmSpec(config.hurst, c.noise_dim, config.horizon, n, seed=0)
+    drivers = fbm.sample_paths(spec, config.probe_seeds, method="circulant")
+    h = config.horizon / n
+    times = np.arange(n + 1) * h
+    states = np.broadcast_to(fan, (config.probe_seeds,) + fan.shape).copy()
+    min_gap = np.full(config.probe_seeds, np.inf)
+    for k in range(n):
+        db = drivers[:, k + 1] - drivers[:, k]
+        sig = c.sigma(times[k], states)
+        states = states + np.einsum("sfdm,sm->sfd", sig, db) + c.drift(times[k], states) * h
+        min_gap = np.minimum(min_gap, np.diff(states[..., 0], axis=1).min(axis=1))
+    inversions = int(np.count_nonzero(min_gap <= 0.0))
+    return [{"seed": -1, "n": n, "r": 0.0, "t": config.horizon, "point": -1,
+             "status": "probe", "disc_xy": float(inversions), "disc_yx": float(min_gap.min())}]
+
+
+def oracle_moments(config):
+    c = config.field()
+    n = config.solver_n
+    total = max(config.sample_counts)
+    spec = fbm.FbmSpec(config.hurst, c.noise_dim, config.horizon, n, seed=config.seeds[0])
+    drivers = fbm.sample_paths(spec, total, method="circulant")
+    h = config.horizon / n
+    times = np.arange(n + 1) * h
+    states = np.full((total, c.dim), config.moment_x0)
+    sup_abs = np.linalg.norm(states, axis=-1)
+    for k in range(n):
+        db = drivers[:, k + 1] - drivers[:, k]
+        sig = c.sigma(times[k], states)
+        states = states + np.einsum("sdm,sm->sd", sig, db) + c.drift(times[k], states) * h
+        sup_abs = np.maximum(sup_abs, np.linalg.norm(states, axis=-1))
+    return [{"path": i, "sup_abs": float(v)} for i, v in enumerate(sup_abs)]
+
+
+def time_dependent_field(m):
+    """State- and time-dependent sigma with a drift; d = 1 for m = 1, d = 2 for m = 2."""
+    if m == 1:
+        def sigma(t, x):
+            return (0.5 * np.sin(x) + 0.1 * t)[..., None]
+
+        return CoefficientField(sigma, lambda t, x: -0.2 * x, 1, 1)
+
+    def sigma(t, x):
+        x1, x2 = x[..., 0], x[..., 1]
+        return np.stack([np.stack([np.sin(x1), 0.3 * np.cos(x2) + t], -1),
+                         np.stack([0.5 * x1, np.sin(x2)], -1)], -2)
+
+    return CoefficientField(sigma, lambda t, x: -0.1 * x + 0.05 * t, 2, 2)
+
+
+def trajectories(x0s, starts, c, driver, scheme, backward):
+    """Every member's states on the whole grid from the kernel, (B, n+1, d)."""
+    out = np.full((x0s.shape[0], driver.n_steps + 1, c.dim), np.nan)
+    for reached, states in _march(x0s, starts, c, driver.times, driver.values, driver.step,
+                                  scheme, backward=backward):
+        out[:, reached] = states.swapaxes(0, 1)
+    return out
+
+
+def spiked_driver(n, step, height=1e13):
+    """Zero driver that jumps by ``height`` at the given step, reaching index ``step``."""
+    vals = np.zeros(n + 1)
+    vals[step:] = height
+    return GridPath(np.linspace(0.0, 1.0, n + 1), vals)
+
+
+class TestSteppingKernel:
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("scheme", ["euler", "heun"])
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_mixed_starts_match_single_solves(self, m, scheme, backward):
+        c = time_dependent_field(m)
+        n = 150  # more than two guard blocks
+        driver = driver_of(seed=3, n=n, m=m)
+        rng = np.random.default_rng(m)
+        # starts on both sides of block edges, repeated, and at the far end of the grid
+        starts = [150, 1, 65, 64, 150, 2, 130, 90] if backward else [0, 150, 64, 1, 149, 64, 87, 0]
+        x0s = rng.uniform(-1.0, 1.0, size=(len(starts), c.dim))
+        got = trajectories(x0s, starts, c, driver, scheme, backward)
+        for i, k in enumerate(starts):
+            # a start is never stepped to, so the kernel reports no state there for the first starters
+            if backward:
+                want = oracle_backward(x0s[i : i + 1], k, c, driver, scheme)[0]
+                have = got[i, : k + 1]
+                have[k] = x0s[i]
+            else:
+                want = oracle_forward(x0s[i : i + 1], k, c, driver, scheme)[0]
+                have = got[i, k:]
+                have[0] = x0s[i]
+            if m == 1:
+                assert np.array_equal(have, want), (i, k)
+            else:
+                np.testing.assert_allclose(have, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_batch_solvers_match_oracle(self, m):
+        c = time_dependent_field(m)
+        driver = driver_of(seed=4, n=200, m=m)
+        cfg = SolverConfig(0.3, 200, 0.75)
+        x0s = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3, c.dim))
+        for scheme in ("euler", "heun"):
+            pairs = [(solve_forward_batch(x0s, 0.25, c, driver, cfg, scheme),
+                      oracle_forward(x0s, 50, c, driver, scheme)),
+                     (solve_backward_batch(x0s, 0.75, c, driver, cfg, scheme),
+                      oracle_backward(x0s, 150, c, driver, scheme))]
+            for got, want in pairs:
+                if m == 1:
+                    assert np.array_equal(got, want)
+                else:
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("step", [1, _GUARD_BLOCK - 1, _GUARD_BLOCK, _GUARD_BLOCK + 1, 200])
+    def test_guard_crossing_message_matches_oracle(self, step):
+        n = 200
+        f = builtin_field("additive", matrix=np.array([[1.0]]))
+        cfg = SolverConfig(0.3, n, 0.75)
+        x0s = np.array([[0.5], [-3.0], [2.0]])
+        driver = spiked_driver(n, step)
+        with pytest.raises(BlowUpError) as want:
+            oracle_forward(x0s, 0, f, driver)
+        with pytest.raises(BlowUpError) as got:
+            solve_forward_batch(x0s, 0.0, f, driver, cfg)
+        assert str(got.value) == str(want.value)
+        # backward from the end, the spike is crossed after n - step + 1 steps
+        with pytest.raises(BlowUpError) as want:
+            oracle_backward(x0s, n, f, driver)
+        with pytest.raises(BlowUpError) as got:
+            solve_backward_batch(x0s, 1.0, f, driver, cfg)
+        assert str(got.value) == str(want.value)
+
+    def test_crossing_counts_only_started_members(self):
+        # the member starting after the spike never sees it; the other two cross at index 70
+        n = 200
+        f = builtin_field("additive", matrix=np.array([[1.0]]))
+        driver = spiked_driver(n, 70)
+        x0s = np.array([[0.5], [-3.0], [2.0]])
+        with pytest.raises(BlowUpError) as want:
+            oracle_forward(x0s[:2], 10, f, driver)
+        with pytest.raises(BlowUpError) as got:
+            trajectories(x0s, [10, 0, 100], f, driver, "euler", backward=False)
+        assert str(got.value) == str(want.value)
+        # a factor below 1 puts the x0 of the member waiting for index 100 above its bound:
+        # waiting is no crossing, its first step is
+        zero, x0s, smooth = builtin_field("zero"), np.array([[0.5], [50.0]]), driver_of(seed=1, n=n)
+        with pytest.raises(BlowUpError) as want:
+            oracle_forward(x0s[1:], 100, zero, smooth, blowup_factor=0.9)
+        with pytest.raises(BlowUpError) as got:
+            list(_march(x0s, [0, 100], zero, smooth.times, smooth.values, smooth.step, blowup_factor=0.9))
+        assert str(got.value) == str(want.value)
+        assert "at t = 0.505" in str(got.value)
+
+    def test_overflow_after_crossing_is_silent(self):
+        # x**3 diffusion: past the guard, the same block overflows to inf
+        cube = CoefficientField(lambda t, x: (x**3)[..., None], lambda t, x: np.zeros_like(x), 1, 1)
+        n = 128
+        driver = GridPath(np.linspace(0.0, 1.0, n + 1), np.arange(n + 1) * (-1.0) ** np.arange(n + 1))
+        cfg = SolverConfig(0.3, n, 0.75)
+        with pytest.raises(BlowUpError) as want:
+            oracle_forward(np.array([[2.0]]), 0, cube, driver)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(BlowUpError) as got:
+                solve_forward_batch([2.0], 0.0, cube, driver, cfg)
+        assert str(got.value) == str(want.value)
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+    def test_field_error_after_crossing_reports_the_crossing(self):
+        def sigma(t, x):
+            if np.abs(x).max() > 1e20:
+                raise ValueError("state outside the field's domain")
+            return np.ones(x.shape + (1,))
+
+        picky = CoefficientField(sigma, lambda t, x: np.zeros_like(x), 1, 1)
+        n = 100
+        vals = np.zeros(n + 1)
+        vals[3:] = 1e13   # crosses the guard at index 3
+        vals[5:] = 1e21   # and leaves the field's domain two steps later
+        driver = GridPath(np.linspace(0.0, 1.0, n + 1), vals)
+        cfg = SolverConfig(0.3, n, 0.75)
+        with pytest.raises(BlowUpError) as want:
+            oracle_forward(np.array([[0.0]]), 0, picky, driver)
+        with pytest.raises(BlowUpError) as got:
+            solve_forward_batch([0.0], 0.0, picky, driver, cfg)
+        assert str(got.value) == str(want.value)
+        # without a crossing before it, the field's own error comes through
+        with pytest.raises(ValueError, match="domain"):
+            solve_forward_batch([0.0], 0.0, picky, driver, cfg, blowup_factor=1e30)
+
+    @pytest.mark.parametrize("coefficients", ["builtin:geometric:0.5", "builtin:sin", "builtin:additive:0.8"])
+    def test_probe_matches_oracle(self, coefficients):
+        cfg = experiments.default_config("inverse", ladder=(2**7,), seeds=(0,), fine_n=2**10,
+                                         probe_seeds=40, probe_n=2**7 + 3, coefficients=coefficients)
+        c = cfg.field()
+        assert experiments._run_sortedness_probe(cfg, c) == oracle_probe(cfg, c)
+
+    @pytest.mark.parametrize("coefficients", ["builtin:sin", "builtin:geometric:0.5", "builtin:additive:0.8"])
+    def test_moments_match_oracle(self, coefficients):
+        cfg = experiments.default_config("moments", sample_counts=(300, 600), solver_n=2**7 + 5,
+                                         coefficients=coefficients)
+        assert experiments._run_moments(cfg) == oracle_moments(cfg)
+
+    def test_moments_with_drift_match_oracle(self):
+        # the kernel adds sigma dB + b h before the state; the old loop added them in turn
+        cfg = experiments.default_config("moments", sample_counts=(300, 600), solver_n=2**7,
+                                         coefficients="builtin:linear-drift:0.7")
+        got = [r["sup_abs"] for r in experiments._run_moments(cfg)]
+        want = [r["sup_abs"] for r in oracle_moments(cfg)]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
