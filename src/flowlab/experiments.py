@@ -21,7 +21,7 @@ from . import fbm
 from .coefficients import CoefficientField, parse_field
 from .fraccalc import lambda_alpha
 from .paths import GridPath, w_alpha_lambda_norm
-from .sde import SolverConfig, _flow_marks, _march, check_order_window, solve_forward_batch, solve_backward_batch
+from .sde import SolverConfig, _flow_marks, _march, check_order_window, solve_forward_batch
 
 __all__ = [
     "ExperimentConfig",
@@ -95,6 +95,8 @@ class ExperimentConfig:
         bad = [n for n in self.ladder if n < 1 or self.fine_n % n != 0]
         if bad:
             raise ValueError(f"ladder rungs {bad} do not divide fine_n = {self.fine_n}")
+        if self.kind == "init-continuity" and (self.solver_n < 1 or self.fine_n % self.solver_n != 0):
+            raise ValueError(f"solver_n = {self.solver_n} does not divide fine_n = {self.fine_n}")
         if not (0.0 < self.hurst < 1.0):
             raise ValueError(f"Hurst parameter must lie in (0, 1), got {self.hurst}")
         if self.kind != "rate":
@@ -272,22 +274,47 @@ def _time_pairs(horizon: float) -> list:
     return [(r, t) for r in marks for t in marks if t >= r]
 
 
-def _reference_maps(config: ExperimentConfig, c: CoefficientField, fine: GridPath):
+def _reference_maps(config: ExperimentConfig, c: CoefficientField, fine: GridPath, marks: list,
+                    x0s: np.ndarray):
+    """Reference maps (a, b, i) -> X_{r_a t_b}(x_i) and Y_{r_a t_b}(x_i), for marks a <= b.
+
+    Closed forms where the field has them.  Otherwise the fine-grid Euler
+    flow: one forward pass started at every mark and one backward pass
+    ended at every mark after the first, each over every point, run on
+    first use and shared by all rungs of the seed (a pass that raises is
+    not kept, so each rung that asks records the failure).  The ladder must
+    stay well below fine_n.
+    """
     closed = _closed_form_flows(c)
     if closed is not None:
-        return closed
-    # fall back to the finest-grid solve; the ladder must stay well below fine_n
+        cf_fwd, cf_bwd = closed
+        return (lambda a, b, i: cf_fwd(fine, marks[a], marks[b], x0s[i]),
+                lambda a, b, i: cf_bwd(fine, marks[a], marks[b], x0s[i]))
     cfg = SolverConfig(config.alpha, fine.n_steps, config.hurst)
+    npts = x0s.shape[0]
+    passes = {}
 
-    def fwd(driver, r, t, x):
-        vals = solve_forward_batch(np.asarray(x, dtype=float)[None, :], r, c, fine, cfg)[0]
-        return vals[fine.index_of(t) - fine.index_of(r)]
+    def marks_pass(backward: bool) -> np.ndarray:
+        if backward not in passes:
+            passes[backward] = _mark_pass(x0s, marks, c, fine, cfg, backward)
+        return passes[backward]
 
-    def bwd(driver, r, t, x):
-        vals = solve_backward_batch(np.asarray(x, dtype=float)[None, :], t, c, fine, cfg)[0]
-        return vals[fine.index_of(r)]
+    return (lambda a, b, i: marks_pass(False)[b, a * npts + i],
+            lambda a, b, i: marks_pass(True)[a, (b - 1) * npts + i])
 
-    return fwd, bwd
+
+def _mark_pass(x0s: np.ndarray, marks: list, c: CoefficientField, driver: GridPath, cfg: SolverConfig,
+               backward: bool = False) -> np.ndarray:
+    """One Euler pass over every mark and point.
+
+    Forward, every mark starts a member: entry [b, a * npts + i] is
+    X_{r_a t_b}(x_i) for a <= b.  Backward, every mark after the first ends
+    one: entry [a, (b - 1) * npts + i] is Y_{r_a t_b}(x_i) for a <= b.
+    """
+    idx = [driver.index_of(m) for m in marks]
+    starts = idx[1:] if backward else idx
+    return _flow_marks(np.tile(x0s, (len(starts), 1)), np.repeat(starts, x0s.shape[0]), idx, c, driver, cfg,
+                       backward=backward)
 
 
 def _run_flow(config: ExperimentConfig) -> list:
@@ -309,30 +336,26 @@ def _run_flow(config: ExperimentConfig) -> list:
     records = []
     for seed in config.seeds:
         fine = _fine_driver(config, seed, components=c.noise_dim)
-        ref_fwd, ref_bwd = _reference_maps(config, c, fine)
+        ref_fwd, ref_bwd = _reference_maps(config, c, fine, marks, x0s)
         for n in config.ladder:
             driver = fine.decimate(config.fine_n // n)
             cfg = SolverConfig(config.alpha, n, config.hurst)
             disc_f, disc_b, failure = {}, {}, None
             try:
-                idx = [driver.index_of(m) for m in marks]
-                # fwd[b, a * npts + i] = X_{r_a t_b}(x_i) for a <= b
-                fwd = _flow_marks(np.tile(x0s, (len(marks), 1)), np.repeat(idx, npts), idx, c, driver, cfg)
+                fwd = _mark_pass(x0s, marks, c, driver, cfg)
                 for a, r in enumerate(marks):
                     for b in range(a, len(marks)):
-                        for i, x in enumerate(x0s):
+                        for i in range(npts):
                             reached = fwd[b, a * npts + i]
-                            disc_f[(r, marks[b], i)] = float(np.linalg.norm(reached - ref_fwd(driver, r, marks[b], x)))
-                # bwd[a, (b - 1) * npts + i] = Y_{r_a t_b}(x_i) for a <= b; the first mark is t = 0
-                bwd = _flow_marks(np.tile(x0s, (len(marks) - 1, 1)), np.repeat(idx[1:], npts),
-                                  idx, c, driver, cfg, backward=True)
+                            disc_f[(r, marks[b], i)] = float(np.linalg.norm(reached - ref_fwd(a, b, i)))
+                # the first mark is t = 0, where no backward member ends
+                bwd = _mark_pass(x0s, marks, c, driver, cfg, backward=True)
                 disc_b.update({(marks[0], marks[0], i): 0.0 for i in range(npts)})
                 for b in range(1, len(marks)):
                     for a in range(b + 1):
-                        for i, x in enumerate(x0s):
+                        for i in range(npts):
                             reached = bwd[a, (b - 1) * npts + i]
-                            disc_b[(marks[a], marks[b], i)] = float(
-                                np.linalg.norm(reached - ref_bwd(driver, marks[a], marks[b], x)))
+                            disc_b[(marks[a], marks[b], i)] = float(np.linalg.norm(reached - ref_bwd(a, b, i)))
             except Exception as exc:  # record the failure on every cell, keep sweeping
                 failure = f"error: {exc}"
             for i in range(npts):

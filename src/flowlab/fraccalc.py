@@ -18,7 +18,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import RegularityError
-from .paths import FracOrder, GridPath, _alpha_value, estimate_holder_order, w_one_minus_alpha_norm
+from .paths import FracOrder, GridPath, _alpha_value, _pair_sweep, _sweep_weights, estimate_holder_order
 from .quadrature import increment_profile, kernel_profile
 
 __all__ = [
@@ -94,28 +94,9 @@ def right_weyl_derivative(f: GridPath, alpha: Union[FracOrder, float], pin_endpo
     return GridPath(f.times, out[::-1])
 
 
-def _pinned_right_derivative_magnitude(values: np.ndarray, a: float, h: float) -> np.ndarray:
-    """|D^{1-alpha}_{t-} g_{t-}|(s_i) for the right endpoint t = last node of ``values``.
-
-    Index k of the result corresponds to s = t - k*h (reversed positions);
-    entries 0 (s = t) and the last (s = path start) are not interior.
-    """
-    w = values[::-1]
-    j = w.shape[0] - 1
-    tau = np.arange(j + 1) * h
-    prof = increment_profile(w, a - 2.0, h)
-    out = np.zeros((j + 1, w.shape[1]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out[1:] = (w[1:] - w[0]) / tau[1:, None] ** (1.0 - a)
-    out[1:] += (1.0 - a) * prof[1:]
-    out /= math.gamma(a)
-    return np.linalg.norm(out, axis=1)
-
-
 def _endpoint_indices(n: int, endpoints: Union[str, Sequence[int]]) -> np.ndarray:
+    """Right endpoints of the decimated mode or of an explicit list ("all" runs the pair sweep)."""
     if isinstance(endpoints, str):
-        if endpoints == "all":
-            return np.arange(2, n + 1)
         if endpoints == "decimated":
             count = int(np.ceil(np.sqrt(n)))
             idx = np.unique(np.linspace(2, n, count).round().astype(int))
@@ -149,30 +130,50 @@ def lambda_alpha(
     default decimated mode uses ceil(sqrt(n)) grid times plus the horizon
     (a lower bound on the full supremum); pass "all" for every grid time.
     """
-    value, _, _ = _lambda_alpha_impl(g, alpha, endpoints)
-    return value
+    return _lambda_alpha_impl(g, _alpha_value(alpha, upper=0.5), endpoints)[0]
 
 
-def _lambda_alpha_impl(g, alpha, endpoints) -> tuple[float, int, int]:
-    a = _alpha_value(alpha, upper=0.5)
-    n = g.n_steps
-    idx = _endpoint_indices(n, endpoints)
-    scale = 1.0 / math.gamma(1.0 - a)
-    best = 0.0
-    best_pair = (0, int(idx[-1]))
-    for j in idx:
-        mags = _pinned_right_derivative_magnitude(g.values[: j + 1], a, g.step)
-        interior = mags[1:j]  # k = j (s = start) and k = 0 (s = t) are excluded
-        if interior.size == 0:
-            continue
-        k = int(np.argmax(interior)) + 1
-        peak = scale * interior[k - 1]
-        if peak > best:
-            best = peak
-            best_pair = (j - k, j)
-    if not np.isfinite(best):
+def _endpoint_peaks(g: GridPath, a: float, idx: np.ndarray) -> tuple[float, int, int]:
+    """The signed pair sweep's sup |S(s, t)| over 1 <= s < t, for t in ``idx`` only.
+
+    For t = t_j and w[k] = g(t_{j-k}), the sum over nodes m < k of row
+    s = t_{j-k} is w[k] sum_{m<k} cp(m) + cp(k) w[0] - (w * cp)[k], one
+    convolution per endpoint.  Its rows k < j need cp(1 .. j-1) only, so at
+    an FFT length L >= 2j + 1 the kernel cut to L / 2 taps wraps onto
+    no row in use: the weights and the cut kernel's spectrum at each length
+    are made once per call, and each endpoint costs one rfft/irfft pair.
+    """
+    cp, tail, last = _sweep_weights(a, g.step, g.n_steps)
+    kern = np.concatenate(([0.0], cp))  # kern[m] = cp(m)
+    below = np.concatenate(([0.0], np.cumsum(cp)))  # below[k-1] = sum_{m<k} cp(m)
+    own = tail / (1.0 - a) + last
+    spectra, peaks, pairs = {}, [], []
+    for j in idx.tolist():
+        size = 1 << (2 * j).bit_length()  # the shortest power of 2 >= 2j + 1
+        if size not in spectra:
+            spectra[size] = np.fft.rfft(kern[: size // 2], size)[:, None]
+        w = g.values[j::-1]
+        conv = np.fft.irfft(np.fft.rfft(w, size, axis=0) * spectra[size], size, axis=0)[1:j]
+        rows = (w[1:j] - w[0]) * own[: j - 1, None] + w[1:j] * below[: j - 1, None] + kern[1:j, None] * w[0] - conv
+        mags = np.abs(rows[:, 0]) if rows.shape[1] == 1 else np.linalg.norm(rows, axis=1)  # as in the sweep
+        k = int(np.argmax(mags)) + 1
+        peaks.append(mags[k - 1])
+        pairs.append((j - k, j))
+    b = int(np.argmax(peaks))  # the first maximum: smallest t, then largest s
+    return (0.0, 0, int(idx[-1])) if peaks[b] <= 0.0 else (float(peaks[b]),) + pairs[b]
+
+
+def _lambda_alpha_impl(g, a: float, endpoints, bound: bool = False):
+    """(value, s index, t index, (1-a) norm or None): one pair sweep for "all", endpoint FFTs otherwise."""
+    if isinstance(endpoints, str) and endpoints == "all":
+        norm, (peak, s, t) = _pair_sweep(g, a, signed=True, absolute=bound)
+    else:
+        peak, s, t = _endpoint_peaks(g, a, _endpoint_indices(g.n_steps, endpoints))
+        norm = _pair_sweep(g, a, signed=False, absolute=True)[0] if bound else None
+    value = (1.0 - a) * peak / (math.gamma(a) * math.gamma(1.0 - a))
+    if not np.isfinite(value):
         raise RegularityError("right-sided derivative diverged; the driver is too rough for this order")
-    return float(best), best_pair[0], best_pair[1]
+    return float(value), s, t, norm
 
 
 def lambda_alpha_report(
@@ -186,8 +187,8 @@ def lambda_alpha_report(
     its behaviour under refinement.
     """
     a = _alpha_value(alpha, upper=0.5)
-    value, s_idx, t_idx = _lambda_alpha_impl(g, alpha, endpoints)
-    bound = w_one_minus_alpha_norm(g, a) / (math.gamma(1.0 - a) * math.gamma(a))
+    value, s_idx, t_idx, norm = _lambda_alpha_impl(g, a, endpoints, bound=True)
+    bound = norm / (math.gamma(1.0 - a) * math.gamma(a))
     mode = endpoints if isinstance(endpoints, str) else "explicit"
     return LambdaReport(
         value=value,

@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Callable, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .quadrature import abs_increment_profile, cell_weights, weighted_integral
 
@@ -29,6 +30,7 @@ __all__ = [
 ]
 
 _GRID_RTOL = 64.0
+_SWEEP_ROWS = 32  # start rows per block of the pair sweep
 
 
 @dataclass(frozen=True)
@@ -287,27 +289,84 @@ def w_alpha_lambda_norm(f: GridPath, alpha: Union[FracOrder, float], lambda_weig
     return float((np.exp(-lambda_weight * rel_t) * _alpha_profile(f, a)).max())
 
 
+def _sweep_weights(a: float, h: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Product-integration weights of the kernel u^{a-2} by distance, for 1 <= k <= n steps.
+
+    Returns ``cp`` (cp[m-1] = beta(m) + gamma(m+1), the node at distance
+    m < k), ``tail`` ((kh)^{a-1}) and ``last`` (beta(k), the node at k).
+    """
+    beta, gamma = cell_weights(a - 2.0, h, n)
+    return beta[1:n] + gamma[2:], (np.arange(1, n + 1) * h) ** (a - 1.0), beta[1:]
+
+
+def _block_peak(x: np.ndarray, out: np.ndarray, cp: np.ndarray, own: np.ndarray, skip_first: bool = False):
+    """Max over a block of |sum_{m<k} cp[m] x(m) + own(k) x(k)| and its (row, k - 1).
+
+    ``x`` is (components, rows, distances), row i of it keeping the first
+    ``distances - i`` columns, and ``out`` a work buffer of its shape or larger.
+    The first row is left out when ``skip_first`` is set.
+    """
+    c, r, m = x.shape
+    out = out[:c]
+    out[..., 0] = 0.0
+    np.multiply(x[..., :-1], cp[: m - 1], out=out[..., 1:])
+    np.cumsum(out[..., 1:], axis=-1, out=out[..., 1:])
+    out += x * own[:m]
+    mag = np.abs(out[0]) if c == 1 else np.sqrt(np.einsum("cim,cim->im", out, out))
+    mag[:, m - r + 1 :][np.add.outer(np.arange(r), np.arange(r - 1)) >= r - 1] = -np.inf  # past t = n
+    if skip_first:
+        mag[0] = -np.inf
+    i, j = divmod(int(np.argmax(mag)), m)
+    return mag[i, j], i, j
+
+
+def _pair_sweep(g: GridPath, a: float, signed: bool, absolute: bool):
+    """Every grid pair s < t of the (1-a) increment integrals, in one blocked pass.
+
+    With Phi(s, m) = g(s) - g(s + m), k = (t - s)/h and the weights of
+    ``_sweep_weights``,
+
+        S(s, t) = Phi(s, k) (tail(k)/(1-a) + last(k)) + sum_{m<k} cp(m) Phi(s, m)
+        A(s, t) = |Phi(s, k)| (tail(k) + last(k)) + sum_{m<k} cp(m) |Phi(s, m)|
+
+    (1-a)|S| / Gamma(a) is the pinned right-sided derivative
+    |D^{1-a}_{t-} g_{t-}(s)| and sup A is the (1-a) norm.  Each block of
+    start rows takes one cumulative sum over the distance.  Returns
+    ``(sup A over 0 <= s, (sup |S| over 1 <= s, s, t))``, ``None`` for a
+    part not asked for: the first pair in (s, t) order attaining sup |S|,
+    or (0, n) when every S is 0.  A NaN propagates.
+    """
+    n, d = g.n_steps, g.dimension
+    cp, tail, last = _sweep_weights(a, g.step, n)
+    own_signed, own_abs = tail / (1.0 - a) + last, tail + last
+    rows = min(_SWEEP_ROWS, n)
+    # vt[c, u] = g_c(u), zero-padded past u = n: only excluded pairs read the padding
+    vt = np.zeros((d, n + rows))
+    vt[:, : n + 1] = g.values.T
+    buf = np.empty((2, d * rows * n))
+    norms, peaks, pairs = [], [], []
+    for s0 in range(0, n, rows):
+        r, m = min(rows, n - s0), n - s0  # row i of the block keeps distances 1 .. m - i
+        phi, acc = buf[:, : d * r * m].reshape(2, d, r, m)
+        np.subtract(vt[:, s0 : s0 + r, None], sliding_window_view(vt[:, s0 + 1 : s0 + r + m], m, axis=1), out=phi)
+        if signed:  # s = 0 is not interior
+            peak, i, j = _block_peak(phi, acc, cp, own_signed, skip_first=s0 == 0)
+            peaks.append(peak)
+            pairs.append((s0 + i, s0 + i + j + 1))
+        if absolute:
+            dist = np.abs(phi[:1]) if d == 1 else np.sqrt(np.einsum("cim,cim->im", phi, phi))[None]
+            norms.append(_block_peak(dist, acc, cp, own_abs)[0])
+    norm = float(np.max(norms)) if absolute else None
+    if not signed:
+        return norm, None
+    b = int(np.argmax(peaks))
+    return norm, ((0.0, 0, n) if peaks[b] <= 0.0 else (float(peaks[b]),) + pairs[b])
+
+
 def w_one_minus_alpha_norm(g: GridPath, alpha: Union[FracOrder, float]) -> float:
     """sup over grid pairs of the (1-alpha) increment ratio plus its singular tail integral."""
     a = _alpha_value(alpha, upper=0.5)
-    vals = g.values
-    n = g.n_steps
-    h = g.step
-    p = a - 2.0
-    beta, gamma = cell_weights(p, h, n)
-    best = 0.0
-    for i in range(n):
-        d = np.linalg.norm(vals[i:] - vals[i], axis=1)
-        m = n - i
-        gg = np.arange(1, m + 1)
-        terms = np.empty(m)
-        terms[0] = d[1] * beta[1]  # singular cell: d[0] = 0 exactly, gamma[1] unused
-        terms[1:] = d[1:-1] * gamma[gg[1:]] + d[2:] * beta[gg[1:]]
-        total = d[1:] / ((gg * h) ** (1.0 - a)) + np.cumsum(terms)
-        peak = total.max()
-        if peak > best:
-            best = peak
-    return float(best)
+    return _pair_sweep(g, a, signed=False, absolute=True)[0]
 
 
 def f_alpha_one_norm(f: GridPath, alpha: Union[FracOrder, float]) -> float:

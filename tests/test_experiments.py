@@ -51,6 +51,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"\[96\] do not divide fine_n"):
             default_config(kind, ladder=(64, 96), fine_n=2**10)
 
+    def test_rejects_init_solver_n_not_dividing_fine_n(self):
+        # such a solver_n used to fail later, in decimate, after the config was accepted
+        with pytest.raises(ValueError, match=r"solver_n = 384 does not divide fine_n = 8192"):
+            default_config("init-continuity", solver_n=384)
+        assert default_config("init-continuity", solver_n=2**10).solver_n == 2**10
+
     def test_solver_gate_applies(self):
         with pytest.raises(ValueError, match="admissible window"):
             default_config("flow", hurst=0.55, alpha=0.3)  # alpha below 1 - H
@@ -110,6 +116,70 @@ class TestFlowExperiment:
         assert len(res.records) == 6 * 2 * 35  # no silent skips
         assert not res.checks["no_error_records"]
         assert not res.passed
+
+
+def _per_cell_reference(config, c, fine, r, t, x):
+    """The per-(r, t, x) fine-grid solves that the flow reference ran before the shared passes."""
+    from flowlab.sde import SolverConfig, solve_backward_batch, solve_forward_batch
+
+    cfg = SolverConfig(config.alpha, fine.n_steps, config.hurst)
+    x = np.asarray(x, dtype=float)[None, :]
+    fwd = solve_forward_batch(x, r, c, fine, cfg)[0][fine.index_of(t) - fine.index_of(r)]
+    bwd = solve_backward_batch(x, t, c, fine, cfg)[0][fine.index_of(r)] if t > 0.0 else x[0]
+    return fwd, bwd
+
+
+class TestFlowReference:
+    @pytest.mark.parametrize("coefficients, points, bitwise", [
+        ("builtin:sin", ((0.5,), (-1.0,)), True),
+        # two noise components and no closed form: the batched sigma product sums in another order
+        ("builtin:linear-drift:0.8,0.3;-0.2,0.6", ((0.5, 1.0), (-1.0, 0.2)), False),
+    ])
+    def test_shared_passes_match_per_cell_solves(self, coefficients, points, bitwise):
+        import flowlab.experiments as experiments
+
+        cfg = small("flow", coefficients=coefficients, initial_points=points)
+        c = cfg.field()
+        fine = experiments._fine_driver(cfg, 3, components=c.noise_dim)
+        marks = [0.0, 0.25, 0.5, 0.75, 1.0]
+        x0s = np.asarray(points, dtype=float)
+        ref_fwd, ref_bwd = experiments._reference_maps(cfg, c, fine, marks, x0s)
+        for a in range(len(marks)):
+            for b in range(a, len(marks)):
+                for i, x in enumerate(x0s):
+                    want_fwd, want_bwd = _per_cell_reference(cfg, c, fine, marks[a], marks[b], x)
+                    got_fwd = ref_fwd(a, b, i)
+                    got_bwd = ref_bwd(a, b, i) if b > 0 else x  # no backward member ends at t = 0
+                    if bitwise:
+                        assert np.array_equal(got_fwd, want_fwd)
+                        assert np.array_equal(got_bwd, want_bwd)
+                    else:
+                        np.testing.assert_allclose(got_fwd, want_fwd, rtol=1e-12, atol=0.0)
+                        np.testing.assert_allclose(got_bwd, want_bwd, rtol=1e-12, atol=0.0)
+
+    def test_reference_is_two_fine_passes_per_seed(self, monkeypatch):
+        import flowlab.experiments as experiments
+
+        fine_n = 2**10
+        real = experiments._flow_marks
+        fine_passes, solves = [], []
+
+        def counting(x0s, starts, marks, c, driver, cfg, backward=False):
+            if driver.n_steps == fine_n:
+                fine_passes.append(backward)
+            return real(x0s, starts, marks, c, driver, cfg, backward=backward)
+
+        def no_solve(*args, **kwargs):
+            solves.append(None)
+            raise AssertionError("the flow reference made a per-cell solve")
+
+        monkeypatch.setattr(experiments, "_flow_marks", counting)
+        monkeypatch.setattr(experiments, "solve_forward_batch", no_solve)
+        cfg = default_config("flow", coefficients="builtin:sin", ladder=(64, 128, 256), fine_n=fine_n, seeds=(0,))
+        res = run_experiment(cfg)
+        assert all(r["status"] == "ok" for r in res.records)
+        assert sorted(fine_passes) == [False, True]
+        assert solves == []
 
 
 class TestInverseExperiment:

@@ -9,6 +9,7 @@ import pytest
 from flowlab import fbm
 from flowlab.fraccalc import (
     FracOrder,
+    _lambda_alpha_impl,
     lambda_alpha,
     lambda_alpha_report,
     left_frac_integral,
@@ -195,3 +196,128 @@ class TestLambdaAlpha:
         assert sub <= lambda_alpha(fbm_path, 0.3, endpoints="all") + 1e-12
         with pytest.raises(ValueError):
             lambda_alpha(fbm_path, 0.3, endpoints=[0, 5])
+
+
+# -- oracle: the per-endpoint FFT loop that lambda_alpha ran before the pair sweep --
+
+
+def _oracle_pinned_magnitude(values, a, h):
+    """|D^{1-a}_{t-} g_{t-}| at s = t - k*h for the right endpoint t = last node, via one FFT profile."""
+    from flowlab.quadrature import increment_profile
+
+    w = values[::-1]
+    j = w.shape[0] - 1
+    tau = np.arange(j + 1) * h
+    prof = increment_profile(w, a - 2.0, h)
+    out = np.zeros((j + 1, w.shape[1]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out[1:] = (w[1:] - w[0]) / tau[1:, None] ** (1.0 - a)
+    out[1:] += (1.0 - a) * prof[1:]
+    out /= math.gamma(a)
+    return np.linalg.norm(out, axis=1)
+
+
+def _oracle_lambda(g, a, idx):
+    """(value, s index, t index): one increment profile per right endpoint in ``idx``."""
+    scale = 1.0 / math.gamma(1.0 - a)
+    best, best_pair = 0.0, (0, int(idx[-1]))
+    for j in idx:
+        interior = _oracle_pinned_magnitude(g.values[: j + 1], a, g.step)[1:j]
+        k = int(np.argmax(interior)) + 1
+        peak = scale * interior[k - 1]
+        if peak > best:
+            best, best_pair = peak, (j - k, j)
+    return float(best), best_pair[0], best_pair[1]
+
+
+def _oracle_endpoints(n, mode):
+    if mode == "all":
+        return np.arange(2, n + 1)
+    if mode == "decimated":
+        return np.unique(np.linspace(2, n, int(np.ceil(np.sqrt(n)))).round().astype(int))
+    return np.unique([2, n // 2 + 1, n])
+
+
+def _oracle_path(kind, n, d):
+    t = np.linspace(0.0, 1.0, n + 1)
+    if kind == "constant":
+        return GridPath.from_values(np.full((n + 1, d), 3.0))
+    if kind == "linear":
+        return GridPath.from_values(np.outer(t, np.arange(1.0, d + 1.0)))
+    spec = fbm.FbmSpec(hurst=0.75, components=d, grid_size=n, seed=11 + n + d)
+    return 2.5 * fbm.sample_circulant(spec).path
+
+
+class TestLambdaAlphaOracle:
+    """The pair sweep ("all") and the cached-weight endpoint FFTs against the per-endpoint loop."""
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 256, 1024])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("kind", ["constant", "linear", "fbm"])
+    @pytest.mark.parametrize("mode", ["all", "decimated", "explicit"])
+    def test_matches_per_endpoint_loop(self, n, d, kind, mode):
+        a = 0.3
+        g = _oracle_path(kind, n, d)
+        idx = _oracle_endpoints(n, mode)
+        endpoints = idx.tolist() if mode == "explicit" else mode
+        value, s, t, _ = _lambda_alpha_impl(g, a, endpoints)
+        ref_value, ref_s, ref_t = _oracle_lambda(g, a, idx)
+        if kind == "constant":
+            # the loop's FFT leaves a rounding residue; the pair it picks from it means nothing
+            assert ref_value < 1e-12
+            assert value < 1e-12
+            if mode == "all":
+                assert (value, s, t) == (0.0, 0, n)
+            return
+        assert value == pytest.approx(ref_value, rel=1e-12)
+        assert (s, t) == (ref_s, ref_t)
+        assert lambda_alpha(g, a, endpoints) == value
+
+    def test_endpoint_fft_does_not_wrap_onto_short_distances(self):
+        # at j = 2^k - 1 the FFT length is 2j + 2, so a kernel cut three taps
+        # longer would wrap g(0) onto row k = 1, which a spike at t makes the peak
+        a = 0.3
+        base = _oracle_path("fbm", 256, 2)
+        for j in (3, 7, 15, 31, 63, 127, 255):
+            vals = base.values + 5.0
+            vals[j] += 40.0
+            g = GridPath(base.times, vals)
+            value, s, t, _ = _lambda_alpha_impl(g, a, [j])
+            assert (value, s, t) == pytest.approx(_oracle_lambda(g, a, [j]), rel=1e-12)
+            assert (s, t) == (j - 1, j)
+
+    @pytest.mark.parametrize("mode", ["all", "decimated", "explicit"])
+    def test_one_component_does_not_square(self, mode):
+        # finite values whose squares overflow: the value scales like the path
+        unit = np.zeros(65)
+        unit[1::2] = 1.0
+        endpoints = list(range(2, 65)) if mode == "explicit" else mode
+        base = lambda_alpha(GridPath.from_values(unit), 0.3, endpoints)
+        big = lambda_alpha(GridPath.from_values(1e200 * unit), 0.3, endpoints)
+        assert big == pytest.approx(1e200 * base, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["all", "decimated"])
+    def test_report_matches_oracle_and_norm(self, mode):
+        a = 0.3
+        g = _oracle_path("fbm", 256, 2)
+        rep = lambda_alpha_report(g, a, endpoints=mode)
+        ref_value, ref_s, ref_t = _oracle_lambda(g, a, _oracle_endpoints(256, mode))
+        assert rep.value == pytest.approx(ref_value, rel=1e-12)
+        assert (rep.attained_s, rep.attained_t) == (g.times[ref_s], g.times[ref_t])
+        bound = w_one_minus_alpha_norm(g, a) / (math.gamma(1.0 - a) * math.gamma(a))
+        assert rep.upper_bound == bound
+
+    @pytest.mark.parametrize("mode", ["all", "decimated", "explicit"])
+    def test_non_finite_raises_regularity_error(self, mode):
+        from flowlab.errors import RegularityError
+
+        vals = np.zeros(65)
+        vals[1::2] = 1e308  # finite values whose pinned derivative overflows
+        g = GridPath.from_values(vals)
+        endpoints = [8, 64] if mode == "explicit" else mode
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(RegularityError):
+                lambda_alpha(g, 0.3, endpoints)
+            with pytest.raises(RegularityError):
+                lambda_alpha_report(g, 0.3, endpoints)

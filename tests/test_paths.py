@@ -255,3 +255,40 @@ def test_estimate_holder_order_tracks_regularity():
     rough = estimate_holder_order(fbm.sample_circulant(fbm.FbmSpec(hurst=0.6, grid_size=512, seed=1)).path)
     assert smooth > 0.95
     assert 0.3 < rough < 0.8
+
+
+def _oracle_w_one_minus_alpha_norm(g, a):
+    """The per-row loop the pair sweep replaced: one cumulative sum per start index."""
+    from flowlab.quadrature import cell_weights
+
+    vals, n, h = g.values, g.n_steps, g.step
+    beta, gamma = cell_weights(a - 2.0, h, n)
+    best = 0.0
+    for i in range(n):
+        d = np.linalg.norm(vals[i:] - vals[i], axis=1)
+        m = n - i
+        gg = np.arange(1, m + 1)
+        terms = np.empty(m)
+        terms[0] = d[1] * beta[1]
+        terms[1:] = d[1:-1] * gamma[gg[1:]] + d[2:] * beta[gg[1:]]
+        best = max(best, (d[1:] / ((gg * h) ** (1.0 - a)) + np.cumsum(terms)).max())
+    return float(best)
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 256, 1024])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kind", ["constant", "linear", "fbm"])
+def test_w_one_minus_alpha_norm_matches_per_row_loop(n, d, kind):
+    t = np.linspace(0.0, 1.0, n + 1)
+    if kind == "constant":
+        g = GridPath.from_values(np.full((n + 1, d), -1.5))
+    elif kind == "linear":
+        g = GridPath.from_values(np.outer(t, np.arange(1.0, d + 1.0)))
+    else:
+        g = 2.5 * fbm.sample_circulant(fbm.FbmSpec(hurst=0.75, components=d, grid_size=n, seed=n + d)).path
+    expected = _oracle_w_one_minus_alpha_norm(g, 0.3)
+    got = w_one_minus_alpha_norm(g, 0.3)
+    if kind == "constant":
+        assert got == expected == 0.0
+    else:
+        assert got == pytest.approx(expected, rel=1e-12)
