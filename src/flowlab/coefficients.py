@@ -10,6 +10,7 @@ never the global hypotheses.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Union
@@ -41,8 +42,14 @@ class CoefficientField:
     drift_growth: float = 1.0
     dsigma_holder_order: float = 1.0    # delta in (0, 1]
     time_holder_order: float = 1.0      # beta in (0, 1]
-    name: str = "custom"
+    name: str = "custom"                 # a label for messages only
     sigma_bound: Optional[float] = None  # sup |sigma| when bounded, else None
+    flow: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None  # closed form (x, B_t - B_r) -> X_rt(x)
+
+    @property
+    def grid_exact(self) -> bool:
+        """Constant sigma and no drift, as declared: Euler is exact on every grid."""
+        return self.sigma_lipschitz == self.time_holder == self.drift_lipschitz == self.drift_growth == 0.0
 
     def __post_init__(self):
         if self.dim < 1 or self.noise_dim < 1:
@@ -60,6 +67,10 @@ def _as_batch(x: np.ndarray, d: int) -> np.ndarray:
     return x
 
 
+def _zero_drift(d: int) -> Callable[[float, np.ndarray], np.ndarray]:
+    return lambda t, x: np.zeros_like(_as_batch(x, d))
+
+
 def builtin_field(kind: str, matrix: Optional[np.ndarray] = None, sigma0: float = 1.0) -> CoefficientField:
     """Ready-made fields: zero, additive, geometric, sin, linear-drift."""
     if kind == "zero":
@@ -73,14 +84,12 @@ def builtin_field(kind: str, matrix: Optional[np.ndarray] = None, sigma0: float 
             x = _as_batch(x, d)
             return np.broadcast_to(mat, x.shape[:-1] + (d, m)).copy()
 
-        def drift(t, x):
-            return np.zeros_like(_as_batch(x, d))
-
         return CoefficientField(
-            sigma, drift, d, m,
+            sigma, _zero_drift(d), d, m,
             sigma_lipschitz=0.0, dsigma_holder=0.0, time_holder=0.0,
             drift_lipschitz=0.0, drift_growth=0.0,
             name="additive", sigma_bound=float(np.linalg.norm(mat)),
+            flow=lambda x, db: x + mat @ db,
         )
 
     if kind == "geometric":
@@ -90,14 +99,12 @@ def builtin_field(kind: str, matrix: Optional[np.ndarray] = None, sigma0: float 
             x = _as_batch(x, 1)
             return s0 * x[..., None]
 
-        def drift(t, x):
-            return np.zeros_like(_as_batch(x, 1))
-
         return CoefficientField(
-            sigma, drift, 1, 1,
+            sigma, _zero_drift(1), 1, 1,
             sigma_lipschitz=abs(s0), dsigma_holder=0.0, time_holder=0.0,
             drift_lipschitz=0.0, drift_growth=0.0,
             name=f"geometric:{s0:g}",
+            flow=lambda x, db: x * math.exp(s0 * db[0]),
         )
 
     if kind == "sin":
@@ -105,11 +112,8 @@ def builtin_field(kind: str, matrix: Optional[np.ndarray] = None, sigma0: float 
             x = _as_batch(x, 1)
             return np.sin(x)[..., None]
 
-        def drift(t, x):
-            return np.zeros_like(_as_batch(x, 1))
-
         return CoefficientField(
-            sigma, drift, 1, 1,
+            sigma, _zero_drift(1), 1, 1,
             sigma_lipschitz=1.0, dsigma_holder=1.0, time_holder=0.0,
             drift_lipschitz=0.0, drift_growth=0.0,
             name="sin", sigma_bound=1.0,
@@ -164,6 +168,8 @@ def parse_field(spec: str, sigma0: Optional[float] = None) -> CoefficientField:
                 return builtin_field(kind, sigma0=sigma0)
             return builtin_field(kind)
         if kind in ("zero", "sin"):
+            if param is not None:
+                raise ValueError(f"builtin:{kind} takes no parameter, got {param!r}")
             return builtin_field(kind)
         raise ValueError(f"unknown builtin coefficient field {kind!r}")
     if parts[0] == "file":

@@ -196,6 +196,10 @@ def _percentile(values, q: float) -> float:
     return float(np.percentile(values, q)) if len(values) else np.nan
 
 
+def _error_count(records: list) -> int:
+    return sum(1 for r in records if str(r["status"]).startswith("error"))
+
+
 def _decreasing(values) -> bool:
     """Strictly decreasing over at least two rungs; NaN and single rungs cannot pass."""
     return len(values) > 1 and all(a > b for a, b in zip(values, values[1:]))
@@ -221,46 +225,9 @@ def _auto_lambda(config: ExperimentConfig, driver: GridPath) -> float:
     return min(lam, _MAX_LAMBDA_EXPONENT / config.horizon)
 
 
-def _is_exact_field(c: CoefficientField) -> bool:
-    """Additive-type fields solve exactly at grid level."""
-    return c.name in ("additive", "zero")
-
-
 # ---------------------------------------------------------------------------
 # flow and inverse experiments
 # ---------------------------------------------------------------------------
-
-
-def _closed_form_flows(c: CoefficientField):
-    """Reference (continuous-flow) maps for the exactly solvable fields, else None.
-
-    Returned callables take (driver, r, t, x) with r, t on the driver grid.
-    """
-    if c.name in ("additive", "zero"):
-        mat = np.atleast_2d(np.asarray(c.sigma(0.0, np.zeros(c.dim))))
-
-        def fwd(driver, r, t, x):
-            db = driver.values[driver.index_of(t)] - driver.values[driver.index_of(r)]
-            return np.asarray(x, dtype=float) + mat @ db
-
-        def bwd(driver, r, t, x):
-            db = driver.values[driver.index_of(t)] - driver.values[driver.index_of(r)]
-            return np.asarray(x, dtype=float) - mat @ db
-
-        return fwd, bwd
-    if c.name.startswith("geometric"):
-        s0 = float(c.sigma(0.0, np.ones(1))[0, 0])
-
-        def fwd(driver, r, t, x):
-            db = driver.values[driver.index_of(t), 0] - driver.values[driver.index_of(r), 0]
-            return np.asarray(x, dtype=float) * math.exp(s0 * db)
-
-        def bwd(driver, r, t, x):
-            db = driver.values[driver.index_of(t), 0] - driver.values[driver.index_of(r), 0]
-            return np.asarray(x, dtype=float) * math.exp(-s0 * db)
-
-        return fwd, bwd
-    return None
 
 
 def _time_triples(horizon: float) -> list:
@@ -278,18 +245,17 @@ def _reference_maps(config: ExperimentConfig, c: CoefficientField, fine: GridPat
                     x0s: np.ndarray):
     """Reference maps (a, b, i) -> X_{r_a t_b}(x_i) and Y_{r_a t_b}(x_i), for marks a <= b.
 
-    Closed forms where the field has them.  Otherwise the fine-grid Euler
-    flow: one forward pass started at every mark and one backward pass
-    ended at every mark after the first, each over every point, run on
-    first use and shared by all rungs of the seed (a pass that raises is
-    not kept, so each rung that asks records the failure).  The ladder must
-    stay well below fine_n.
+    The field's closed-form flow where it declares one, at -(B_t - B_r) for
+    Y.  Otherwise the fine-grid Euler flow: one forward pass started at
+    every mark and one backward pass ended at every mark after the first,
+    each over every point, run on first use and shared by all rungs of the
+    seed (a pass that raises is not kept, so each rung that asks records
+    the failure).  The ladder must stay well below fine_n.
     """
-    closed = _closed_form_flows(c)
-    if closed is not None:
-        cf_fwd, cf_bwd = closed
-        return (lambda a, b, i: cf_fwd(fine, marks[a], marks[b], x0s[i]),
-                lambda a, b, i: cf_bwd(fine, marks[a], marks[b], x0s[i]))
+    if c.flow is not None:
+        at = [fine.values[fine.index_of(m)] for m in marks]
+        return (lambda a, b, i: c.flow(x0s[i], at[b] - at[a]),
+                lambda a, b, i: c.flow(x0s[i], -(at[b] - at[a])))
     cfg = SolverConfig(config.alpha, fine.n_steps, config.hurst)
     npts = x0s.shape[0]
     passes = {}
@@ -476,7 +442,7 @@ def _summarize_inverse(config: ExperimentConfig, records: list) -> dict:
     probes = [r for r in records if r["point"] == -1]  # a failed probe reads NaN, so its check is false
     summary["probe_inversions"] = float(sum(r["disc_xy"] for r in probes)) if probes else None
     summary["probe_min_gap"] = float(min(r["disc_yx"] for r in probes)) if probes else None
-    summary["error_records"] += sum(1 for r in probes if str(r["status"]).startswith("error"))
+    summary["error_records"] += _error_count(probes)
     return summary
 
 
@@ -515,8 +481,8 @@ def _flow_style_summary(config, records, strict, value_keys, group_cols) -> dict
     summary["max_discrepancy"] = max(
         (max(float(r[k]) for k in value_keys) for r in ok), default=np.nan
     )
-    summary["error_records"] = sum(1 for r in records if str(r["status"]).startswith("error"))
-    summary["exact_field"] = _is_exact_field(config.field())
+    summary["error_records"] = _error_count(records)
+    summary["exact_field"] = config.field().grid_exact
     return summary
 
 
@@ -530,10 +496,6 @@ def _checks_flow_style(config: ExperimentConfig, summary: dict) -> dict:
     checks["median_decay_ratio"] = bool(ratios) and all(r >= min_ratio for r in ratios)
     checks["top_rung_below_tol"] = summary["top_rung_worst_cell_median"] <= summary["tol_flow_top"]
     return checks
-
-
-def _checks_flow(config, summary):
-    return _checks_flow_style(config, summary)
 
 
 def _checks_inverse(config, summary):
@@ -606,7 +568,7 @@ def _summarize_rate(config: ExperimentConfig, records: list) -> dict:
         "target_slope": config.theta - config.hurst,
         "modulus_q99": _percentile(moduli, 99),
         "modulus_median": _median(moduli),
-        "error_records": sum(1 for r in records if str(r["status"]).startswith("error")),
+        "error_records": _error_count(records),
     }
 
 
@@ -678,8 +640,8 @@ def _summarize_init(config: ExperimentConfig, records: list) -> dict:
         "ratio_max": np.nan,
         "ratio_spread": np.nan,
         "max_deviation_from_one": np.nan,
-        "exact_field": _is_exact_field(config.field()),
-        "error_records": sum(1 for r in records if str(r["status"]).startswith("error")),
+        "exact_field": config.field().grid_exact,
+        "error_records": _error_count(records),
     }
     if len(ratios):  # with no ok pair every statistic stays NaN, so its check is false
         med = float(np.median(ratios))
@@ -756,7 +718,7 @@ def _summarize_driver(config: ExperimentConfig, records: list) -> dict:
         "ratio_max": max_ratio,
         "ratio_spread": max_ratio / med_ratio if med_ratio != 0 else np.inf,
         "log_correlation": corr,
-        "error_records": sum(1 for r in records if str(r["status"]).startswith("error")),
+        "error_records": _error_count(records),
     }
 
 
@@ -780,18 +742,23 @@ def _run_moments(config: ExperimentConfig) -> list:
     c = config.field()
     n = config.solver_n
     total = max(config.sample_counts)
-    spec = fbm.FbmSpec(config.hurst, c.noise_dim, config.horizon, n, seed=config.seeds[0])
-    drivers = fbm.sample_paths(spec, total, method="circulant")
     h = config.horizon / n
     x0s = np.full((total, c.dim), config.moment_x0)
     sup_abs = np.linalg.norm(x0s, axis=-1)
-    for _, states in _march(x0s, 0, c, np.arange(n + 1) * h, drivers, h):
-        sup_abs = np.maximum(sup_abs, np.linalg.norm(states, axis=-1).max(axis=0))
+    try:
+        spec = fbm.FbmSpec(config.hurst, c.noise_dim, config.horizon, n, seed=config.seeds[0])
+        drivers = fbm.sample_paths(spec, total, method="circulant")
+        for _, states in _march(x0s, 0, c, np.arange(n + 1) * h, drivers, h):
+            sup_abs = np.maximum(sup_abs, np.linalg.norm(states, axis=-1).max(axis=0))
+    except Exception as exc:  # every path shares the pass, so a failure is one error cell for all of them
+        return [{"path": -1, "sup_abs": np.nan, "status": f"error: {exc}"}]
     return [{"path": i, "sup_abs": float(v)} for i, v in enumerate(sup_abs)]
 
 
 def _summarize_moments(config: ExperimentConfig, records: list) -> dict:
-    sup = np.asarray([float(r["sup_abs"]) for r in sorted(records, key=lambda r: int(r["path"]))])
+    ok = sorted((r for r in records if int(r["path"]) >= 0), key=lambda r: int(r["path"]))
+    # a failed pass leaves no path: NaN samples make every estimate NaN and every check false
+    sup = np.asarray([float(r["sup_abs"]) for r in ok]) if ok else np.full(max(config.sample_counts), np.nan)
     stats: dict = {}
     bounded = config.field().sigma_bound is not None
     for count in config.sample_counts:
@@ -813,7 +780,7 @@ def _summarize_moments(config: ExperimentConfig, records: list) -> dict:
                 "delta": delta,
                 "stderr": stats[str(b)][stat]["stderr"],
             }
-    return {"estimates": stats, "drift": drift, "paths": len(records)}
+    return {"estimates": stats, "drift": drift, "paths": len(ok)}
 
 
 def _checks_moments(config: ExperimentConfig, summary: dict) -> dict:
@@ -843,7 +810,7 @@ _SUMMARIZERS = {
 }
 
 _CHECKERS = {
-    "flow": _checks_flow,
+    "flow": _checks_flow_style,
     "inverse": _checks_inverse,
     "rate": _checks_rate,
     "init-continuity": _checks_init,

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf
 
 from .errors import EmbeddingError, FactorizationError
-from .paths import GridPath, HolderOrder, holder_seminorm, _holder_value
+from .paths import GridPath, HolderOrder, holder_seminorm, _holder_value, _lag_peak
 
 __all__ = [
     "FbmSpec",
@@ -254,9 +254,7 @@ def modulus_constant(path: FbmPath) -> float:
         gap = lag * h
         if gap >= 1.0:
             break
-        diff = vals[lag:] - vals[:-lag]
-        peak = np.sqrt(np.einsum("ij,ij->i", diff, diff).max())
-        ratio = peak / (gap**hurst * np.sqrt(np.log(1.0 / gap)))
+        ratio = _lag_peak(vals, lag) / (gap**hurst * np.sqrt(np.log(1.0 / gap)))
         if ratio > best:
             best = ratio
     return float(best)

@@ -223,6 +223,12 @@ class GridPath:
 # -- norms ---------------------------------------------------------------
 
 
+def _lag_peak(vals: np.ndarray, lag: int) -> float:
+    """max over s of |f(s + lag) - f(s)| on grid values shaped (n + 1, d)."""
+    diff = vals[lag:] - vals[:-lag]
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff).max())
+
+
 def estimate_holder_order(f: GridPath) -> float:
     """Crude Holder-order estimate: slope of log sup-increment against log lag.
 
@@ -235,8 +241,7 @@ def estimate_holder_order(f: GridPath) -> float:
     lags, peaks = [], []
     lag = 1
     while lag <= max(1, n // 4):
-        diff = vals[lag:] - vals[:-lag]
-        peak = np.sqrt(np.einsum("ij,ij->i", diff, diff).max())
+        peak = _lag_peak(vals, lag)
         if peak > 0.0:
             lags.append(lag * h)
             peaks.append(peak)
@@ -261,9 +266,7 @@ def holder_seminorm(f: GridPath, order: Union[HolderOrder, float]) -> float:
         denom = (lag * h) ** lam
         if range_bound / denom <= best:
             break
-        diff = vals[lag:] - vals[:-lag]
-        peak = np.sqrt(np.einsum("ij,ij->i", diff, diff).max())
-        ratio = peak / denom
+        ratio = _lag_peak(vals, lag) / denom
         if ratio > best:
             best = ratio
     return float(best)

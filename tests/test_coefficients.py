@@ -1,6 +1,7 @@
 """Builtin fields, declarative expression files, constant validation."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from flowlab.coefficients import (
     parse_field,
     validate_coefficients,
 )
+from flowlab.paths import GridPath
 
 
 class TestBuiltins:
@@ -68,6 +70,12 @@ class TestParseField:
         for bad in ("builtin", "builtin:unknown", "mystery:thing", "file:"):
             with pytest.raises(ValueError):
                 parse_field(bad)
+
+    @pytest.mark.parametrize("spec", ["builtin:sin:abc", "builtin:zero:0.5", "builtin:sin:"])
+    def test_rejects_a_parameter_the_field_does_not_take(self, spec):
+        # these used to parse and drop the parameter; zero:0.5 ran with sigma = 0
+        with pytest.raises(ValueError, match="takes no parameter"):
+            parse_field(spec)
 
 
 class TestExpressionField:
@@ -165,3 +173,82 @@ class TestValidateCoefficients:
         ys = np.array([[0.5], [-1.0]])
         rep = validate_coefficients(f, lattice=(times, xs, ys))
         assert rep.empirical["m1"] == pytest.approx(1.0)
+
+
+def _closed_form_flows(c):
+    """Oracle: the name-matched closed forms the flow campaigns used before fields declared theirs.
+
+    Returned callables take (driver, r, t, x) with r, t on the driver grid.
+    """
+    if c.name in ("additive", "zero"):
+        mat = np.atleast_2d(np.asarray(c.sigma(0.0, np.zeros(c.dim))))
+
+        def fwd(driver, r, t, x):
+            db = driver.values[driver.index_of(t)] - driver.values[driver.index_of(r)]
+            return np.asarray(x, dtype=float) + mat @ db
+
+        def bwd(driver, r, t, x):
+            db = driver.values[driver.index_of(t)] - driver.values[driver.index_of(r)]
+            return np.asarray(x, dtype=float) - mat @ db
+
+        return fwd, bwd
+    if c.name.startswith("geometric"):
+        s0 = float(c.sigma(0.0, np.ones(1))[0, 0])
+
+        def fwd(driver, r, t, x):
+            db = driver.values[driver.index_of(t), 0] - driver.values[driver.index_of(r), 0]
+            return np.asarray(x, dtype=float) * math.exp(s0 * db)
+
+        def bwd(driver, r, t, x):
+            db = driver.values[driver.index_of(t), 0] - driver.values[driver.index_of(r), 0]
+            return np.asarray(x, dtype=float) * math.exp(-s0 * db)
+
+        return fwd, bwd
+    return None
+
+
+class TestFieldCapabilities:
+    @pytest.mark.parametrize("spec", [
+        "builtin:zero", "builtin:additive:0.8", "builtin:additive:0.5,1;0,1", "builtin:geometric:0.5",
+    ])
+    def test_matches_name_matched_oracle_bit_for_bit(self, spec):
+        c = parse_field(spec)
+        fwd, bwd = _closed_form_flows(c)
+        rng = np.random.default_rng(5)
+        driver = GridPath.from_values(rng.normal(size=(17, c.noise_dim)).cumsum(axis=0))
+        marks = driver.times[::4]
+        for x in rng.uniform(-2.0, 2.0, size=(3, c.dim)):
+            for r in marks:
+                for t in marks[marks >= r]:
+                    db = driver.values[driver.index_of(t)] - driver.values[driver.index_of(r)]
+                    assert c.flow(x, db).tobytes() == fwd(driver, r, t, x).tobytes()
+                    assert c.flow(x, -db).tobytes() == bwd(driver, r, t, x).tobytes()
+
+    @pytest.mark.parametrize("spec, grid_exact, closed_form", [
+        ("builtin:zero", True, True),
+        ("builtin:additive", True, True),
+        ("builtin:additive:0.5,1;0,1", True, True),
+        ("builtin:geometric", False, True),
+        ("builtin:geometric:0.5", False, True),
+        ("builtin:geometric:0", True, True),  # sigma = 0: Euler is exact
+        ("builtin:sin", False, False),
+        ("builtin:linear-drift", False, False),
+        ("builtin:linear-drift:1,0;0,1", False, False),
+    ])
+    def test_builtin_capabilities(self, spec, grid_exact, closed_form):
+        c = parse_field(spec)
+        assert c.grid_exact is grid_exact
+        assert (c.flow is not None) is closed_form
+
+    @pytest.mark.parametrize("constants, grid_exact", [
+        ({}, False),
+        ({"sigma_lipschitz": 0, "time_holder": 0, "drift_lipschitz": 0, "drift_growth": 0}, True),
+        ({"sigma_lipschitz": 0, "time_holder": 0, "drift_lipschitz": 0, "drift_growth": 0.5}, False),
+    ])
+    def test_file_field_capabilities_come_from_declared_constants(self, tmp_path, constants, grid_exact):
+        target = tmp_path / "coeffs.json"
+        target.write_text(json.dumps({"name": "additive", "dim": 1, "noise_dim": 1,
+                                      "sigma": [["0.8"]], "drift": ["0"], "constants": constants}))
+        c = parse_field(f"file:{target}")
+        assert c.grid_exact is grid_exact
+        assert c.flow is None  # a file declares no closed form, whatever its name

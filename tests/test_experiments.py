@@ -1,5 +1,7 @@
 """Experiment campaigns at reduced scale, persistence, and verification."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,28 @@ class TestFlowReference:
         assert solves == []
 
 
+class TestFieldCapabilities:
+    @pytest.mark.parametrize("name", ["additive", "geometric-like"])
+    def test_file_field_name_selects_no_closed_form(self, tmp_path, name):
+        # a file field named "additive" used to get the exact check (and fail it at 0.297); one named
+        # "geometric-like" was compared against x exp(sin(1) dB) and read 0.0309 with no check flagging it
+        target = tmp_path / "coeffs.json"
+        target.write_text(json.dumps({"name": name, "dim": 1, "noise_dim": 1, "sigma": [["sin(x1)"]], "drift": ["0"]}))
+        grid = dict(ladder=(64, 128, 256), fine_n=1024, seeds=(0,))
+        res = run_experiment(default_config("flow", coefficients=f"file:{target}", **grid))
+        ref = run_experiment(default_config("flow", coefficients="builtin:sin", **grid))
+        assert res.records == ref.records
+        assert res.summary["max_discrepancy"] == ref.summary["max_discrepancy"]
+        assert res.summary["exact_field"] is False
+        assert "exact_discrepancy" not in res.checks and "median_decay_ratio" in res.checks
+
+    def test_zero_geometric_gets_the_exact_check(self):
+        res = run_experiment(small("flow", coefficients="builtin:geometric:0"))
+        assert res.summary["exact_field"] is True
+        assert res.summary["max_discrepancy"] == 0.0
+        assert res.checks == {"no_error_records": True, "exact_discrepancy": True}
+
+
 class TestInverseExperiment:
     def test_geometric_passes(self):
         res = run_experiment(small("inverse"))
@@ -351,6 +375,25 @@ class TestMomentsExperiment:
         expected = float((sup_ref[: cfg.sample_counts[-1]] ** 2).mean())
         got = res.summary["estimates"][str(cfg.sample_counts[-1])]["p2"]["value"]
         assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_blow_up_is_one_error_record(self, tmp_path):
+        # sigma0 = 60 drives some path across the blow-up guard; this used to raise out of run_experiment
+        cfg = default_config("moments", sample_counts=(200, 400), solver_n=2**7,
+                             coefficients="builtin:geometric:60.0")
+        res = run_experiment(cfg)
+        assert len(res.records) == 1
+        rec = res.records[0]
+        assert rec["path"] == -1 and "guard" in rec["status"] and np.isnan(rec["sup_abs"])
+        assert res.summary["paths"] == 0
+        assert all(np.isnan(e["value"]) and np.isnan(e["stderr"])
+                   for entry in res.summary["estimates"].values() for e in entry.values())
+        stable = {k: v for k, v in res.checks.items() if k.startswith("stable_")}
+        assert set(res.checks) == {"record_count"} | set(stable) and len(stable) == 3
+        assert not any(res.checks.values())
+        out = save_result(res, tmp_path / "moments")
+        assert verify_result(out).ok
+        _, records, _ = load_result(out)
+        assert not any(evaluate_checks(cfg, summarize(cfg, records)).values())
 
     def test_tolerance_overrides_respected(self):
         cfg = small("moments", tolerances={"stderr_multiple": 1e-9})

@@ -292,3 +292,41 @@ def test_w_one_minus_alpha_norm_matches_per_row_loop(n, d, kind):
         assert got == expected == 0.0
     else:
         assert got == pytest.approx(expected, rel=1e-12)
+
+
+def _oracle_lag_scans(path, order, hurst):
+    """The three lag scans as separate loops, before they shared one lag-peak helper."""
+    vals, n, h = path.values, path.n_steps, path.step
+
+    def peak(lag):
+        diff = vals[lag:] - vals[:-lag]
+        return np.sqrt(np.einsum("ij,ij->i", diff, diff).max())
+
+    lags, peaks, lag = [], [], 1
+    while lag <= max(1, n // 4):
+        if peak(lag) > 0.0:
+            lags.append(lag * h)
+            peaks.append(peak(lag))
+        lag *= 2
+    est = 1.0 if len(lags) < 2 else float(min(1.0, max(np.polyfit(np.log(lags), np.log(peaks), 1)[0], 1e-3)))
+    range_bound = float(np.linalg.norm(vals.max(axis=0) - vals.min(axis=0)))
+    semi = 0.0
+    for lag in range(1, n + 1):
+        denom = (lag * h) ** order
+        if range_bound / denom <= semi:
+            break
+        semi = max(semi, peak(lag) / denom)
+    modulus = 0.0
+    for lag in range(1, n + 1):
+        gap = lag * h
+        if gap >= 1.0:
+            break
+        modulus = max(modulus, peak(lag) / (gap**hurst * np.sqrt(np.log(1.0 / gap))))
+    return est, float(semi), float(modulus)
+
+
+@pytest.mark.parametrize("n, d, seed", [(2, 1, 0), (5, 2, 1), (64, 1, 2), (1000, 2, 3)])
+def test_lag_scans_match_separate_loops(n, d, seed):
+    fp = fbm.sample_circulant(fbm.FbmSpec(hurst=0.7, components=d, grid_size=n, seed=seed))
+    got = (estimate_holder_order(fp.path), holder_seminorm(fp.path, 0.4), fbm.modulus_constant(fp))
+    assert got == _oracle_lag_scans(fp.path, 0.4, 0.7)
