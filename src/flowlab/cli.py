@@ -11,11 +11,11 @@ import csv
 import json
 import sys
 
-
 import numpy as np
 
 from . import fbm
 from .coefficients import parse_field
+from .errors import BlowUpError, EmbeddingError, RegularityError
 from .experiments import ExperimentConfig, default_config, run_experiment
 from .fraccalc import lambda_alpha_report
 from .paths import GridPath
@@ -71,7 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sde_sub = p_sde.add_subparsers(dest="command", required=True)
     p_solve = sde_sub.add_parser("solve", help="solve a driven equation along one sampled path")
     p_solve.add_argument("--coeffs", default="builtin:geometric", help="builtin:<name>[:params] or file:<path>")
-    p_solve.add_argument("--sigma0", type=float, default=None)
+    p_solve.add_argument("--sigma0", type=float, default=None,
+                         help="scale of builtin:geometric, builtin:additive or builtin:linear-drift without params")
     p_solve.add_argument("--x0", default="1.0", help="comma-separated initial point")
     p_solve.add_argument("--hurst", type=float, default=0.75)
     p_solve.add_argument("--alpha", type=float, default=0.3)
@@ -231,7 +232,7 @@ def main(argv=None) -> int:
         except OSError:
             pass
         return 0
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, BlowUpError, EmbeddingError, RegularityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

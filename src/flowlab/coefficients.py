@@ -150,27 +150,25 @@ def parse_field(spec: str, sigma0: Optional[float] = None) -> CoefficientField:
     Accepted forms: ``builtin:<name>``, ``builtin:<name>:<params>`` where
     params is sigma0 for geometric or a ``0.5,1;0,1`` matrix for additive
     and linear-drift, and ``file:<path.json>`` for declarative expression
-    fields.
+    fields.  ``sigma0`` sets the scale of geometric, additive and
+    linear-drift given without params; any other use of it is an error.
     """
     parts = spec.split(":", 2)
+    if sigma0 is not None and spec not in ("builtin:geometric", "builtin:additive", "builtin:linear-drift"):
+        raise ValueError(f"sigma0 applies only to builtin geometric, additive and linear-drift without params, not to {spec!r}")
     if parts[0] == "builtin":
         if len(parts) < 2:
             raise ValueError("builtin field needs a name, e.g. builtin:geometric:0.5")
         kind = parts[1]
         param = parts[2] if len(parts) > 2 else None
+        if param is None:
+            return builtin_field(kind, sigma0=1.0 if sigma0 is None else sigma0)
         if kind == "geometric":
-            s0 = float(param) if param is not None else (sigma0 if sigma0 is not None else 1.0)
-            return builtin_field(kind, sigma0=s0)
+            return builtin_field(kind, sigma0=float(param))
         if kind in ("additive", "linear-drift"):
-            if param is not None:
-                return builtin_field(kind, matrix=_parse_matrix(param))
-            if sigma0 is not None:
-                return builtin_field(kind, sigma0=sigma0)
-            return builtin_field(kind)
+            return builtin_field(kind, matrix=_parse_matrix(param))
         if kind in ("zero", "sin"):
-            if param is not None:
-                raise ValueError(f"builtin:{kind} takes no parameter, got {param!r}")
-            return builtin_field(kind)
+            raise ValueError(f"builtin:{kind} takes no parameter, got {param!r}")
         raise ValueError(f"unknown builtin coefficient field {kind!r}")
     if parts[0] == "file":
         if len(parts) < 2 or not parts[1]:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
 
 from .errors import EmbeddingError, FactorizationError
 from .paths import GridPath, HolderOrder, holder_seminorm, _holder_value, _lag_peak
@@ -106,6 +105,8 @@ def _cholesky_factor(spec: FbmSpec) -> np.ndarray:
     t = spec.times()[1:]
     cov = covariance(spec.hurst, t[:, None], t[None, :])
     cov[np.diag_indices_from(cov)] += 1e-12 * np.trace(cov) / spec.grid_size
+    from scipy.linalg.lapack import dpotrf  # deferred: the only scipy use, and scipy.linalg is slow to import
+
     factor, info = dpotrf(cov, lower=1, overwrite_a=1)
     if info > 0:
         raise FactorizationError(int(info))

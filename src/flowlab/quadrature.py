@@ -76,6 +76,18 @@ def weighted_integral(phi: np.ndarray, p: float, h: float) -> float:
     return float(first + rest)
 
 
+def _causal_convolve(f: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Rows 0..n of the linear convolution of each column of f (n+1, d) with c (n+1,).
+
+    One rfft/irfft pair at the shortest power-of-2 length >= 2n + 1, so no
+    wrapped term lands on a row in use.
+    """
+    n = f.shape[0] - 1
+    size = 1 << (2 * n).bit_length()
+    spec = np.fft.rfft(f, size, axis=0) * np.fft.rfft(c, size)[:, None]
+    return np.fft.irfft(spec, size, axis=0)[: n + 1]
+
+
 def kernel_profile(values: np.ndarray, p: float, h: float) -> np.ndarray:
     """All prefix integrals  I[k] = integral_0^{t_k} f(y) (t_k - y)**p dy.
 
@@ -93,10 +105,8 @@ def kernel_profile(values: np.ndarray, p: float, h: float) -> np.ndarray:
     c = np.zeros(n + 1)
     c[0] = gamma[1]
     c[1:] = beta[1:-1] + gamma[2:]
-    from scipy.signal import fftconvolve  # deferred: scipy.signal is slow to import
-
-    out = fftconvolve(f, c[:, None], axes=0)[: n + 1]
-    out -= f[0] * gamma[np.arange(1, n + 2)][:, None]
+    out = _causal_convolve(f, c)
+    out -= f[0] * gamma[1:, None]
     out[0] = 0.0  # empty integral; clears FFT residue
     return out[:, 0] if scalar else out
 
@@ -121,12 +131,8 @@ def increment_profile(values: np.ndarray, p: float, h: float) -> np.ndarray:
     w_total[0] = 0.0
     cp = np.zeros(n + 1)
     cp[1:] = beta[1:-1] + gamma[2:]
-    from scipy.signal import fftconvolve  # deferred: scipy.signal is slow to import
-
-    s = fftconvolve(f, cp[:, None], axes=0)[: n + 1]
-    corr = np.zeros(n + 1)
-    corr[1:] = gamma[2:]  # row k subtracts f(0) * gamma(k+1); row 0 is zeroed below
-    s[1:] -= f[0] * corr[1:, None]
+    s = _causal_convolve(f, cp)
+    s[1:] -= f[0] * gamma[2:, None]  # row k subtracts f(0) * gamma(k+1); row 0 is zeroed below
     out = f * w_total[:, None] - s
     out[0] = 0.0
     return out[:, 0] if scalar else out

@@ -15,9 +15,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .fraccalc import lambda_alpha
+from .fraccalc import _marchaud_values, lambda_alpha
 from .paths import FracOrder, GridPath, _alpha_value, estimate_holder_order, f_alpha_one_norm
-from .quadrature import cell_weights, increment_profile
+from .quadrature import cell_weights
 
 __all__ = [
     "rs_integral",
@@ -102,25 +102,16 @@ def _scalar_zahle(fv: np.ndarray, gv: np.ndarray, a: float, h: float, rel: np.nd
     same product-integration closed forms as the singular kernels.
     """
     n = fv.shape[0] - 1
-    inv_g1ma = 1.0 / math.gamma(1.0 - a)
-    # left-sided derivative of f at interior nodes and the right endpoint
-    tail_f = increment_profile(fv, -a - 1.0, h)
-    df = np.zeros(n + 1)  # node 0 is handled by the closed-form first cell
-    df[1:] = inv_g1ma * (fv[1:] / rel[1:] ** a + a * tail_f[1:])
-    # right-sided derivative of g pinned at the right endpoint (order 1 - a)
-    w = gv[::-1] - gv[-1]
-    tail_g = increment_profile(w, a - 2.0, h)
-    dg_rev = np.zeros(n + 1)  # entry 0 (s = T) is the pinned-limit 0
-    dg_rev[1:] = (w[1:] / rel[1:] ** (1.0 - a) + (1.0 - a) * tail_g[1:]) / math.gamma(a)
-    dg = dg_rev[::-1]  # dg[n] corresponds to s = T where the pinned derivative vanishes
-    dg_at_start = dg_rev[-1]
+    df = _marchaud_values(fv[:, None], a, h, rel)[:, 0]  # left derivative of f; node 0 enters via q0 below
+    # right derivative of g (order 1 - a) pinned at T, taken in reversed time; dg[n] (s = T) is the pinned 0
+    dg = _marchaud_values((gv[::-1] - gv[-1])[:, None], 1.0 - a, h, rel)[::-1, 0]
     psi = df[1:n] * dg[1:n]
     interior = h * (0.5 * psi[0] + psi[1:-1].sum() + 0.5 * psi[-1]) if n >= 3 else 0.0
     # first cell: integrand ~ u^{-a} * (linear), with q(u) = u^a * D_f
     beta, gamma = cell_weights(-a, h, 1)
-    q0 = fv[0] * inv_g1ma
+    q0 = fv[0] / math.gamma(1.0 - a)
     q1 = (h**a) * df[1]
-    left = (q0 * dg_at_start) * gamma[1] + (q1 * dg[1]) * beta[1]
+    left = (q0 * dg[0]) * gamma[1] + (q1 * dg[1]) * beta[1]
     # last cell: pinned derivative of g vanishes at s = T
     right = 0.5 * h * psi[-1] if n >= 2 else 0.0
     return -(left + interior + right)

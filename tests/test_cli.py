@@ -90,6 +90,19 @@ class TestYoungCommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["value"][0] == pytest.approx(1.0, abs=1e-3)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow on the way to the RegularityError
+    def test_integrate_zahle_on_too_rough_path_is_runtime_error(self, tmp_path, capsys):
+        n = 64
+        t = np.arange(n + 1) / n
+        rough = np.zeros((n + 1, 1))
+        rough[1::2] = 1e308
+        f, g = tmp_path / "f.csv", tmp_path / "g.csv"
+        GridPath(t, rough).to_csv(f)
+        GridPath(t, t[:, None]).to_csv(g)
+        code = run_cli("young", "integrate", "--f", str(f), "--g", str(g), "--method", "zahle", "--alpha", "0.3")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_check_bound_json(self, csv_pair, capsys):
         f, g = csv_pair
         assert run_cli("young", "check-bound", "--alpha", "0.25", "--f", str(f), "--g", str(g)) == 0
@@ -118,6 +131,18 @@ class TestSdeCommand:
                        "--n", "128", "--out", str(out))
         assert code == 0
         assert GridPath.read_csv(out).n_steps == 128
+
+    def test_blow_up_is_runtime_error(self, tmp_path, capsys):
+        code = run_cli("sde", "solve", "--coeffs", "builtin:geometric:200", "--n", "256", "--seed", "1",
+                       "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "blow-up guard" in capsys.readouterr().err
+
+    def test_dropped_sigma0_is_config_error(self, tmp_path, capsys):
+        code = run_cli("sde", "solve", "--coeffs", "builtin:sin", "--sigma0", "2", "--n", "64",
+                       "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "sigma0" in capsys.readouterr().err
 
     def test_bad_window_is_config_error(self, tmp_path):
         code = run_cli("sde", "solve", "--hurst", "0.6", "--alpha", "0.3",
@@ -176,8 +201,9 @@ class TestExperimentCommands:
 
 
 def test_cli_import_defers_scipy_signal_and_sympy():
-    # every command pays the import of flowlab.cli; only FFT profiles and file fields need these
-    probe = "import sys, flowlab.cli; print(sorted(m for m in ('scipy.signal', 'sympy') if m in sys.modules))"
+    # every command pays the import of flowlab.cli; only the Cholesky sampler needs scipy
+    # and only file fields need sympy
+    probe = "import sys, flowlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'sympy')))"
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"

@@ -78,6 +78,26 @@ class TestParseField:
             parse_field(spec)
 
 
+    @pytest.mark.parametrize("spec", ["builtin:additive", "builtin:linear-drift"])
+    def test_sigma0_scales_a_field_given_without_params(self, spec):
+        f = parse_field(spec, sigma0=2.0)
+        assert f.sigma(0.0, np.array([[1.0]]))[0, 0, 0] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("spec", [
+        "builtin:zero",
+        "builtin:sin",
+        "builtin:additive:1,0;0,1",
+        "builtin:linear-drift:0.5",
+        "builtin:geometric:0.25",
+        "file:coeffs.json",
+    ])
+    def test_rejects_a_sigma0_the_field_would_drop(self, spec):
+        # these used to parse and ignore sigma0; sin ran with sigma = sin(x).  The check
+        # comes before the file is read, so the file form needs no file.
+        with pytest.raises(ValueError, match="sigma0"):
+            parse_field(spec, sigma0=2.0)
+
+
 class TestExpressionField:
     def make_file(self, tmp_path, doc):
         target = tmp_path / "coeffs.json"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.signal import fftconvolve
 
 from flowlab.quadrature import (
     abs_increment_profile,
@@ -98,6 +99,65 @@ def test_increment_profile_linearity():
     lhs = increment_profile(2.0 * f - 3.0 * g, p, h)
     rhs = 2.0 * increment_profile(f, p, h) - 3.0 * increment_profile(g, p, h)
     assert np.allclose(lhs, rhs, atol=1e-10)
+
+
+def fftconvolve_kernel_profile(values, p, h):
+    """The scipy.signal ``kernel_profile`` that the numpy FFT version replaced."""
+    vals = np.asarray(values, dtype=float)
+    scalar = vals.ndim == 1
+    f = vals[:, None] if scalar else vals
+    n = f.shape[0] - 1
+    beta, gamma = cell_weights(p, h, n + 1)
+    c = np.zeros(n + 1)
+    c[0] = gamma[1]
+    c[1:] = beta[1:-1] + gamma[2:]
+    out = fftconvolve(f, c[:, None], axes=0)[: n + 1]
+    out -= f[0] * gamma[np.arange(1, n + 2)][:, None]
+    out[0] = 0.0
+    return out[:, 0] if scalar else out
+
+
+def fftconvolve_increment_profile(values, p, h):
+    """The scipy.signal ``increment_profile`` that the numpy FFT version replaced."""
+    vals = np.asarray(values, dtype=float)
+    scalar = vals.ndim == 1
+    f = vals[:, None] if scalar else vals
+    n = f.shape[0] - 1
+    beta, gamma = cell_weights(p, h, n + 1)
+    t = np.arange(n + 1, dtype=float) * h
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w_total = (t ** (p + 1.0) - h ** (p + 1.0)) / (p + 1.0) + beta[1]
+    w_total[0] = 0.0
+    cp = np.zeros(n + 1)
+    cp[1:] = beta[1:-1] + gamma[2:]
+    s = fftconvolve(f, cp[:, None], axes=0)[: n + 1]
+    corr = np.zeros(n + 1)
+    corr[1:] = gamma[2:]
+    s[1:] -= f[0] * corr[1:, None]
+    out = f * w_total[:, None] - s
+    out[0] = 0.0
+    return out[:, 0] if scalar else out
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 256, 2048, 8192])
+@pytest.mark.parametrize(
+    "profile,oracle,exponents",
+    [
+        (kernel_profile, fftconvolve_kernel_profile, (-0.7, -0.3, 0.0, 0.6)),
+        (increment_profile, fftconvolve_increment_profile, (-1.9, -1.7, -1.3, -1.05)),
+    ],
+    ids=["kernel", "increment"],
+)
+def test_profiles_match_the_fftconvolve_oracle(profile, oracle, exponents, n, d):
+    h = 1.0 / n
+    f = np.random.default_rng(7 * n + d).standard_normal((n + 1, d)).cumsum(axis=0) + 0.5
+    for p in exponents:
+        for vals in (f, f[:, 0]) if d == 1 else (f,):
+            expected = oracle(vals, p, h)
+            got = profile(vals, p, h)
+            assert got.shape == expected.shape
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max(), f"p={p}"
 
 
 def test_abs_increment_profile_agrees_with_signed_for_monotone():

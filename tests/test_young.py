@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from flowlab import fbm
+from flowlab.errors import RegularityError
 from flowlab.paths import GridPath
+from flowlab.quadrature import cell_weights, increment_profile
 from flowlab.young import (
+    _scalar_zahle,
     default_bridge_order,
     indefinite_integral,
     rs_integral,
@@ -141,7 +144,49 @@ class TestChainRule:
         assert gaps[-1] < 2e-2
 
 
+def inline_marchaud_zahle(fv, gv, a, h, rel):
+    """``_scalar_zahle`` as it was with its two Marchaud derivatives written out inline."""
+    n = fv.shape[0] - 1
+    inv_g1ma = 1.0 / math.gamma(1.0 - a)
+    tail_f = increment_profile(fv, -a - 1.0, h)
+    df = np.zeros(n + 1)
+    df[1:] = inv_g1ma * (fv[1:] / rel[1:] ** a + a * tail_f[1:])
+    w = gv[::-1] - gv[-1]
+    tail_g = increment_profile(w, a - 2.0, h)
+    dg_rev = np.zeros(n + 1)
+    dg_rev[1:] = (w[1:] / rel[1:] ** (1.0 - a) + (1.0 - a) * tail_g[1:]) / math.gamma(a)
+    dg = dg_rev[::-1]
+    psi = df[1:n] * dg[1:n]
+    interior = h * (0.5 * psi[0] + psi[1:-1].sum() + 0.5 * psi[-1]) if n >= 3 else 0.0
+    beta, gamma = cell_weights(-a, h, 1)
+    left = (fv[0] * inv_g1ma * dg_rev[-1]) * gamma[1] + ((h**a) * df[1] * dg[1]) * beta[1]
+    right = 0.5 * h * psi[-1] if n >= 2 else 0.0
+    return -(left + interior + right)
+
+
 class TestZahleIntegral:
+    @pytest.mark.parametrize("a", [0.3, 0.45])
+    @pytest.mark.parametrize("n", [2, 3, 17, 256, 2048])
+    def test_matches_the_inline_marchaud_oracle(self, n, a):
+        for seed in range(3):
+            g = fbm_path(seed=seed, n=n)
+            t, b = g.times, g.values[:, 0]
+            for fv in (np.sin(t), 1.0 + np.cos(3.0 * t) + b, b * b):
+                expected = inline_marchaud_zahle(fv, b, a, g.step, t)
+                assert _scalar_zahle(fv, b, a, g.step, t) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("rough_side", ["f", "g"])
+    def test_too_rough_path_raises(self, rough_side):
+        times = np.arange(65) / 64
+        rough = GridPath(times, np.where(np.arange(65) % 2 == 1, 1e308, 0.0)[:, None])  # Weyl derivatives overflow
+        smooth = GridPath(times, times[:, None])
+        f, g = (rough, smooth) if rough_side == "f" else (smooth, rough)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(RegularityError):
+                zahle_integral(f, g, 0.3)
+
+
     def test_constant_against_identity(self):
         f = path_of(lambda t: np.ones_like(t))
         g = path_of(lambda t: t)
