@@ -21,7 +21,7 @@ from . import fbm
 from .coefficients import CoefficientField, parse_field
 from .fraccalc import lambda_alpha
 from .paths import GridPath, w_alpha_lambda_norm
-from .sde import SolverConfig, _flow_marks, _march, check_order_window, solve_forward_batch
+from .sde import SolverConfig, _DriverStack, _flow_marks, _march, check_order_window, solve_forward_batch
 
 __all__ = [
     "ExperimentConfig",
@@ -196,6 +196,10 @@ def _percentile(values, q: float) -> float:
     return float(np.percentile(values, q)) if len(values) else np.nan
 
 
+def _status(error: Optional[Exception]) -> str:
+    return "ok" if error is None else f"error: {error}"
+
+
 def _error_count(records: list) -> int:
     return sum(1 for r in records if str(r["status"]).startswith("error"))
 
@@ -241,46 +245,97 @@ def _time_pairs(horizon: float) -> list:
     return [(r, t) for r in marks for t in marks if t >= r]
 
 
-def _reference_maps(config: ExperimentConfig, c: CoefficientField, fine: GridPath, marks: list,
+def _replayed(run, count: int) -> tuple:
+    """Run ``run(sel, out)`` once over all ``count`` members; if it raises, once per member.
+
+    ``run`` fills the dict ``out`` for the member positions in ``sel``.  In
+    a batch, one member's failure stops every member, and the blow-up
+    guard names the worst of them all; so a failed batch is replayed
+    member by member, and each member keeps exactly the entries and the
+    exception it gets on its own.  Returns ``(out, errors)``: errors[k] is
+    the exception member k raised alone, or None.
+    """
+    out = {}
+    try:
+        run(range(count), out)
+        return out, [None] * count
+    except Exception:  # every member is replayed below
+        out = {}
+    errors = []
+    for k in range(count):
+        try:
+            run([k], out)
+            errors.append(None)
+        except Exception as exc:
+            errors.append(exc)
+    return out, errors
+
+
+def _stack_pass(inits, starts, marks, c: CoefficientField, drivers: list, cfg: SolverConfig,
+                backward: bool = False) -> np.ndarray:
+    """One Euler pass over every block, driver and point, with the states at grid indices ``marks``.
+
+    ``inits`` is (blocks, len(drivers), npts, d): the members of block j
+    start at grid index starts[j] (end there when ``backward``), member
+    [j, q, i] under drivers[q].  Returns the states (len(marks), blocks,
+    len(drivers), npts, d).
+    """
+    blocks, count, npts, d = inits.shape
+    values = np.stack([p.values for p in drivers])
+    per_member = np.broadcast_to(values[None, :, None], (blocks, count, npts) + values.shape[1:])
+    stack = _DriverStack(drivers[0].times, drivers[0].step, per_member.reshape((-1,) + values.shape[1:]))
+    out = _flow_marks(inits.reshape(-1, d), np.repeat(starts, count * npts), marks, c, stack, cfg,
+                      backward=backward)
+    return out.reshape(len(marks), blocks, count, npts, d)
+
+
+def _marks_pass(x0s: np.ndarray, idx: list, c: CoefficientField, drivers: list, cfg: SolverConfig,
+                backward: bool = False) -> np.ndarray:
+    """One Euler pass from every point at every mark, under every driver.
+
+    Forward, every mark starts members: entry [b, a, q, i] is X_{r_a t_b}(x_i)
+    under drivers[q], for a <= b.  Backward, every mark after the first ends
+    them: entry [a, b - 1, q, i] is Y_{r_a t_b}(x_i), for a <= b.
+    """
+    starts = idx[1:] if backward else idx
+    inits = np.broadcast_to(x0s, (len(starts), len(drivers)) + x0s.shape)
+    return _stack_pass(inits, starts, idx, c, drivers, cfg, backward)
+
+
+def _reference_maps(config: ExperimentConfig, c: CoefficientField, fines: list, marks: list,
                     x0s: np.ndarray):
-    """Reference maps (a, b, i) -> X_{r_a t_b}(x_i) and Y_{r_a t_b}(x_i), for marks a <= b.
+    """Reference maps (q, a, b, i) -> X_{r_a t_b}(x_i) and Y_{r_a t_b}(x_i) under fines[q], for marks a <= b.
 
     The field's closed-form flow where it declares one, at -(B_t - B_r) for
     Y.  Otherwise the fine-grid Euler flow: one forward pass started at
     every mark and one backward pass ended at every mark after the first,
-    each over every point, run on first use and shared by all rungs of the
-    seed (a pass that raises is not kept, so each rung that asks records
-    the failure).  The ladder must stay well below fine_n.
+    each over every seed and point, shared by all rungs.  A seed whose pass
+    raises on its own raises that error again at each reference asked of
+    it, so each rung records the failure.  The ladder must stay well below
+    fine_n.
     """
     if c.flow is not None:
-        at = [fine.values[fine.index_of(m)] for m in marks]
-        return (lambda a, b, i: c.flow(x0s[i], at[b] - at[a]),
-                lambda a, b, i: c.flow(x0s[i], -(at[b] - at[a])))
-    cfg = SolverConfig(config.alpha, fine.n_steps, config.hurst)
-    npts = x0s.shape[0]
-    passes = {}
+        at = [[fine.values[fine.index_of(m)] for m in marks] for fine in fines]
+        return (lambda q, a, b, i: c.flow(x0s[i], at[q][b] - at[q][a]),
+                lambda q, a, b, i: c.flow(x0s[i], -(at[q][b] - at[q][a])))
+    cfg = SolverConfig(config.alpha, fines[0].n_steps, config.hurst)
+    idx = [fines[0].index_of(m) for m in marks]
 
-    def marks_pass(backward: bool) -> np.ndarray:
-        if backward not in passes:
-            passes[backward] = _mark_pass(x0s, marks, c, fine, cfg, backward)
-        return passes[backward]
+    def reference(backward: bool):
+        def run(sel, out):
+            states = _marks_pass(x0s, idx, c, [fines[q] for q in sel], cfg, backward)
+            out.update(zip(sel, np.moveaxis(states, 2, 0)))
 
-    return (lambda a, b, i: marks_pass(False)[b, a * npts + i],
-            lambda a, b, i: marks_pass(True)[a, (b - 1) * npts + i])
+        states, errors = _replayed(run, len(fines))
 
+        def ref(q, a, b, i):
+            if errors[q] is not None:
+                raise errors[q]
+            return states[q][a, b - 1, i] if backward else states[q][b, a, i]
 
-def _mark_pass(x0s: np.ndarray, marks: list, c: CoefficientField, driver: GridPath, cfg: SolverConfig,
-               backward: bool = False) -> np.ndarray:
-    """One Euler pass over every mark and point.
+        return ref
 
-    Forward, every mark starts a member: entry [b, a * npts + i] is
-    X_{r_a t_b}(x_i) for a <= b.  Backward, every mark after the first ends
-    one: entry [a, (b - 1) * npts + i] is Y_{r_a t_b}(x_i) for a <= b.
-    """
-    idx = [driver.index_of(m) for m in marks]
-    starts = idx[1:] if backward else idx
-    return _flow_marks(np.tile(x0s, (len(starts), 1)), np.repeat(starts, x0s.shape[0]), idx, c, driver, cfg,
-                       backward=backward)
+    return reference(False), reference(True)
 
 
 def _run_flow(config: ExperimentConfig) -> list:
@@ -290,47 +345,49 @@ def _run_flow(config: ExperimentConfig) -> list:
     from the reached state performs bit-for-bit the same operations as
     solving r -> t in one leg (exercised directly in the unit tests).  The
     discrepancy |X^n_{tau t}(X^n_{r tau}(x)) - X_{rt}(x)| therefore equals
-    |X^n_{rt}(x) - X_{rt}(x)|, which is what each triple records.  One
-    forward pass starts a member at every mark; one backward pass ends one
-    at every mark after the first grid point.
+    |X^n_{rt}(x) - X_{rt}(x)|, which is what each triple records.  Per rung,
+    one forward pass over every seed starts a member at every mark; one
+    backward pass ends one at every mark after the first grid point.
     """
     c = config.field()
     triples = _time_triples(config.horizon)
     marks = sorted({m for tri in triples for m in tri})
     x0s = np.asarray(config.initial_points, dtype=float)
     npts = x0s.shape[0]
+    fines = [_fine_driver(config, seed, components=c.noise_dim) for seed in config.seeds]
+    ref_fwd, ref_bwd = _reference_maps(config, c, fines, marks, x0s)
     records = []
-    for seed in config.seeds:
-        fine = _fine_driver(config, seed, components=c.noise_dim)
-        ref_fwd, ref_bwd = _reference_maps(config, c, fine, marks, x0s)
-        for n in config.ladder:
-            driver = fine.decimate(config.fine_n // n)
-            cfg = SolverConfig(config.alpha, n, config.hurst)
-            disc_f, disc_b, failure = {}, {}, None
-            try:
-                fwd = _mark_pass(x0s, marks, c, driver, cfg)
+    for n in config.ladder:
+        drivers = [fine.decimate(config.fine_n // n) for fine in fines]
+        cfg = SolverConfig(config.alpha, n, config.hurst)
+        idx = [drivers[0].index_of(m) for m in marks]
+
+        def run(sel, out):  # out[q, direction, r, t, i]: the discrepancy of seed q
+            stack = [drivers[q] for q in sel]
+            fwd = _marks_pass(x0s, idx, c, stack, cfg)
+            for p, q in enumerate(sel):
                 for a, r in enumerate(marks):
                     for b in range(a, len(marks)):
                         for i in range(npts):
-                            reached = fwd[b, a * npts + i]
-                            disc_f[(r, marks[b], i)] = float(np.linalg.norm(reached - ref_fwd(a, b, i)))
+                            out[q, "f", r, marks[b], i] = float(np.linalg.norm(fwd[b, a, p, i] - ref_fwd(q, a, b, i)))
+            bwd = _marks_pass(x0s, idx, c, stack, cfg, backward=True)
+            for p, q in enumerate(sel):
                 # the first mark is t = 0, where no backward member ends
-                bwd = _mark_pass(x0s, marks, c, driver, cfg, backward=True)
-                disc_b.update({(marks[0], marks[0], i): 0.0 for i in range(npts)})
+                out.update({(q, "b", marks[0], marks[0], i): 0.0 for i in range(npts)})
                 for b in range(1, len(marks)):
                     for a in range(b + 1):
                         for i in range(npts):
-                            reached = bwd[a, (b - 1) * npts + i]
-                            disc_b[(marks[a], marks[b], i)] = float(np.linalg.norm(reached - ref_bwd(a, b, i)))
-            except Exception as exc:  # record the failure on every cell, keep sweeping
-                failure = f"error: {exc}"
+                            out[q, "b", marks[a], marks[b], i] = float(
+                                np.linalg.norm(bwd[a, b - 1, p, i] - ref_bwd(q, a, b, i)))
+
+        disc, errors = _replayed(run, len(fines))
+        for q, seed in enumerate(config.seeds):
             for i in range(npts):
                 for r, tau, t in triples:
-                    rec = {"seed": seed, "n": n, "r": r, "tau": tau, "t": t, "point": i,
-                           "status": failure or "ok",
-                           "disc_forward": disc_f.get((r, t, i), np.nan),
-                           "disc_backward": disc_b.get((r, t, i), np.nan)}
-                    records.append(rec)
+                    records.append({"seed": seed, "n": n, "r": r, "tau": tau, "t": t, "point": i,
+                                    "status": _status(errors[q]),
+                                    "disc_forward": disc.get((q, "f", r, t, i), np.nan),
+                                    "disc_backward": disc.get((q, "b", r, t, i), np.nan)})
     return records
 
 
@@ -342,48 +399,37 @@ def _run_inverse(config: ExperimentConfig) -> list:
     x0s = np.asarray(config.initial_points, dtype=float)
     npts = x0s.shape[0]
     later = [(a, b) for a in range(len(marks)) for b in range(a + 1, len(marks))]
-
-    def rows(q):  # the q-th block of npts members
-        return slice(q * npts, (q + 1) * npts)
-
+    fines = [_fine_driver(config, seed, components=c.noise_dim) for seed in config.seeds]
     records = []
-    for seed in config.seeds:
-        fine = _fine_driver(config, seed, components=c.noise_dim)
-        for n in config.ladder:
-            driver = fine.decimate(config.fine_n // n)
-            cfg = SolverConfig(config.alpha, n, config.hurst)
-            disc_xy, disc_yx, failure = {}, {}, None
-            try:
-                idx = [driver.index_of(m) for m in marks]
-                # (1) Y_{r_a t_b}(x) = ys[a, rows(b - 1)]: one backward pass from every t > 0
-                ys = _flow_marks(np.tile(x0s, (len(marks) - 1, 1)), np.repeat(idx[1:], npts),
-                                 idx, c, driver, cfg, backward=True)
-                # (2) from every r: X_rt(Y_rt(x)) for each later t, then X_{r.}(x) itself
-                inits = [ys[a, rows(b - 1)] for a, b in later] + [x0s] * len(marks)
-                starts = [idx[a] for a, _ in later] + idx
-                xs = _flow_marks(np.concatenate(inits), np.repeat(starts, npts), idx, c, driver, cfg)
-                # (3) Y_rt(X_rt(x)) for every pair r < t
-                inits = [xs[b, rows(len(later) + a)] for a, b in later]
-                yx = _flow_marks(np.concatenate(inits), np.repeat([idx[b] for _, b in later], npts),
-                                 idx, c, driver, cfg, backward=True)
-                for q, (a, b) in enumerate(later):
+    for n in config.ladder:
+        drivers = [fine.decimate(config.fine_n // n) for fine in fines]
+        cfg = SolverConfig(config.alpha, n, config.hurst)
+        idx = [drivers[0].index_of(m) for m in marks]
+
+        def run(sel, out):  # out[q, r, t, i]: (disc_xy, disc_yx) of seed q
+            stack = [drivers[q] for q in sel]
+            # (1) Y_{r_a t_b}(x) = ys[a, b - 1]: one backward pass from every t > 0
+            ys = _marks_pass(x0s, idx, c, stack, cfg, backward=True)
+            # (2) from every r: X_rt(Y_rt(x)) for each later t, then X_{r.}(x) itself
+            inits = [ys[a, b - 1] for a, b in later] + [np.broadcast_to(x0s, ys.shape[2:])] * len(marks)
+            xs = _stack_pass(np.stack(inits), [idx[a] for a, _ in later] + idx, idx, c, stack, cfg)
+            # (3) Y_rt(X_rt(x)) for every pair r < t
+            inits = [xs[b, len(later) + a] for a, b in later]
+            yx = _stack_pass(np.stack(inits), [idx[b] for _, b in later], idx, c, stack, cfg, backward=True)
+            for p, q in enumerate(sel):
+                for j, (a, b) in enumerate(later):
                     for i in range(npts):
-                        key = (marks[a], marks[b], i)
-                        disc_xy[key] = float(np.linalg.norm(xs[b, rows(q)][i] - x0s[i]))
-                        disc_yx[key] = float(np.linalg.norm(yx[a, rows(q)][i] - x0s[i]))
-                for r in marks:
-                    disc_xy.update({(r, r, i): 0.0 for i in range(npts)})
-                    disc_yx.update({(r, r, i): 0.0 for i in range(npts)})
-            except Exception as exc:
-                failure = f"error: {exc}"
+                        out[q, marks[a], marks[b], i] = (float(np.linalg.norm(xs[b, j, p, i] - x0s[i])),
+                                                          float(np.linalg.norm(yx[a, j, p, i] - x0s[i])))
+                out.update({(q, r, r, i): (0.0, 0.0) for r in marks for i in range(npts)})
+
+        disc, errors = _replayed(run, len(fines))
+        for q, seed in enumerate(config.seeds):
             for i in range(npts):
                 for r, t in pairs:
-                    records.append({
-                        "seed": seed, "n": n, "r": r, "t": t, "point": i,
-                        "status": failure or "ok",
-                        "disc_xy": disc_xy.get((r, t, i), np.nan),
-                        "disc_yx": disc_yx.get((r, t, i), np.nan),
-                    })
+                    xy, yx = disc.get((q, r, t, i), (np.nan, np.nan))
+                    records.append({"seed": seed, "n": n, "r": r, "t": t, "point": i,
+                                    "status": _status(errors[q]), "disc_xy": xy, "disc_yx": yx})
     records.extend(_run_sortedness_probe(config, c))
     return records
 
@@ -613,14 +659,17 @@ def _run_init_continuity(config: ExperimentConfig) -> list:
             collected += chunks[-1].shape[0]
         pairs = np.concatenate(chunks, axis=0)[:per_seed]
         flat = pairs.reshape(-1, c.dim)
-        sols = solve_forward_batch(flat, 0.0, c, driver, cfg)
+        try:
+            sols, failure = solve_forward_batch(flat, 0.0, c, driver, cfg), None
+        except Exception as exc:  # every non-degenerate pair of the seed records the failure
+            failure = f"error: {exc}"
         for i in range(pairs.shape[0]):
             x0, x1 = pairs[i, 0], pairs[i, 1]
             dist = float(np.linalg.norm(x0 - x1))
             rec = {"seed": seed, "pair": i, "dist": dist, "lambda_weight": lam,
                    "ratio": np.nan, "status": "ok"}
-            if dist < 1e-12:
-                rec["status"] = "degenerate"
+            if dist < 1e-12 or failure:
+                rec["status"] = "degenerate" if dist < 1e-12 else failure
                 records.append(rec)
                 continue
             try:
@@ -665,23 +714,41 @@ def _checks_init(config: ExperimentConfig, summary: dict) -> dict:
 
 
 def _run_driver_continuity(config: ExperimentConfig) -> list:
+    """Solution gap against driver gap, for each seed's g and its polygonal h at every rung.
+
+    One pass at fine_n solves every seed's g and each of its h.  A solve
+    that fails on its own marks its cells: a failed g every rung of its
+    seed, a failed h its own rung.
+    """
     c = config.field()
     cfg = SolverConfig(config.alpha, config.fine_n, config.hurst)
-    records = []
     x = np.asarray(config.initial_points[0], dtype=float)
-    for seed in config.seeds:
-        g = _fine_driver(config, seed, components=c.noise_dim)
+    gs = [_fine_driver(config, seed, components=c.noise_dim) for seed in config.seeds]
+    # member q * width is seed q's g, member q * width + l its polygonal h at rung l
+    width = 1 + len(config.ladder)
+    drivers = [path for g in gs for path in [g] + [fbm.polygonal(g, n) for n in config.ladder]]
+
+    def run(sel, out):
+        inits = np.broadcast_to(x, (1, len(sel), 1, x.size))
+        states = _stack_pass(inits, [0], range(config.fine_n + 1), c, [drivers[k] for k in sel], cfg)
+        out.update(zip(sel, np.moveaxis(states[:, 0, :, 0], 1, 0)))
+
+    sols, errors = _replayed(run, len(drivers))
+    records = []
+    for q, (seed, g) in enumerate(zip(config.seeds, gs)):
         lam = _auto_lambda(config, g)
-        sol_g = solve_forward_batch(x[None, :], 0.0, c, g, cfg)[0]
-        for coarse_n in config.ladder:
+        for l, coarse_n in enumerate(config.ladder, start=1):
             rec = {"seed": seed, "coarse_n": coarse_n, "lambda_weight": lam,
                    "sol_gap": np.nan, "lambda_gap": np.nan, "status": "ok"}
+            error = errors[q * width] or errors[q * width + l]
+            if error is not None:
+                rec["status"] = _status(error)
+                records.append(rec)
+                continue
             try:
-                h_path = fbm.polygonal(g, coarse_n)
-                sol_h = solve_forward_batch(x[None, :], 0.0, c, h_path, cfg)[0]
-                diff = GridPath(g.times, sol_g - sol_h)
+                diff = GridPath(g.times, sols[q * width] - sols[q * width + l])
                 rec["sol_gap"] = w_alpha_lambda_norm(diff, config.alpha, lam)
-                rec["lambda_gap"] = lambda_alpha(g - h_path, config.alpha)
+                rec["lambda_gap"] = lambda_alpha(g - drivers[q * width + l], config.alpha)
             except Exception as exc:
                 rec["status"] = f"error: {exc}"
             records.append(rec)

@@ -140,20 +140,25 @@ def _endpoint_peaks(g: GridPath, a: float, idx: np.ndarray) -> tuple[float, int,
     s = t_{j-k} is w[k] sum_{m<k} cp(m) + cp(k) w[0] - (w * cp)[k], one
     convolution per endpoint.  Its rows k < j need cp(1 .. j-1) only, so at
     an FFT length L >= 2j + 1 the kernel cut to L / 2 taps wraps onto
-    no row in use: the weights and the cut kernel's spectrum at each length
-    are made once per call, and each endpoint costs one rfft/irfft pair.
+    no row in use: the weights, the cut kernel's spectrum and the two FFT
+    outputs at each length are made once per call, and each endpoint costs
+    one rfft/irfft pair written into those outputs.
     """
     cp, tail, last = _sweep_weights(a, g.step, g.n_steps)
     kern = np.concatenate(([0.0], cp))  # kern[m] = cp(m)
     below = np.concatenate(([0.0], np.cumsum(cp)))  # below[k-1] = sum_{m<k} cp(m)
     own = tail / (1.0 - a) + last
-    spectra, peaks, pairs = {}, [], []
+    per_size, peaks, pairs = {}, [], []
     for j in idx.tolist():
         size = 1 << (2 * j).bit_length()  # the shortest power of 2 >= 2j + 1
-        if size not in spectra:
-            spectra[size] = np.fft.rfft(kern[: size // 2], size)[:, None]
+        if size not in per_size:  # the kernel spectrum and the rfft and irfft outputs
+            per_size[size] = (np.fft.rfft(kern[: size // 2], size)[:, None],
+                              np.empty((size // 2 + 1, g.dimension), complex), np.empty((size, g.dimension)))
+        spectrum, spec, full = per_size[size]
         w = g.values[j::-1]
-        conv = np.fft.irfft(np.fft.rfft(w, size, axis=0) * spectra[size], size, axis=0)[1:j]
+        np.fft.rfft(w, size, axis=0, out=spec)
+        spec *= spectrum
+        conv = np.fft.irfft(spec, size, axis=0, out=full)[1:j]
         rows = (w[1:j] - w[0]) * own[: j - 1, None] + w[1:j] * below[: j - 1, None] + kern[1:j, None] * w[0] - conv
         mags = np.abs(rows[:, 0]) if rows.shape[1] == 1 else np.linalg.norm(rows, axis=1)  # as in the sweep
         k = int(np.argmax(mags)) + 1

@@ -31,6 +31,7 @@ __all__ = [
 
 _GRID_RTOL = 64.0
 _SWEEP_ROWS = 32  # start rows per block of the pair sweep
+_HOLDER_FLOOR = 1e-3  # lower clip of estimate_holder_order
 
 
 @dataclass(frozen=True)
@@ -234,6 +235,10 @@ def estimate_holder_order(f: GridPath) -> float:
 
     Uses dyadic lags only; clipped to (0, 1].  Heuristic, meant for
     regularity warnings and default order selection, not for inference.
+    Lags with a zero peak carry no slope.  When two or more lags were
+    scanned but only one peak is positive (0, 1, 0, 1, ... is flat at
+    every even lag), the estimate is the lower clip; a constant path, or
+    a grid too short to scan two lags, reads 1.
     """
     vals = f.values
     n = f.n_steps
@@ -247,9 +252,9 @@ def estimate_holder_order(f: GridPath) -> float:
             peaks.append(peak)
         lag *= 2
     if len(lags) < 2:
-        return 1.0
+        return _HOLDER_FLOOR if lags and n // 4 >= 2 else 1.0
     slope = np.polyfit(np.log(lags), np.log(peaks), 1)[0]
-    return float(min(1.0, max(slope, 1e-3)))
+    return float(min(1.0, max(slope, _HOLDER_FLOOR)))
 
 
 def holder_seminorm(f: GridPath, order: Union[HolderOrder, float]) -> float:

@@ -138,6 +138,9 @@ def increment_profile(values: np.ndarray, p: float, h: float) -> np.ndarray:
     return out[:, 0] if scalar else out
 
 
+_DIST_ELEMENTS = 2**18  # entries of the distance buffer of abs_increment_profile (2 MB)
+
+
 def abs_increment_profile(values: np.ndarray, p: float, h: float, chunk: int = 256) -> np.ndarray:
     """All prefix integrals  I[k] = integral_0^{t_k} |f(t_k) - f(y)| (t_k - y)**p dy.
 
@@ -152,7 +155,10 @@ def abs_increment_profile(values: np.ndarray, p: float, h: float, chunk: int = 2
     a strided window view of that vector, with every node j >= k landing on
     the zero padding.  The distances |f(t_k) - f(t_j)| of a block are
     written into one buffer allocated per call (for d > 1 the squared
-    components are accumulated there before one square root).
+    components are accumulated there before one square root), a slice of
+    rows at a time: the buffer holds at most ``_DIST_ELEMENTS`` entries, so
+    a long path does not allocate (and touch) a 16 MB buffer per call.
+    Each row's sum is the same whatever the slice.
     """
     if not (-2.0 < p < -1.0):
         raise ValueError(f"abs_increment_profile requires p in (-2, -1), got {p}")
@@ -165,26 +171,28 @@ def abs_increment_profile(values: np.ndarray, p: float, h: float, chunk: int = 2
     # rev[n - g] = cp[g] for g = 1..n; rev[n:] = 0 covers every gap g <= 0
     rev = np.zeros(2 * n)
     rev[:n] = (beta[1:-1] + gamma[2:])[::-1]
-    rows = min(chunk, n)
+    rows = min(chunk, n, max(1, _DIST_ELEMENTS // (n + 1)))  # rows of one distance buffer
     dist = np.empty((rows, n + 1))
     sq = np.empty((rows, n + 1)) if dim > 1 else None
     out = np.zeros(n + 1)
     for k0 in range(1, n + 1, chunk):
         k1 = min(k0 + chunk, n + 1)
-        m = k1 - k0
         # row k starts its window at rev[n - k]
-        w = sliding_window_view(rev, k1)[n - k1 + 1 : n - k0 + 1][::-1]
-        d = dist[:m, :k1]
-        np.subtract(f[k0:k1, None, 0], f[None, :k1, 0], out=d)
-        if dim == 1:
-            np.abs(d, out=d)
-        else:
-            np.multiply(d, d, out=d)
-            s = sq[:m, :k1]
-            for c in range(1, dim):
-                np.subtract(f[k0:k1, None, c], f[None, :k1, c], out=s)
-                np.multiply(s, s, out=s)
-                d += s
-            np.sqrt(d, out=d)
-        out[k0:k1] = np.einsum("kj,kj->k", d[:, 1:], w[:, 1:]) + beta[k0:k1] * d[:, 0]
+        window = sliding_window_view(rev, k1)[n - k1 + 1 : n - k0 + 1][::-1]
+        for r0 in range(k0, k1, rows):
+            r1 = min(r0 + rows, k1)
+            w = window[r0 - k0 : r1 - k0]
+            d = dist[: r1 - r0, :k1]
+            np.subtract(f[r0:r1, None, 0], f[None, :k1, 0], out=d)
+            if dim == 1:
+                np.abs(d, out=d)
+            else:
+                np.multiply(d, d, out=d)
+                s = sq[: r1 - r0, :k1]
+                for c in range(1, dim):
+                    np.subtract(f[r0:r1, None, c], f[None, :k1, c], out=s)
+                    np.multiply(s, s, out=s)
+                    d += s
+                np.sqrt(d, out=d)
+            out[r0:r1] = np.einsum("kj,kj->k", d[:, 1:], w[:, 1:]) + beta[r0:r1] * d[:, 0]
     return out

@@ -92,7 +92,7 @@ def check_order_window(cfg: SolverConfig, c: CoefficientField) -> None:
         )
 
 
-def _prepare(x0, c: CoefficientField, driver: GridPath, cfg: SolverConfig):
+def _prepare(x0, c: CoefficientField, driver: Union[GridPath, _DriverStack], cfg: SolverConfig):
     if driver.dimension != c.noise_dim:
         raise ValueError(f"driver has {driver.dimension} components, field expects {c.noise_dim}")
     if cfg.n_steps != driver.n_steps:
@@ -270,23 +270,47 @@ def solve_backward(
     return GridPath(driver.times[: k1 + 1], values)
 
 
-def _flow_marks(x0s, starts, marks, c: CoefficientField, driver: GridPath, cfg: SolverConfig,
-               backward: bool = False) -> np.ndarray:
+@dataclass(frozen=True)
+class _DriverStack:
+    """One driver per member on a shared grid, as ``_march`` takes them: ``values`` is (B, n+1, m).
+
+    ``_flow_marks`` accepts it in place of a GridPath, to step members
+    under different drivers (seeds, polygonal approximations) in one pass.
+    """
+
+    times: np.ndarray
+    step: float
+    values: np.ndarray
+
+    @property
+    def n_steps(self) -> int:
+        return self.times.shape[0] - 1
+
+    @property
+    def dimension(self) -> int:
+        return self.values.shape[-1]
+
+
+def _flow_marks(x0s, starts, marks, c: CoefficientField, driver: Union[GridPath, _DriverStack], cfg: SolverConfig,
+                backward: bool = False) -> np.ndarray:
     """Euler states of members started at grid indices ``starts``, at grid indices ``marks``.
 
     Returns (len(marks), batch, d).  Entry [j, i] is X_{starts[i], marks[j]}(x0s[i])
     forward, or Y_{marks[j], starts[i]}(x0s[i]) backward, when the mark lies
     on the member's side of its start; a member holds x0s[i] exactly at its
-    own start and at every index it has not stepped to.
+    own start and at every index it has not stepped to.  ``driver`` is one
+    path shared by every member or a stack of one driver per member.
     """
     x0s = _prepare(x0s, c, driver, cfg)
-    marks = list(marks)
-    out = np.broadcast_to(x0s, (len(marks),) + x0s.shape).copy()
+    marks = np.asarray(marks, dtype=np.intp)
+    slot = np.full(driver.n_steps + 1, -1)
+    slot[marks] = np.arange(marks.size)
+    out = np.broadcast_to(x0s, (marks.size,) + x0s.shape).copy()
     for reached, states in _march(x0s, starts, c, driver.times, driver.values, driver.step,
                                   backward=backward):
-        for j, k in enumerate(reached.tolist()):
-            if k in marks:
-                out[marks.index(k)] = states[j]
+        hit = slot[reached]
+        kept = hit >= 0
+        out[hit[kept]] = states[kept]
     return out
 
 

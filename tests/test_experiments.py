@@ -142,22 +142,23 @@ class TestFlowReference:
 
         cfg = small("flow", coefficients=coefficients, initial_points=points)
         c = cfg.field()
-        fine = experiments._fine_driver(cfg, 3, components=c.noise_dim)
+        fines = [experiments._fine_driver(cfg, seed, components=c.noise_dim) for seed in (3, 4)]
         marks = [0.0, 0.25, 0.5, 0.75, 1.0]
         x0s = np.asarray(points, dtype=float)
-        ref_fwd, ref_bwd = experiments._reference_maps(cfg, c, fine, marks, x0s)
-        for a in range(len(marks)):
-            for b in range(a, len(marks)):
-                for i, x in enumerate(x0s):
-                    want_fwd, want_bwd = _per_cell_reference(cfg, c, fine, marks[a], marks[b], x)
-                    got_fwd = ref_fwd(a, b, i)
-                    got_bwd = ref_bwd(a, b, i) if b > 0 else x  # no backward member ends at t = 0
-                    if bitwise:
-                        assert np.array_equal(got_fwd, want_fwd)
-                        assert np.array_equal(got_bwd, want_bwd)
-                    else:
-                        np.testing.assert_allclose(got_fwd, want_fwd, rtol=1e-12, atol=0.0)
-                        np.testing.assert_allclose(got_bwd, want_bwd, rtol=1e-12, atol=0.0)
+        ref_fwd, ref_bwd = experiments._reference_maps(cfg, c, fines, marks, x0s)
+        for q, fine in enumerate(fines):  # two seeds share each reference pass
+            for a in range(len(marks)):
+                for b in range(a, len(marks)):
+                    for i, x in enumerate(x0s):
+                        want_fwd, want_bwd = _per_cell_reference(cfg, c, fine, marks[a], marks[b], x)
+                        got_fwd = ref_fwd(q, a, b, i)
+                        got_bwd = ref_bwd(q, a, b, i) if b > 0 else x  # no backward member ends at t = 0
+                        if bitwise:
+                            assert np.array_equal(got_fwd, want_fwd)
+                            assert np.array_equal(got_bwd, want_bwd)
+                        else:
+                            np.testing.assert_allclose(got_fwd, want_fwd, rtol=1e-12, atol=0.0)
+                            np.testing.assert_allclose(got_bwd, want_bwd, rtol=1e-12, atol=0.0)
 
     def test_reference_is_two_fine_passes_per_seed(self, monkeypatch):
         import flowlab.experiments as experiments
@@ -328,6 +329,28 @@ class TestContinuityExperiments:
         for key in ("ratio_median", "ratio_max", "ratio_spread", "log_correlation"):
             assert np.isnan(summary[key]), key
         assert not any(checks.values()), checks
+
+    @pytest.mark.parametrize("kind, overrides", [
+        ("driver-continuity", dict(ladder=(16, 32), fine_n=512)),
+        ("init-continuity", dict(pair_count=4)),
+    ])
+    def test_blow_up_is_recorded_cell_by_cell(self, kind, overrides, tmp_path):
+        # sigma0 = 200 crosses the blow-up guard in the solves of seeds 0 and 1; this used to raise out of
+        # run_experiment
+        cfg = default_config(kind, coefficients="builtin:geometric:200", seeds=(0, 1), **overrides)
+        res = run_experiment(cfg)
+        per_seed: dict = {}
+        for rec in res.records:
+            per_seed.setdefault(rec["seed"], set()).add(rec["status"])
+        assert sorted(per_seed) == list(cfg.seeds)
+        # one failed solve per seed, carried by every cell of that seed
+        assert all(len(s) == 1 and "crossed the blow-up guard" in next(iter(s)) for s in per_seed.values())
+        assert res.summary["error_records"] == len(res.records)
+        nan_keys = ("median_sol_gap", "median_lambda_gap", "ratio_median", "ratio_spread", "log_correlation") \
+            if kind == "driver-continuity" else ("ratio_median", "ratio_max", "ratio_spread")
+        assert all(np.isnan(res.summary[k]).all() for k in nan_keys)
+        assert not any(res.checks.values()), res.checks
+        assert verify_result(save_result(res, tmp_path / kind)).ok
 
     def test_driver_continuity_decays(self):
         res = run_experiment(small("driver-continuity"))

@@ -9,6 +9,8 @@ import pytest
 from flowlab import fbm
 from flowlab.fraccalc import (
     FracOrder,
+    _endpoint_indices,
+    _endpoint_peaks,
     _lambda_alpha_impl,
     lambda_alpha,
     lambda_alpha_report,
@@ -17,7 +19,7 @@ from flowlab.fraccalc import (
     right_frac_integral,
     right_weyl_derivative,
 )
-from flowlab.paths import GridPath, w_one_minus_alpha_norm
+from flowlab.paths import GridPath, _sweep_weights, w_one_minus_alpha_norm
 
 
 def path_of(fn, n=4096):
@@ -321,3 +323,42 @@ class TestLambdaAlphaOracle:
                 lambda_alpha(g, 0.3, endpoints)
             with pytest.raises(RegularityError):
                 lambda_alpha_report(g, 0.3, endpoints)
+
+
+def _fresh_buffer_endpoint_peaks(g, a, idx):
+    """``_endpoint_peaks`` as it was with fresh rfft and irfft outputs at every endpoint."""
+    cp, tail, last = _sweep_weights(a, g.step, g.n_steps)
+    kern = np.concatenate(([0.0], cp))
+    below = np.concatenate(([0.0], np.cumsum(cp)))
+    own = tail / (1.0 - a) + last
+    spectra, peaks, pairs = {}, [], []
+    for j in idx.tolist():
+        size = 1 << (2 * j).bit_length()
+        if size not in spectra:
+            spectra[size] = np.fft.rfft(kern[: size // 2], size)[:, None]
+        w = g.values[j::-1]
+        conv = np.fft.irfft(np.fft.rfft(w, size, axis=0) * spectra[size], size, axis=0)[1:j]
+        rows = (w[1:j] - w[0]) * own[: j - 1, None] + w[1:j] * below[: j - 1, None] + kern[1:j, None] * w[0] - conv
+        mags = np.abs(rows[:, 0]) if rows.shape[1] == 1 else np.linalg.norm(rows, axis=1)
+        k = int(np.argmax(mags)) + 1
+        peaks.append(mags[k - 1])
+        pairs.append((j - k, j))
+    b = int(np.argmax(peaks))
+    return (0.0, 0, int(idx[-1])) if peaks[b] <= 0.0 else (float(peaks[b]),) + pairs[b]
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 256, 1024, 8192])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kind", ["constant", "linear", "fbm"])
+@pytest.mark.parametrize("mode", ["decimated", "explicit"])
+def test_endpoint_peaks_reuse_buffers_bit_for_bit(n, d, kind, mode):
+    g = _oracle_path(kind, n, d)
+    idx = _endpoint_indices(n, "decimated") if mode == "decimated" else np.arange(2, n + 1, max(1, n // 40))
+    assert _endpoint_peaks(g, 0.3, idx) == _fresh_buffer_endpoint_peaks(g, 0.3, idx)
+
+
+def test_zigzag_path_warns_too_rough():
+    # every even lag of 0, 1, 0, 1 ... has peak increment 0; the estimate read 1.0 and no warning fired
+    zigzag = GridPath.from_values(np.arange(65) % 2)
+    with pytest.warns(UserWarning, match="estimated Holder order 0.001"):
+        left_weyl_derivative(zigzag, 0.3)

@@ -257,6 +257,13 @@ def test_estimate_holder_order_tracks_regularity():
     assert 0.3 < rough < 0.8
 
 
+@pytest.mark.parametrize("n, zigzag_order", [(64, 1e-3), (8, 1e-3), (4, 1.0), (1, 1.0)])
+def test_estimate_holder_order_on_zero_peak_lags(n, zigzag_order):
+    # 0, 1, 0, 1 ... has peak 0 at every even lag, so one lag had a slope to give; it read 1.0 (Lipschitz)
+    assert estimate_holder_order(GridPath.from_values(np.arange(n + 1) % 2)) == zigzag_order
+    assert estimate_holder_order(GridPath.from_values(np.full(n + 1, 2.0))) == 1.0  # constant: nothing moves
+
+
 def _oracle_w_one_minus_alpha_norm(g, a):
     """The per-row loop the pair sweep replaced: one cumulative sum per start index."""
     from flowlab.quadrature import cell_weights

@@ -225,3 +225,46 @@ def test_cell_weights_rejects_unsupported_exponent():
         cell_weights(-1.0, 0.1, 4)
     with pytest.raises(ValueError):
         cell_weights(-2.3, 0.1, 4)
+
+
+def _one_buffer_abs_increment_profile(values, p, h, chunk=256):
+    """``abs_increment_profile`` as it was with one chunk x (n+1) distance buffer (16 MB at n = 2^13)."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    f = values[:, None] if values.ndim == 1 else values
+    n, dim = f.shape[0] - 1, f.shape[1]
+    beta, gamma = cell_weights(p, h, n + 1)
+    rev = np.zeros(2 * n)
+    rev[:n] = (beta[1:-1] + gamma[2:])[::-1]
+    rows = min(chunk, n)
+    dist = np.empty((rows, n + 1))
+    sq = np.empty((rows, n + 1)) if dim > 1 else None
+    out = np.zeros(n + 1)
+    for k0 in range(1, n + 1, chunk):
+        k1 = min(k0 + chunk, n + 1)
+        m = k1 - k0
+        w = sliding_window_view(rev, k1)[n - k1 + 1 : n - k0 + 1][::-1]
+        d = dist[:m, :k1]
+        np.subtract(f[k0:k1, None, 0], f[None, :k1, 0], out=d)
+        if dim == 1:
+            np.abs(d, out=d)
+        else:
+            np.multiply(d, d, out=d)
+            s = sq[:m, :k1]
+            for c in range(1, dim):
+                np.subtract(f[k0:k1, None, c], f[None, :k1, c], out=s)
+                np.multiply(s, s, out=s)
+                d += s
+            np.sqrt(d, out=d)
+        out[k0:k1] = np.einsum("kj,kj->k", d[:, 1:], w[:, 1:]) + beta[k0:k1] * d[:, 0]
+    return out
+
+
+@pytest.mark.parametrize("n, chunk", [(1, 256), (5, 7), (512, 256), (1000, 7), (2048, 256), (8192, 256)])
+@pytest.mark.parametrize("d", [1, 2])
+def test_abs_increment_profile_row_slices_bit_for_bit(n, chunk, d):
+    # past 2^18 distances the rows of a block are filled a slice at a time; every row sums as before
+    vals = np.cumsum(np.random.default_rng(n + d).standard_normal((n + 1, d)), axis=0) / np.sqrt(n)
+    for p in (-1.1, -1.45):
+        want = _one_buffer_abs_increment_profile(vals, p, 1.0 / n, chunk)
+        assert np.array_equal(abs_increment_profile(vals, p, 1.0 / n, chunk), want)
