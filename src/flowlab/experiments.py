@@ -21,7 +21,7 @@ from . import fbm
 from .coefficients import CoefficientField, parse_field
 from .fraccalc import lambda_alpha
 from .paths import GridPath, w_alpha_lambda_norm
-from .sde import SolverConfig, _DriverStack, _flow_marks, _march, check_order_window, solve_forward_batch
+from .sde import SolverConfig, _flow_marks, _march, check_order_window, solve_forward_batch
 
 __all__ = [
     "ExperimentConfig",
@@ -33,6 +33,7 @@ __all__ = [
 
 EXPERIMENT_KINDS = ("flow", "inverse", "rate", "init-continuity", "driver-continuity", "moments")
 _LADDER_KINDS = ("flow", "inverse", "rate", "driver-continuity")
+_POINT_KINDS = ("flow", "inverse", "driver-continuity")  # the kinds that solve from initial_points
 
 # weighted norms: exp(-lambda * T) must stay representable
 _MAX_LAMBDA_EXPONENT = 600.0
@@ -99,11 +100,20 @@ class ExperimentConfig:
             raise ValueError(f"solver_n = {self.solver_n} does not divide fine_n = {self.fine_n}")
         if not (0.0 < self.hurst < 1.0):
             raise ValueError(f"Hurst parameter must lie in (0, 1), got {self.hurst}")
+        if not self.horizon > 0.0:
+            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
+        if unknown:
+            raise ValueError(f"unknown tolerances {unknown}; expected names from {sorted(DEFAULT_TOLERANCES)}")
+        if self.kind == "moments" and (len(set(self.sample_counts)) < 2 or not self.moment_orders):
+            raise ValueError("moments experiments need two distinct sample_counts and at least one moment order")
         if self.kind != "rate":
             # solver-backed kinds must pass the admissible-order gate
+            c = self.field()
             probe_n = self.ladder[0] if self.ladder else self.solver_n
-            cfg = SolverConfig(self.alpha, probe_n, self.hurst)
-            check_order_window(cfg, self.field())
+            check_order_window(SolverConfig(self.alpha, probe_n, self.hurst), c)
+            if self.kind in _POINT_KINDS and any(len(p) != c.dim for p in self.initial_points):
+                raise ValueError(f"initial points {list(self.initial_points)} must have the field's dimension {c.dim}")
         elif not (1.0 - self.hurst < self.alpha < 0.5):
             raise ValueError(f"alpha must lie in ({1.0 - self.hurst}, 1/2) for rate experiments")
 
@@ -281,10 +291,8 @@ def _stack_pass(inits, starts, marks, c: CoefficientField, drivers: list, cfg: S
     len(drivers), npts, d).
     """
     blocks, count, npts, d = inits.shape
-    values = np.stack([p.values for p in drivers])
-    per_member = np.broadcast_to(values[None, :, None], (blocks, count, npts) + values.shape[1:])
-    stack = _DriverStack(drivers[0].times, drivers[0].step, per_member.reshape((-1,) + values.shape[1:]))
-    out = _flow_marks(inits.reshape(-1, d), np.repeat(starts, count * npts), marks, c, stack, cfg,
+    members = [p for p in drivers for _ in range(npts)] * blocks
+    out = _flow_marks(inits.reshape(-1, d), np.repeat(starts, count * npts), marks, c, members, cfg,
                       backward=backward)
     return out.reshape(len(marks), blocks, count, npts, d)
 

@@ -115,17 +115,17 @@ def _cholesky_factor(spec: FbmSpec) -> np.ndarray:
     return np.tril(factor)
 
 
-def sample_cholesky(spec: FbmSpec, max_grid: int = DEFAULT_MAX_CHOLESKY_GRID) -> FbmPath:
-    """Exact sampler via dense covariance factorization; O(n^2) memory, guarded by ``max_grid``."""
-    values = _cholesky_values(spec, 1, max_grid)[0]
+def sample_cholesky(spec: FbmSpec) -> FbmPath:
+    """Exact sampler via dense covariance factorization; O(n^2) memory, guarded by ``DEFAULT_MAX_CHOLESKY_GRID``."""
+    values = _cholesky_values(spec, 1)[0]
     return FbmPath(spec, GridPath(spec.times(), values))
 
 
-def _cholesky_values(spec: FbmSpec, count: int, max_grid: int = DEFAULT_MAX_CHOLESKY_GRID) -> np.ndarray:
-    if spec.grid_size > max_grid:
+def _cholesky_values(spec: FbmSpec, count: int) -> np.ndarray:
+    if spec.grid_size > DEFAULT_MAX_CHOLESKY_GRID:
         raise ValueError(
-            f"grid size {spec.grid_size} exceeds the factorization guard {max_grid}; "
-            "raise max_grid explicitly or use the circulant sampler"
+            f"grid size {spec.grid_size} exceeds the factorization guard {DEFAULT_MAX_CHOLESKY_GRID}; "
+            "use the circulant sampler"
         )
     factor = _cholesky_factor(spec)
     n, m = spec.grid_size, spec.components

@@ -138,15 +138,16 @@ def increment_profile(values: np.ndarray, p: float, h: float) -> np.ndarray:
     return out[:, 0] if scalar else out
 
 
+_CHUNK = 256  # rows of one block of abs_increment_profile
 _DIST_ELEMENTS = 2**18  # entries of the distance buffer of abs_increment_profile (2 MB)
 
 
-def abs_increment_profile(values: np.ndarray, p: float, h: float, chunk: int = 256) -> np.ndarray:
+def abs_increment_profile(values: np.ndarray, p: float, h: float) -> np.ndarray:
     """All prefix integrals  I[k] = integral_0^{t_k} |f(t_k) - f(y)| (t_k - y)**p dy.
 
     The absolute value (Euclidean over components) breaks the convolution
     structure, so this runs the O(n^2) product-integration sum in blocks of
-    ``chunk`` rows.  p in (-2, -1).
+    ``_CHUNK`` rows.  p in (-2, -1).
 
     Node j < k of row k carries the weight ``cp[k - j]`` with
     ``cp[g] = beta(g) + gamma(g + 1)``, except node 0, which carries
@@ -162,8 +163,6 @@ def abs_increment_profile(values: np.ndarray, p: float, h: float, chunk: int = 2
     """
     if not (-2.0 < p < -1.0):
         raise ValueError(f"abs_increment_profile requires p in (-2, -1), got {p}")
-    if chunk < 1:
-        raise ValueError(f"abs_increment_profile requires chunk >= 1, got {chunk}")
     vals = np.asarray(values, dtype=float)
     f = vals[:, None] if vals.ndim == 1 else vals
     n, dim = f.shape[0] - 1, f.shape[1]
@@ -171,12 +170,12 @@ def abs_increment_profile(values: np.ndarray, p: float, h: float, chunk: int = 2
     # rev[n - g] = cp[g] for g = 1..n; rev[n:] = 0 covers every gap g <= 0
     rev = np.zeros(2 * n)
     rev[:n] = (beta[1:-1] + gamma[2:])[::-1]
-    rows = min(chunk, n, max(1, _DIST_ELEMENTS // (n + 1)))  # rows of one distance buffer
+    rows = min(_CHUNK, n, max(1, _DIST_ELEMENTS // (n + 1)))  # rows of one distance buffer
     dist = np.empty((rows, n + 1))
     sq = np.empty((rows, n + 1)) if dim > 1 else None
     out = np.zeros(n + 1)
-    for k0 in range(1, n + 1, chunk):
-        k1 = min(k0 + chunk, n + 1)
+    for k0 in range(1, n + 1, _CHUNK):
+        k1 = min(k0 + _CHUNK, n + 1)
         # row k starts its window at rev[n - k]
         window = sliding_window_view(rev, k1)[n - k1 + 1 : n - k0 + 1][::-1]
         for r0 in range(k0, k1, rows):

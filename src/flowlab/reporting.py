@@ -3,7 +3,9 @@
 Record files are the source of truth: identical configs reproduce them
 bit-for-bit (floats are written with exact-roundtrip repr), and ``verify``
 re-derives the summary and checks from the records alone and compares
-against the stored summary.
+against the stored summary.  A ``file:`` coefficient field is copied into
+the result as ``field.json``, so the result stays verifiable after the
+original file is moved or deleted.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -21,6 +24,7 @@ from .experiments import ExperimentConfig, ExperimentResult, evaluate_checks, su
 __all__ = ["save_result", "load_result", "verify_result", "iter_series", "VerifyReport"]
 
 _REL_TOL = 1e-10
+_FIELD_COPY = "field.json"  # a file: field's declaration, saved with its result
 
 
 def _format_cell(value) -> str:
@@ -45,6 +49,8 @@ def save_result(result: ExperimentResult, outdir: Union[str, Path]) -> Path:
     with open(out / "config.json", "w") as fh:
         json.dump(result.config.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
+    if result.config.coefficients.startswith("file:"):
+        shutil.copyfile(result.config.coefficients.split(":", 1)[1], out / _FIELD_COPY)
     columns = sorted({k for rec in result.records for k in rec})
     with open(out / "records.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -88,9 +94,20 @@ def iter_series(kind: str, summary: dict):
 
 
 def load_result(outdir: Union[str, Path]) -> tuple[ExperimentConfig, list, dict]:
+    """Config, records and stored summary of a saved result.
+
+    A ``file:`` field whose declaration file is gone is read from the
+    result's copy ``field.json``, and the config then names that copy.
+    While the file exists the config is exactly as saved, so two results
+    of one campaign still compare equal.
+    """
     out = Path(outdir)
     with open(out / "config.json") as fh:
-        config = ExperimentConfig.from_dict(json.load(fh))
+        doc = json.load(fh)
+    spec = doc.get("coefficients", "")
+    if spec.startswith("file:") and not Path(spec[5:]).is_file() and (out / _FIELD_COPY).is_file():
+        doc["coefficients"] = f"file:{out / _FIELD_COPY}"
+    config = ExperimentConfig.from_dict(doc)
     with open(out / "records.csv", newline="") as fh:
         reader = csv.reader(fh)
         columns = next(reader)

@@ -14,10 +14,13 @@ driver or one driver per member; sorted by start, the members active at
 a step are a prefix of the batch.  The blow-up guard is checked once per
 block of ``_GUARD_BLOCK`` steps: the block's states are scanned for the
 first crossing in stepping order, which raises the same error, with the
-same time and magnitude, as a check after every step would.  Blocks are
-handed back one at a time, so callers either store the trajectory
-(``solve_*_batch``), keep the states at a few grid marks (``_flow_marks``)
-or reduce each block on the fly without materialising it.
+same time and magnitude, as a check after every step would.  The guard
+bound is ``DEFAULT_BLOWUP_FACTOR`` times (1 + |x0|), read at each call.
+Blocks are handed back one at a time.  ``_flow_marks`` is the one place
+that stores states: it keeps them at chosen grid indices, and a full
+solve (``solve_*_batch``) is ``_flow_marks`` over every grid index on the
+member's side of its start.  The other callers (the sortedness probe and
+the moments campaign) reduce each block on the fly without storing it.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ def check_order_window(cfg: SolverConfig, c: CoefficientField) -> None:
         )
 
 
-def _prepare(x0, c: CoefficientField, driver: Union[GridPath, _DriverStack], cfg: SolverConfig):
+def _prepare(x0, c: CoefficientField, driver: GridPath, cfg: SolverConfig):
     if driver.dimension != c.noise_dim:
         raise ValueError(f"driver has {driver.dimension} components, field expects {c.noise_dim}")
     if cfg.n_steps != driver.n_steps:
@@ -124,8 +127,7 @@ def _check_block(block, active, bound, reached_times) -> None:
             raise BlowUpError(_blowup_message(float(mag[j, :a].max()), reached_times[j]))
 
 
-def _march(x0s, starts, c, times, values, h, scheme="euler", backward=False,
-           blowup_factor=DEFAULT_BLOWUP_FACTOR):
+def _march(x0s, starts, c, times, values, h, scheme="euler", backward=False):
     """The stepping kernel: advance every member from its own start index.
 
     ``x0s`` is (B, ..., d); member i holds x0s[i] at grid index starts[i]
@@ -158,7 +160,7 @@ def _march(x0s, starts, c, times, values, h, scheme="euler", backward=False,
         active = np.searchsorted(starts, steps, side="right")
         reached = steps + 1
     apply = np.subtract if backward else np.add
-    bound = blowup_factor * (1.0 + np.linalg.norm(x0s, axis=-1))
+    bound = DEFAULT_BLOWUP_FACTOR * (1.0 + np.linalg.norm(x0s, axis=-1))
     # per-member increments (B, m) broadcast over the state axes between B and d
     contract = "b...dm,bm->b...d" if per_member else "...dm,m->...d"
     shared_db = None if per_member else np.diff(values, axis=0)
@@ -201,19 +203,10 @@ def solve_forward_batch(
     driver: GridPath,
     cfg: SolverConfig,
     scheme: str = "euler",
-    blowup_factor: float = DEFAULT_BLOWUP_FACTOR,
 ) -> np.ndarray:
     """Solve from start time r for a batch of initial points: (batch, steps+1, d)."""
-    if scheme not in ("euler", "heun"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    x0s = _prepare(x0s, c, driver, cfg)
     k0 = driver.index_of(r)
-    out = np.empty((x0s.shape[0], driver.n_steps - k0 + 1, c.dim))
-    out[:, 0] = x0s
-    for reached, states in _march(x0s, k0, c, driver.times, driver.values, driver.step, scheme,
-                                  blowup_factor=blowup_factor):
-        out[:, reached - k0] = states.swapaxes(0, 1)
-    return out
+    return _flow_marks(x0s, k0, range(k0, driver.n_steps + 1), c, driver, cfg, scheme=scheme).swapaxes(0, 1)
 
 
 def solve_forward(
@@ -223,10 +216,9 @@ def solve_forward(
     driver: GridPath,
     cfg: SolverConfig,
     scheme: str = "euler",
-    blowup_factor: float = DEFAULT_BLOWUP_FACTOR,
 ) -> GridPath:
     """Forward flow X started at x0 at time r, on the grid points >= r."""
-    values = solve_forward_batch(x0, r, c, driver, cfg, scheme, blowup_factor)[0]
+    values = solve_forward_batch(x0, r, c, driver, cfg, scheme)[0]
     k0 = driver.index_of(r)
     return GridPath(driver.times[k0:], values)
 
@@ -238,21 +230,12 @@ def solve_backward_batch(
     driver: GridPath,
     cfg: SolverConfig,
     scheme: str = "euler",
-    blowup_factor: float = DEFAULT_BLOWUP_FACTOR,
 ) -> np.ndarray:
     """Backward flow values: entry k is Y_{t_k, t_end}(x), for t_k <= t_end."""
-    if scheme not in ("euler", "heun"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    x0s = _prepare(x0s, c, driver, cfg)
     k1 = driver.index_of(t_end)
     if k1 < 1:
         raise ValueError("backward solve needs a positive end time")
-    out = np.empty((x0s.shape[0], k1 + 1, c.dim))
-    out[:, k1] = x0s
-    for reached, states in _march(x0s, k1, c, driver.times, driver.values, driver.step, scheme,
-                                  backward=True, blowup_factor=blowup_factor):
-        out[:, reached] = states.swapaxes(0, 1)
-    return out
+    return _flow_marks(x0s, k1, range(k1 + 1), c, driver, cfg, backward=True, scheme=scheme).swapaxes(0, 1)
 
 
 def solve_backward(
@@ -262,56 +245,36 @@ def solve_backward(
     driver: GridPath,
     cfg: SolverConfig,
     scheme: str = "euler",
-    blowup_factor: float = DEFAULT_BLOWUP_FACTOR,
 ) -> GridPath:
     """Backward flow Y_{., t_end}(x0) on the grid from the driver start up to t_end."""
-    values = solve_backward_batch(x0, t_end, c, driver, cfg, scheme, blowup_factor)[0]
+    values = solve_backward_batch(x0, t_end, c, driver, cfg, scheme)[0]
     k1 = driver.index_of(t_end)
     return GridPath(driver.times[: k1 + 1], values)
 
 
-@dataclass(frozen=True)
-class _DriverStack:
-    """One driver per member on a shared grid, as ``_march`` takes them: ``values`` is (B, n+1, m).
-
-    ``_flow_marks`` accepts it in place of a GridPath, to step members
-    under different drivers (seeds, polygonal approximations) in one pass.
-    """
-
-    times: np.ndarray
-    step: float
-    values: np.ndarray
-
-    @property
-    def n_steps(self) -> int:
-        return self.times.shape[0] - 1
-
-    @property
-    def dimension(self) -> int:
-        return self.values.shape[-1]
-
-
-def _flow_marks(x0s, starts, marks, c: CoefficientField, driver: Union[GridPath, _DriverStack], cfg: SolverConfig,
-                backward: bool = False) -> np.ndarray:
+def _flow_marks(x0s, starts, marks, c: CoefficientField, driver: Union[GridPath, list], cfg: SolverConfig,
+                backward: bool = False, scheme: str = "euler") -> np.ndarray:
     """Euler states of members started at grid indices ``starts``, at grid indices ``marks``.
 
     Returns (len(marks), batch, d).  Entry [j, i] is X_{starts[i], marks[j]}(x0s[i])
     forward, or Y_{marks[j], starts[i]}(x0s[i]) backward, when the mark lies
     on the member's side of its start; a member holds x0s[i] exactly at its
     own start and at every index it has not stepped to.  ``driver`` is one
-    path shared by every member or a stack of one driver per member.
+    path shared by every member or a list of one path per member, all on
+    one grid.
     """
-    x0s = _prepare(x0s, c, driver, cfg)
+    if scheme not in ("euler", "heun"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    grid = driver[0] if isinstance(driver, list) else driver
+    x0s = _prepare(x0s, c, grid, cfg)
+    values = np.stack([p.values for p in driver]) if isinstance(driver, list) else driver.values
     marks = np.asarray(marks, dtype=np.intp)
-    slot = np.full(driver.n_steps + 1, -1)
+    slot = np.full(grid.n_steps + 1, marks.size)  # an unmarked index writes to a spare last row
     slot[marks] = np.arange(marks.size)
-    out = np.broadcast_to(x0s, (marks.size,) + x0s.shape).copy()
-    for reached, states in _march(x0s, starts, c, driver.times, driver.values, driver.step,
-                                  backward=backward):
-        hit = slot[reached]
-        kept = hit >= 0
-        out[hit[kept]] = states[kept]
-    return out
+    out = np.broadcast_to(x0s, (marks.size + 1,) + x0s.shape).copy()
+    for reached, states in _march(x0s, starts, c, grid.times, values, grid.step, scheme, backward):
+        out[slot[reached]] = states
+    return out[:-1]
 
 
 @dataclass(frozen=True)

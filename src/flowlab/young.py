@@ -27,6 +27,9 @@ __all__ = [
     "YoungBoundReport",
 ]
 
+_BRIDGE_MARGIN = 0.02  # distance kept from each end of the admissible order window
+_BOUND_TOL = 1e-8      # rounding slack allowed in the fundamental bound
+
 
 def _integrand_shape(f: GridPath, g: GridPath) -> int:
     if not f.same_grid(g):
@@ -73,17 +76,17 @@ def indefinite_integral(f: GridPath, g: GridPath) -> GridPath:
     return GridPath(f.times, values)
 
 
-def default_bridge_order(f: GridPath, g: GridPath, margin: float = 0.02) -> float:
+def default_bridge_order(f: GridPath, g: GridPath) -> float:
     """Order for the fractional representation: midpoint of the admissible window.
 
-    The window (1 - mu + margin, lambda - margin) comes from the measured
-    Holder orders; an empty window falls back to clipping the midpoint
-    into (margin, 1/2 - margin).
+    The window (1 - mu + m, lambda - m), m = ``_BRIDGE_MARGIN``, comes from
+    the measured Holder orders; an empty window falls back to clipping the
+    midpoint into (m, 1/2 - m).
     """
     lam = estimate_holder_order(f)
     mu = estimate_holder_order(g)
     alpha = 0.5 * (1.0 - mu + lam)
-    lo, hi = 1.0 - mu + margin, lam - margin
+    lo, hi = 1.0 - mu + _BRIDGE_MARGIN, lam - _BRIDGE_MARGIN
     if lo < hi:
         alpha = min(max(alpha, lo), hi)
     else:
@@ -91,7 +94,7 @@ def default_bridge_order(f: GridPath, g: GridPath, margin: float = 0.02) -> floa
             f"measured Holder orders ({lam:.3g}, {mu:.3g}) leave no admissible order window",
             stacklevel=2,
         )
-    return min(max(alpha, margin), 0.5 - margin)
+    return min(max(alpha, _BRIDGE_MARGIN), 0.5 - _BRIDGE_MARGIN)
 
 
 def _scalar_zahle(fv: np.ndarray, gv: np.ndarray, a: float, h: float, rel: np.ndarray) -> float:
@@ -156,7 +159,6 @@ def young_bound_check(
     f: GridPath,
     g: GridPath,
     alpha: Union[FracOrder, float],
-    tol_numeric: float = 1e-8,
 ) -> YoungBoundReport:
     """Evaluate the fundamental estimate with the full (non-decimated) driver functional."""
     a = _alpha_value(alpha, upper=0.5)
@@ -164,4 +166,4 @@ def young_bound_check(
     lam = lambda_alpha(g, a, endpoints="all")
     rhs = lam * f_alpha_one_norm(f, a)
     slack = rhs - lhs
-    return YoungBoundReport(lhs=lhs, rhs=rhs, slack=slack, ok=bool(slack >= -tol_numeric))
+    return YoungBoundReport(lhs=lhs, rhs=rhs, slack=slack, ok=bool(slack >= -_BOUND_TOL))

@@ -73,6 +73,34 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config fields"):
             ExperimentConfig.from_dict({"kind": "rate", "mystery": 1})
 
+    def test_rejects_unknown_tolerances(self):
+        # a misspelt name used to be ignored, so the check it meant to set ran at its default
+        with pytest.raises(ValueError, match=r"unknown tolerances \['min_doubling_ration'\]"):
+            small("flow", tolerances={"min_doubling_ration": 1e9})
+        assert small("flow", tolerances={"min_doubling_ratio": 1e9}).tol("min_doubling_ratio") == 1e9
+
+    @pytest.mark.parametrize("kind", ["flow", "inverse", "driver-continuity"])
+    def test_rejects_initial_points_of_another_dimension(self, kind):
+        # such points used to turn every cell into an error record
+        with pytest.raises(ValueError, match="field's dimension 1"):
+            small(kind, initial_points=((1.0,), (1.0, 2.0)))
+        with pytest.raises(ValueError, match="field's dimension 2"):
+            small(kind, coefficients="builtin:additive:0.5,1;0,1")
+
+    @pytest.mark.parametrize("kind", ["rate", "flow", "moments"])
+    @pytest.mark.parametrize("horizon", [0.0, -1.0])
+    def test_rejects_nonpositive_horizon(self, kind, horizon):
+        # it used to raise only when the campaign sampled its first driver
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            small(kind, horizon=horizon)
+
+    @pytest.mark.parametrize("overrides", [{"sample_counts": (400,)}, {"sample_counts": (400, 400)},
+                                           {"moment_orders": ()}])
+    def test_rejects_moments_without_two_counts_and_an_order(self, overrides):
+        # sample_counts=(400,) used to pass on record_count alone, with no stability check
+        with pytest.raises(ValueError, match="two distinct sample_counts"):
+            small("moments", **overrides)
+
 
 class TestFlowExperiment:
     def test_geometric_passes_and_counts(self):
@@ -168,7 +196,7 @@ class TestFlowReference:
         fine_passes, solves = [], []
 
         def counting(x0s, starts, marks, c, driver, cfg, backward=False):
-            if driver.n_steps == fine_n:
+            if driver[0].n_steps == fine_n:
                 fine_passes.append(backward)
             return real(x0s, starts, marks, c, driver, cfg, backward=backward)
 
@@ -459,6 +487,21 @@ class TestPersistence:
         assert fresh["median_sol_gap"] == pytest.approx(res.summary["median_sol_gap"], rel=1e-12)
         checks = evaluate_checks(cfg, fresh)
         assert checks == res.checks
+
+    def test_file_field_result_verifies_without_the_file(self, tmp_path):
+        target = tmp_path / "coeffs.json"
+        target.write_text(json.dumps({"dim": 1, "noise_dim": 1, "sigma": [["sin(x1)"]], "drift": ["0"]}))
+        res = run_experiment(small("flow", coefficients=f"file:{target}", seeds=(0,)))
+        out = save_result(res, tmp_path / "flow")
+        assert (out / "field.json").read_bytes() == target.read_bytes()
+        assert load_result(out)[0] == res.config  # while the file exists, the config loads as saved
+        target.unlink()
+        report = verify_result(out)
+        assert report.ok, report.mismatches
+
+    def test_builtin_field_result_has_no_field_copy(self, tmp_path):
+        out = save_result(run_experiment(small("rate")), tmp_path / "rate")
+        assert not (out / "field.json").exists()
 
     def test_rate_series_files(self, tmp_path):
         res = run_experiment(small("rate"))

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
+from flowlab import quadrature
 from flowlab.quadrature import (
     abs_increment_profile,
     cell_weights,
@@ -197,21 +198,16 @@ def naive_abs_increment_profile(f, p, h):
 
 @pytest.mark.parametrize("d", [1, 3])
 @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
-def test_abs_increment_profile_matches_naive_sum(n, d):
+def test_abs_increment_profile_matches_naive_sum(n, d, monkeypatch):
     p, h = -1.45, 1.0 / n
     f = np.random.default_rng(n + d).standard_normal((n + 1, d)).cumsum(axis=0)
     expected = naive_abs_increment_profile(f, p, h)
     for chunk in (1, 7, 256, n + 5):
-        got = abs_increment_profile(f, p, h, chunk=chunk)
+        monkeypatch.setattr(quadrature, "_CHUNK", chunk)
+        got = abs_increment_profile(f, p, h)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0, err_msg=f"chunk={chunk}")
         if d == 1:
-            assert np.array_equal(abs_increment_profile(f[:, 0], p, h, chunk=chunk), got)
-
-
-@pytest.mark.parametrize("chunk", [0, -4])
-def test_abs_increment_profile_rejects_bad_chunk(chunk):
-    with pytest.raises(ValueError, match="chunk"):
-        abs_increment_profile(np.arange(9.0), -1.3, 0.125, chunk=chunk)
+            assert np.array_equal(abs_increment_profile(f[:, 0], p, h), got)
 
 
 def test_cell_weights_trapezoid_limit():
@@ -262,9 +258,10 @@ def _one_buffer_abs_increment_profile(values, p, h, chunk=256):
 
 @pytest.mark.parametrize("n, chunk", [(1, 256), (5, 7), (512, 256), (1000, 7), (2048, 256), (8192, 256)])
 @pytest.mark.parametrize("d", [1, 2])
-def test_abs_increment_profile_row_slices_bit_for_bit(n, chunk, d):
+def test_abs_increment_profile_row_slices_bit_for_bit(n, chunk, d, monkeypatch):
     # past 2^18 distances the rows of a block are filled a slice at a time; every row sums as before
     vals = np.cumsum(np.random.default_rng(n + d).standard_normal((n + 1, d)), axis=0) / np.sqrt(n)
+    monkeypatch.setattr(quadrature, "_CHUNK", chunk)
     for p in (-1.1, -1.45):
         want = _one_buffer_abs_increment_profile(vals, p, 1.0 / n, chunk)
-        assert np.array_equal(abs_increment_profile(vals, p, 1.0 / n, chunk), want)
+        assert np.array_equal(abs_increment_profile(vals, p, 1.0 / n), want)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from flowlab import experiments, fbm
+from flowlab import experiments, fbm, sde
 from flowlab.coefficients import CoefficientField, builtin_field, parse_field
 from flowlab.errors import BlowUpError
 from flowlab.paths import GridPath
@@ -13,6 +13,7 @@ from flowlab.sde import (
     DEFAULT_BLOWUP_FACTOR,
     _GUARD_BLOCK,
     SolverConfig,
+    _flow_marks,
     _march,
     alpha0,
     check_order_window,
@@ -120,11 +121,12 @@ class TestForwardSolver:
         with pytest.raises(ValueError):
             solve_forward([1.0], 0.0, f, wide, cfg)  # wrong driver width
 
-    def test_blowup_guard_fires(self, driver, cfg):
+    def test_blowup_guard_fires(self, driver, cfg, monkeypatch):
         # the solution for this driver peaks near 1.06; a guard at 2 * 0.51 = 1.02 binds
         f = builtin_field("geometric", sigma0=0.5)
+        monkeypatch.setattr(sde, "DEFAULT_BLOWUP_FACTOR", 0.51)
         with pytest.raises(BlowUpError, match="guard"):
-            solve_forward([1.0], 0.0, f, driver, cfg, blowup_factor=0.51)
+            solve_forward([1.0], 0.0, f, driver, cfg)
 
     def test_heun_scheme_more_accurate_on_geometric(self):
         fine = driver_of(seed=15, n=2**10)
@@ -135,9 +137,10 @@ class TestForwardSolver:
         err_heun = abs(solve_forward([1.0], 0.0, f, fine, cfg10, scheme="heun").values[-1, 0] - closed)
         assert err_heun < err_euler
 
-    def test_unknown_scheme(self, driver, cfg):
-        with pytest.raises(ValueError):
-            solve_forward([1.0], 0.0, builtin_field("zero"), driver, cfg, scheme="rk4")
+    @pytest.mark.parametrize("solve", [solve_forward_batch, solve_backward_batch], ids=lambda f: f.__name__)
+    def test_unknown_scheme(self, driver, cfg, solve):
+        with pytest.raises(ValueError, match="unknown scheme"):
+            solve([1.0], 1.0, builtin_field("zero"), driver, cfg, scheme="rk4")
 
     def test_batch_matches_single(self, driver, cfg):
         f = parse_field("builtin:sin")
@@ -457,7 +460,7 @@ class TestSteppingKernel:
             solve_backward_batch(x0s, 1.0, f, driver, cfg)
         assert str(got.value) == str(want.value)
 
-    def test_crossing_counts_only_started_members(self):
+    def test_crossing_counts_only_started_members(self, monkeypatch):
         # the member starting after the spike never sees it; the other two cross at index 70
         n = 200
         f = builtin_field("additive", matrix=np.array([[1.0]]))
@@ -473,10 +476,26 @@ class TestSteppingKernel:
         zero, x0s, smooth = builtin_field("zero"), np.array([[0.5], [50.0]]), driver_of(seed=1, n=n)
         with pytest.raises(BlowUpError) as want:
             oracle_forward(x0s[1:], 100, zero, smooth, blowup_factor=0.9)
+        monkeypatch.setattr(sde, "DEFAULT_BLOWUP_FACTOR", 0.9)
         with pytest.raises(BlowUpError) as got:
-            list(_march(x0s, [0, 100], zero, smooth.times, smooth.values, smooth.step, blowup_factor=0.9))
+            list(_march(x0s, [0, 100], zero, smooth.times, smooth.values, smooth.step))
         assert str(got.value) == str(want.value)
         assert "at t = 0.505" in str(got.value)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_per_member_drivers_match_one_call_per_driver(self, m, backward):
+        c = time_dependent_field(m)
+        n = 150
+        drivers = [driver_of(seed=s, n=n, m=m) for s in (3, 4, 5, 6)]
+        cfg = SolverConfig(0.3, n, 0.75)
+        x0s = np.random.default_rng(m).uniform(-1.0, 1.0, size=(len(drivers), c.dim))
+        starts = [150, 64, 1, 90] if backward else [0, 64, 149, 65]
+        marks = [0, 1, 63, 64, 65, 100, 149, 150]
+        got = _flow_marks(x0s, starts, marks, c, drivers, cfg, backward=backward)
+        for i, d in enumerate(drivers):
+            want = _flow_marks(x0s[i : i + 1], starts[i], marks, c, d, cfg, backward=backward)
+            assert np.array_equal(got[:, i : i + 1], want), i
 
     def test_overflow_after_crossing_is_silent(self):
         # x**3 diffusion: past the guard, the same block overflows to inf
@@ -493,7 +512,7 @@ class TestSteppingKernel:
         assert str(got.value) == str(want.value)
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
-    def test_field_error_after_crossing_reports_the_crossing(self):
+    def test_field_error_after_crossing_reports_the_crossing(self, monkeypatch):
         def sigma(t, x):
             if np.abs(x).max() > 1e20:
                 raise ValueError("state outside the field's domain")
@@ -512,8 +531,9 @@ class TestSteppingKernel:
             solve_forward_batch([0.0], 0.0, picky, driver, cfg)
         assert str(got.value) == str(want.value)
         # without a crossing before it, the field's own error comes through
+        monkeypatch.setattr(sde, "DEFAULT_BLOWUP_FACTOR", 1e30)
         with pytest.raises(ValueError, match="domain"):
-            solve_forward_batch([0.0], 0.0, picky, driver, cfg, blowup_factor=1e30)
+            solve_forward_batch([0.0], 0.0, picky, driver, cfg)
 
     @pytest.mark.parametrize("coefficients", ["builtin:geometric:0.5", "builtin:sin", "builtin:additive:0.8"])
     def test_probe_matches_oracle(self, coefficients):

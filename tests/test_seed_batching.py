@@ -194,7 +194,7 @@ def test_every_rung_is_one_pass_over_all_seeds(monkeypatch):
     real = experiments._flow_marks
 
     def counting(x0s, starts, marks, c, driver, cfg, backward=False):
-        calls.append((driver.n_steps, x0s.shape[0]))
+        calls.append((driver[0].n_steps, x0s.shape[0]))
         return real(x0s, starts, marks, c, driver, cfg, backward=backward)
 
     monkeypatch.setattr(experiments, "_flow_marks", counting)
