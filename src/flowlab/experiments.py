@@ -20,7 +20,7 @@ import numpy as np
 from . import fbm
 from .coefficients import CoefficientField, parse_field
 from .fraccalc import lambda_alpha
-from .paths import GridPath, w_alpha_lambda_norm
+from .paths import GridPath, _w_alpha_lambda_norms, w_alpha_lambda_norm
 from .sde import SolverConfig, _flow_marks, _march, check_order_window, solve_forward_batch
 
 __all__ = [
@@ -96,8 +96,15 @@ class ExperimentConfig:
         bad = [n for n in self.ladder if n < 1 or self.fine_n % n != 0]
         if bad:
             raise ValueError(f"ladder rungs {bad} do not divide fine_n = {self.fine_n}")
-        if self.kind == "init-continuity" and (self.solver_n < 1 or self.fine_n % self.solver_n != 0):
-            raise ValueError(f"solver_n = {self.solver_n} does not divide fine_n = {self.fine_n}")
+        if self.kind == "init-continuity":
+            if self.solver_n < 1 or self.fine_n % self.solver_n != 0:
+                raise ValueError(f"solver_n = {self.solver_n} does not divide fine_n = {self.fine_n}")
+            if self.pair_count < 1:
+                raise ValueError(f"pair_count must be at least 1, got {self.pair_count}")
+            if not self.ball_radius > 0.0:
+                raise ValueError(f"ball_radius must be positive, got {self.ball_radius}")
+        if self.lambda_weight is not None and not 0.0 <= self.lambda_weight < math.inf:
+            raise ValueError(f"lambda_weight must be finite and nonnegative, got {self.lambda_weight}")
         if not (0.0 < self.hurst < 1.0):
             raise ValueError(f"Hurst parameter must lie in (0, 1), got {self.hurst}")
         if not self.horizon > 0.0:
@@ -671,20 +678,25 @@ def _run_init_continuity(config: ExperimentConfig) -> list:
             sols, failure = solve_forward_batch(flat, 0.0, c, driver, cfg), None
         except Exception as exc:  # every non-degenerate pair of the seed records the failure
             failure = f"error: {exc}"
+        if failure is None:
+            sols[0::2] -= sols[1::2]  # row 2i is now pair i's difference
+            diffs = sols[0::2]
+
+            def run(sel, out):  # sel is contiguous: every pair, or one
+                out.update(zip(sel, _w_alpha_lambda_norms(diffs[sel[0] : sel[-1] + 1], driver.times,
+                                                          config.alpha, lam)))
+
+            norms, errors = _replayed(run, pairs.shape[0])
         for i in range(pairs.shape[0]):
-            x0, x1 = pairs[i, 0], pairs[i, 1]
-            dist = float(np.linalg.norm(x0 - x1))
+            dist = float(np.linalg.norm(pairs[i, 0] - pairs[i, 1]))
             rec = {"seed": seed, "pair": i, "dist": dist, "lambda_weight": lam,
                    "ratio": np.nan, "status": "ok"}
             if dist < 1e-12 or failure:
                 rec["status"] = "degenerate" if dist < 1e-12 else failure
-                records.append(rec)
-                continue
-            try:
-                diff = GridPath(driver.times, sols[2 * i] - sols[2 * i + 1])
-                rec["ratio"] = w_alpha_lambda_norm(diff, config.alpha, lam) / dist
-            except Exception as exc:
-                rec["status"] = f"error: {exc}"
+            elif errors[i] is not None:
+                rec["status"] = _status(errors[i])
+            else:
+                rec["ratio"] = float(norms[i]) / dist
             records.append(rec)
     return records
 

@@ -16,7 +16,7 @@ from typing import Callable, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .quadrature import abs_increment_profile, cell_weights, weighted_integral
+from .quadrature import _PATH_CHUNK, abs_increment_profile, cell_weights, weighted_integral
 
 __all__ = [
     "GridPath",
@@ -277,24 +277,40 @@ def holder_seminorm(f: GridPath, order: Union[HolderOrder, float]) -> float:
     return float(best)
 
 
-def _alpha_profile(f: GridPath, alpha: float) -> np.ndarray:
-    """Per-node values |f(t)| + integral_0^t |f(t)-f(s)| (t-s)**(-alpha-1) ds."""
-    return f.magnitude() + abs_increment_profile(f.values, -alpha - 1.0, f.step)
-
-
 def w_alpha_inf_norm(f: GridPath, alpha: Union[FracOrder, float]) -> float:
     """The W^{alpha,infinity}_0 norm: sup_t of |f(t)| plus the alpha-increment tail."""
-    a = _alpha_value(alpha, upper=0.5)
-    return float(_alpha_profile(f, a).max())
+    return w_alpha_lambda_norm(f, alpha, 0.0)
 
 
 def w_alpha_lambda_norm(f: GridPath, alpha: Union[FracOrder, float], lambda_weight: float) -> float:
     """Exponentially discounted variant: sup_t e^{-lambda t} (|f(t)| + tail)."""
+    return float(_w_alpha_lambda_norms(f.values[None], f.times, alpha, lambda_weight)[0])
+
+
+def _w_alpha_lambda_norms(values: np.ndarray, times: np.ndarray, alpha: Union[FracOrder, float],
+                          lambda_weight: float) -> np.ndarray:
+    """``w_alpha_lambda_norm`` of each path of ``values`` (P, n+1, d) on the uniform grid ``times``.
+
+    The per-node values |f(t)| + integral_0^t |f(t)-f(s)| (t-s)**(-alpha-1) ds
+    come from ``abs_increment_profile``, ``_PATH_CHUNK`` paths at a time,
+    and each chunk is reduced to its norms before the next starts, so no
+    (P, n+1) profile is held.
+    """
+    if not np.isfinite(values).all():
+        raise ValueError("path values must be finite")
     a = _alpha_value(alpha, upper=0.5)
+    if not np.isfinite(lambda_weight):
+        raise ValueError(f"lambda_weight must be finite, got {lambda_weight}")
     if lambda_weight < 0.0:
         raise ValueError("lambda_weight must be nonnegative")
-    rel_t = f.times - f.times[0]
-    return float((np.exp(-lambda_weight * rel_t) * _alpha_profile(f, a)).max())
+    h = (times[-1] - times[0]) / (times.shape[0] - 1)
+    discount = np.exp(-lambda_weight * (times - times[0]))
+    norms = np.empty(values.shape[0])
+    for p0 in range(0, values.shape[0], _PATH_CHUNK):
+        chunk = values[p0 : p0 + _PATH_CHUNK]
+        profile = np.linalg.norm(chunk, axis=2) + abs_increment_profile(chunk, -a - 1.0, h)
+        norms[p0 : p0 + _PATH_CHUNK] = (discount * profile).max(axis=1)
+    return norms
 
 
 def _sweep_weights(a: float, h: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

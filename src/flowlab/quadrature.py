@@ -138,7 +138,8 @@ def increment_profile(values: np.ndarray, p: float, h: float) -> np.ndarray:
     return out[:, 0] if scalar else out
 
 
-_CHUNK = 256  # rows of one block of abs_increment_profile
+_CHUNK = 64  # rows of one block of abs_increment_profile
+_PATH_CHUNK = 64  # paths of one block of a batched abs_increment_profile
 _DIST_ELEMENTS = 2**18  # entries of the distance buffer of abs_increment_profile (2 MB)
 
 
@@ -147,51 +148,61 @@ def abs_increment_profile(values: np.ndarray, p: float, h: float) -> np.ndarray:
 
     The absolute value (Euclidean over components) breaks the convolution
     structure, so this runs the O(n^2) product-integration sum in blocks of
-    ``_CHUNK`` rows.  p in (-2, -1).
+    ``_CHUNK`` rows.  p in (-2, -1).  ``values`` is one path, (n+1,) or
+    (n+1, d), giving (n+1,), or a batch of paths (P, n+1, d), giving
+    (P, n+1); a single path is a batch of one.
 
     Node j < k of row k carries the weight ``cp[k - j]`` with
     ``cp[g] = beta(g) + gamma(g + 1)``, except node 0, which carries
     ``beta(k)`` only.  The weights are therefore Toeplitz in k - j: ``cp``
     is stored once, reversed and zero-padded, and each block's weights are
     a strided window view of that vector, with every node j >= k landing on
-    the zero padding.  The distances |f(t_k) - f(t_j)| of a block are
-    written into one buffer allocated per call (for d > 1 the squared
-    components are accumulated there before one square root), a slice of
-    rows at a time: the buffer holds at most ``_DIST_ELEMENTS`` entries, so
-    a long path does not allocate (and touch) a 16 MB buffer per call.
-    Each row's sum is the same whatever the slice.
+    the zero padding.  Paths are taken ``_PATH_CHUNK`` at a time, copied
+    time-major so the path axis is innermost: every subtraction then runs
+    over contiguous paths, and one einsum contracts a block's rows for all
+    of them.  The distances |f(t_k) - f(t_j)| of a block are written into
+    one buffer allocated per call (for d > 1 the squared components are
+    accumulated there before one square root), a slice of rows at a time:
+    the buffer holds at most ``_DIST_ELEMENTS`` entries, so a long path
+    does not allocate (and touch) a 16 MB buffer per call.  Each row's sum
+    is the same whatever the slice.
     """
     if not (-2.0 < p < -1.0):
         raise ValueError(f"abs_increment_profile requires p in (-2, -1), got {p}")
     vals = np.asarray(values, dtype=float)
-    f = vals[:, None] if vals.ndim == 1 else vals
-    n, dim = f.shape[0] - 1, f.shape[1]
+    paths = vals[:, None] if vals.ndim == 1 else vals
+    paths = paths if paths.ndim == 3 else paths[None]
+    count, n, dim = paths.shape[0], paths.shape[1] - 1, paths.shape[2]
     beta, gamma = cell_weights(p, h, n + 1)
     # rev[n - g] = cp[g] for g = 1..n; rev[n:] = 0 covers every gap g <= 0
     rev = np.zeros(2 * n)
     rev[:n] = (beta[1:-1] + gamma[2:])[::-1]
-    rows = min(_CHUNK, n, max(1, _DIST_ELEMENTS // (n + 1)))  # rows of one distance buffer
-    dist = np.empty((rows, n + 1))
-    sq = np.empty((rows, n + 1)) if dim > 1 else None
-    out = np.zeros(n + 1)
-    for k0 in range(1, n + 1, _CHUNK):
-        k1 = min(k0 + _CHUNK, n + 1)
-        # row k starts its window at rev[n - k]
-        window = sliding_window_view(rev, k1)[n - k1 + 1 : n - k0 + 1][::-1]
-        for r0 in range(k0, k1, rows):
-            r1 = min(r0 + rows, k1)
-            w = window[r0 - k0 : r1 - k0]
-            d = dist[: r1 - r0, :k1]
-            np.subtract(f[r0:r1, None, 0], f[None, :k1, 0], out=d)
-            if dim == 1:
-                np.abs(d, out=d)
-            else:
-                np.multiply(d, d, out=d)
-                s = sq[: r1 - r0, :k1]
-                for c in range(1, dim):
-                    np.subtract(f[r0:r1, None, c], f[None, :k1, c], out=s)
-                    np.multiply(s, s, out=s)
-                    d += s
-                np.sqrt(d, out=d)
-            out[r0:r1] = np.einsum("kj,kj->k", d[:, 1:], w[:, 1:]) + beta[r0:r1] * d[:, 0]
-    return out
+    width = min(_PATH_CHUNK, count)
+    rows = min(_CHUNK, n, max(1, _DIST_ELEMENTS // ((n + 1) * width)))  # rows of one distance buffer
+    dist = np.empty((rows, n + 1, width))
+    sq = np.empty((rows, n + 1, width)) if dim > 1 else None
+    out = np.zeros((count, n + 1))
+    for p0 in range(0, count, width):
+        p1 = min(p0 + width, count)
+        f = np.ascontiguousarray(paths[p0:p1].transpose(2, 1, 0))  # f[c, k, path]
+        for k0 in range(1, n + 1, _CHUNK):
+            k1 = min(k0 + _CHUNK, n + 1)
+            # row k starts its window at rev[n - k]
+            window = sliding_window_view(rev, k1)[n - k1 + 1 : n - k0 + 1][::-1]
+            for r0 in range(k0, k1, rows):
+                r1 = min(r0 + rows, k1)
+                w = window[r0 - k0 : r1 - k0]
+                d = dist[: r1 - r0, :k1, : p1 - p0]
+                np.subtract(f[0, r0:r1, None], f[0, None, :k1], out=d)
+                if dim == 1:
+                    np.abs(d, out=d)
+                else:
+                    np.multiply(d, d, out=d)
+                    s = sq[: r1 - r0, :k1, : p1 - p0]
+                    for c in range(1, dim):
+                        np.subtract(f[c, r0:r1, None], f[c, None, :k1], out=s)
+                        np.multiply(s, s, out=s)
+                        d += s
+                    np.sqrt(d, out=d)
+                out[p0:p1, r0:r1] = (np.einsum("kjp,kj->kp", d[:, 1:], w[:, 1:]) + beta[r0:r1, None] * d[:, 0]).T
+    return out if vals.ndim == 3 else out[0]

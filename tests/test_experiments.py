@@ -102,6 +102,27 @@ class TestConfig:
             small("moments", **overrides)
 
 
+    @pytest.mark.parametrize("kind", ["init-continuity", "driver-continuity"])
+    @pytest.mark.parametrize("weight", [-1.0, np.nan, np.inf])
+    def test_rejects_negative_or_non_finite_lambda_weight(self, kind, weight):
+        # -1 used to turn every cell into an error record, and NaN gave ok records with NaN norms
+        with pytest.raises(ValueError, match="lambda_weight must be finite and nonnegative"):
+            small(kind, lambda_weight=weight)
+        assert small(kind, lambda_weight=0.0).lambda_weight == 0.0
+
+    @pytest.mark.parametrize("pair_count", [0, -3])
+    def test_rejects_init_pair_count_below_one(self, pair_count):
+        # 0 used to run one pair per seed
+        with pytest.raises(ValueError, match="pair_count must be at least 1"):
+            small("init-continuity", pair_count=pair_count)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan])
+    def test_rejects_init_nonpositive_ball_radius(self, radius):
+        # -1 used to raise out of run_experiment from the pair sampler, and 0 made every pair degenerate
+        with pytest.raises(ValueError, match="ball_radius must be positive"):
+            small("init-continuity", ball_radius=radius)
+
+
 class TestFlowExperiment:
     def test_geometric_passes_and_counts(self):
         cfg = small("flow")
@@ -315,18 +336,22 @@ class TestContinuityExperiments:
     def test_init_failures_become_error_records(self, monkeypatch):
         import flowlab.experiments as experiments
 
-        real = experiments.w_alpha_lambda_norm
+        real = experiments._w_alpha_lambda_norms
         calls = []
 
-        def flaky(*args, **kwargs):
-            calls.append(None)
-            if len(calls) == 3:
+        def flaky(values, *args, **kwargs):
+            calls.append(len(values))
+            # call 1 is seed 0's batch; its failure replays the pairs alone, and call 4 is pair 2's replay
+            if len(calls) in (1, 4):
                 raise FloatingPointError("injected norm failure")
-            return real(*args, **kwargs)
+            return real(values, *args, **kwargs)
 
-        monkeypatch.setattr(experiments, "w_alpha_lambda_norm", flaky)
+        monkeypatch.setattr(experiments, "_w_alpha_lambda_norms", flaky)
         cfg = small("init-continuity")
         res = run_experiment(cfg)
+        per_seed = cfg.pair_count // len(cfg.seeds)
+        assert calls == [per_seed] + [1] * per_seed + [per_seed]  # seed 0 replayed pair by pair, seed 1 batched
+        assert [r["pair"] for r in res.records if str(r["status"]).startswith("error")] == [2]
         errors = [r for r in res.records if str(r["status"]).startswith("error")]
         assert len(res.records) == cfg.pair_count  # the campaign went on past the failure
         assert len(errors) == 1

@@ -184,6 +184,16 @@ class TestWeightedNorm:
         norms = [w_alpha_lambda_norm(fbm_path, 0.3, lam) for lam in (0.0, 1.0, 5.0, 25.0)]
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
 
+    @pytest.mark.parametrize("weight", [np.inf, np.nan])
+    def test_rejects_non_finite_weight(self, fbm_path, weight):
+        # both used to return NaN
+        with pytest.raises(ValueError, match="lambda_weight must be finite"):
+            w_alpha_lambda_norm(fbm_path, 0.3, weight)
+
+    def test_rejects_negative_weight(self, fbm_path):
+        with pytest.raises(ValueError, match="lambda_weight must be nonnegative"):
+            w_alpha_lambda_norm(fbm_path, 0.3, -1.0)
+
     def test_equivalent_norm_lower_bound(self, fbm_path):
         lam = 4.0
         lower = math.exp(-lam * 1.0) * w_alpha_inf_norm(fbm_path, 0.3)

@@ -265,3 +265,17 @@ def test_abs_increment_profile_row_slices_bit_for_bit(n, chunk, d, monkeypatch):
     for p in (-1.1, -1.45):
         want = _one_buffer_abs_increment_profile(vals, p, 1.0 / n, chunk)
         assert np.array_equal(abs_increment_profile(vals, p, 1.0 / n), want)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 512])
+@pytest.mark.parametrize("paths", [1, 2, 63, 64, 65, 130])
+def test_batched_abs_increment_profile_matches_single_paths(paths, n, d):
+    # path chunks of 64 meet the batch edges at 63, 64, 65 and 130 paths
+    p, h = -1.45, 1.0 / n
+    batch = np.random.default_rng(1000 * paths + n + d).standard_normal((paths, n + 1, d)).cumsum(axis=1)
+    got = abs_increment_profile(batch, p, h)
+    assert got.shape == (paths, n + 1)
+    for i in range(paths):
+        np.testing.assert_allclose(got[i], abs_increment_profile(batch[i], p, h), rtol=1e-12, atol=0.0,
+                                   err_msg=f"path {i}")

@@ -3,6 +3,8 @@
 The copies below are the flow, inverse and driver-continuity runners as
 they stood when every seed (and every polygonal driver) had passes of its
 own.  The batched runners must give ``==`` records, failures included.
+The init-continuity copy took one norm per pair; its batched runner must
+give ``==`` records but for ``ratio``, which may move in the last bits.
 """
 
 import numpy as np
@@ -205,6 +207,90 @@ def test_every_rung_is_one_pass_over_all_seeds(monkeypatch):
     calls.clear()
     experiments._run_driver_continuity(config_for("driver-continuity", "builtin:sin", ((0.5,),)))
     assert calls == [(512, 3 * 4)]  # g and its three polygonal drivers, for each seed
+
+
+def per_pair_init_continuity(config):
+    """The init-continuity runner with one GridPath and one norm call per pair."""
+    c = config.field()
+    n = config.solver_n
+    cfg = SolverConfig(config.alpha, n, config.hurst)
+    per_seed = max(1, config.pair_count // len(config.seeds))
+    records = []
+    for seed in config.seeds:
+        driver = experiments._fine_driver(config, seed, components=c.noise_dim).decimate(config.fine_n // n)
+        lam = experiments._auto_lambda(config, driver)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 7001)))
+        chunks = []
+        collected = 0
+        while collected < per_seed:
+            raw = rng.uniform(-config.ball_radius, config.ball_radius, size=(4 * per_seed, 2, c.dim))
+            inside = np.linalg.norm(raw, axis=-1).max(axis=-1) <= config.ball_radius
+            chunks.append(raw[inside])
+            collected += chunks[-1].shape[0]
+        pairs = np.concatenate(chunks, axis=0)[:per_seed]
+        flat = pairs.reshape(-1, c.dim)
+        try:
+            sols, failure = experiments.solve_forward_batch(flat, 0.0, c, driver, cfg), None
+        except Exception as exc:
+            failure = f"error: {exc}"
+        for i in range(pairs.shape[0]):
+            x0, x1 = pairs[i, 0], pairs[i, 1]
+            dist = float(np.linalg.norm(x0 - x1))
+            rec = {"seed": seed, "pair": i, "dist": dist, "lambda_weight": lam,
+                   "ratio": np.nan, "status": "ok"}
+            if dist < 1e-12 or failure:
+                rec["status"] = "degenerate" if dist < 1e-12 else failure
+                records.append(rec)
+                continue
+            try:
+                diff = GridPath(driver.times, sols[2 * i] - sols[2 * i + 1])
+                rec["ratio"] = w_alpha_lambda_norm(diff, config.alpha, lam) / dist
+            except Exception as exc:
+                rec["status"] = f"error: {exc}"
+            records.append(rec)
+    return records
+
+
+def assert_init_records_match(got, want):
+    """``==`` on every key but ``ratio``, which agrees to 1e-12 relative (NaN with NaN)."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert {k: v for k, v in a.items() if k != "ratio"} == {k: v for k, v in b.items() if k != "ratio"}
+        np.testing.assert_allclose(a["ratio"], b["ratio"], rtol=1e-12, atol=0.0)
+
+
+def init_config(coefficients, **overrides):
+    # 75 pairs per seed: more than one batch of the profile kernel
+    base = dict(coefficients=coefficients, seeds=(0, 1), pair_count=150, solver_n=256, fine_n=1024)
+    return default_config("init-continuity", **{**base, **overrides})
+
+
+@pytest.mark.parametrize("coefficients", [
+    "builtin:geometric:0.5",
+    "builtin:additive:0.8",
+    "builtin:linear-drift:0.8,0.3;-0.2,0.6",
+])
+def test_batched_init_records_match_per_pair_records(coefficients):
+    cfg = init_config(coefficients)
+    batched = experiments._run_init_continuity(cfg)
+    assert len(batched) == cfg.pair_count and all(r["status"] == "ok" for r in batched)
+    assert_init_records_match(batched, per_pair_init_continuity(cfg))
+
+
+def test_a_non_finite_pair_difference_is_its_own_error_cell(monkeypatch):
+    real = experiments.solve_forward_batch
+
+    def poisoned(x0s, *args, **kwargs):
+        sols = real(x0s, *args, **kwargs)
+        sols[2 * 3, 100] = np.nan  # pair 3's first solution
+        return sols
+
+    monkeypatch.setattr(experiments, "solve_forward_batch", poisoned)
+    cfg = init_config("builtin:geometric:0.5")
+    batched = experiments._run_init_continuity(cfg)
+    errors = [(r["seed"], r["pair"], r["status"]) for r in batched if r["status"] != "ok"]
+    assert errors == [(0, 3, "error: path values must be finite"), (1, 3, "error: path values must be finite")]
+    assert_init_records_match(batched, per_pair_init_continuity(cfg))
 
 
 BLOWN_SEED = 1
