@@ -112,8 +112,13 @@ class ExperimentConfig:
         unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
         if unknown:
             raise ValueError(f"unknown tolerances {unknown}; expected names from {sorted(DEFAULT_TOLERANCES)}")
-        if self.kind == "moments" and (len(set(self.sample_counts)) < 2 or not self.moment_orders):
-            raise ValueError("moments experiments need two distinct sample_counts and at least one moment order")
+        if self.kind == "moments":
+            if len(set(self.sample_counts)) < 2 or not self.moment_orders:
+                raise ValueError("moments experiments need two distinct sample_counts and at least one moment order")
+            if min(self.sample_counts) < 2:
+                raise ValueError(f"moments sample_counts must all be at least 2, got {list(self.sample_counts)}")
+            if len(self.seeds) > 1:
+                raise ValueError(f"moments experiments sample one batch from one seed, got seeds {list(self.seeds)}")
         if self.kind != "rate":
             # solver-backed kinds must pass the admissible-order gate
             c = self.field()
@@ -659,9 +664,12 @@ def _run_init_continuity(config: ExperimentConfig) -> list:
     c = config.field()
     n = config.solver_n
     cfg = SolverConfig(config.alpha, n, config.hurst)
-    per_seed = max(1, config.pair_count // len(config.seeds))
+    base, extra = divmod(config.pair_count, len(config.seeds))
     records = []
-    for seed in config.seeds:
+    for q, seed in enumerate(config.seeds):
+        per_seed = base + (q < extra)  # the first pair_count % len(seeds) seeds take one pair more
+        if per_seed == 0:
+            continue
         driver = _fine_driver(config, seed, components=c.noise_dim).decimate(config.fine_n // n)
         lam = _auto_lambda(config, driver)
         rng = np.random.default_rng(np.random.SeedSequence((seed, 7001)))

@@ -5,7 +5,9 @@ factorization of the covariance (small grids, simple) and a
 Davies-Harte circulant embedding of the increment autocovariance
 (O(n log n), the performance path).  Components are generated from
 independent substreams of the seeded generator, so paths are
-reproducible and componentwise independent.
+reproducible and componentwise independent.  A circulant batch is
+sampled in blocks of ``_SAMPLE_ROWS`` paths, so its workspace (normals,
+spectrum and FFT output) is bounded by one block, not by the batch size.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
 DEFAULT_MAX_CHOLESKY_GRID = 2**13
 _EIG_TOL = 1e-10
 _MAX_EMBED_DOUBLINGS = 3
+_SAMPLE_ROWS = 512  # circulant paths per block; the generator fills in C order, so blocks draw the one-shot stream
 
 _eig_cache: dict[tuple[float, int], np.ndarray] = {}
 _eig_lock = threading.Lock()
@@ -171,17 +174,20 @@ def _circulant_values(spec: FbmSpec, count: int) -> np.ndarray:
     lam = np.clip(eig, 0.0, None)
     two_m = 2 * m_embed
     scale = spec.step**spec.hurst
+    half = np.sqrt(lam[1:m_embed] / (2.0 * two_m))
     values = np.zeros((count, n + 1, m))
     for j in range(m):
-        u = _component_rng(spec.seed, j).standard_normal((count, two_m))
-        w = np.zeros((count, two_m), dtype=complex)
-        w[:, 0] = np.sqrt(lam[0] / two_m) * u[:, 0]
-        w[:, m_embed] = np.sqrt(lam[m_embed] / two_m) * u[:, 1]
-        half = np.sqrt(lam[1:m_embed] / (2.0 * two_m))
-        w[:, 1:m_embed] = half * (u[:, 2 : 2 * m_embed : 2] + 1j * u[:, 3 : 2 * m_embed + 1 : 2])
-        w[:, m_embed + 1 :] = np.conj(w[:, 1:m_embed][:, ::-1])
-        fgn = np.fft.fft(w, axis=1).real[:, :n] * scale
-        values[:, 1:, j] = np.cumsum(fgn, axis=1)
+        rng = _component_rng(spec.seed, j)
+        for a in range(0, count, _SAMPLE_ROWS):
+            b = min(a + _SAMPLE_ROWS, count)
+            u = rng.standard_normal((b - a, two_m))
+            w = np.zeros((b - a, two_m), dtype=complex)
+            w[:, 0] = np.sqrt(lam[0] / two_m) * u[:, 0]
+            w[:, m_embed] = np.sqrt(lam[m_embed] / two_m) * u[:, 1]
+            w[:, 1:m_embed] = half * (u[:, 2 : 2 * m_embed : 2] + 1j * u[:, 3 : 2 * m_embed + 1 : 2])
+            w[:, m_embed + 1 :] = np.conj(w[:, 1:m_embed][:, ::-1])
+            fgn = np.fft.fft(w, axis=1).real[:, :n] * scale
+            np.cumsum(fgn, axis=1, out=values[a:b, 1:, j])
     return values
 
 
@@ -195,7 +201,11 @@ def sample_paths(spec: FbmSpec, count: int, method: str = "circulant") -> np.nda
     """Batch of ``count`` independent paths as an array (count, n+1, m).
 
     The batch shares the spec seed; it is meant for Monte-Carlo statistics,
-    not for reproducing individual ``sample_*`` paths.
+    not for reproducing individual ``sample_*`` paths.  The circulant
+    sampler fills the output in blocks of ``_SAMPLE_ROWS`` paths, so beyond
+    the result its workspace is bounded by one block, not by ``count``;
+    the blocks draw the one-shot stream, so the batch does not depend on
+    the block size.  The Cholesky sampler draws all ``count`` paths at once.
     """
     if method == "circulant":
         return _circulant_values(spec, count)

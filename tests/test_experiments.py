@@ -102,6 +102,22 @@ class TestConfig:
             small("moments", **overrides)
 
 
+    @pytest.mark.parametrize("counts", [(-5, 10), (0, 10), (1, 10)])
+    def test_rejects_moments_sample_count_below_two(self, counts):
+        # -5 raised a math domain error after the whole batch was solved, 0 gave NaN estimates,
+        # and 1 a NaN stderr (ddof=1)
+        with pytest.raises(ValueError, match="sample_counts must all be at least 2"):
+            small("moments", sample_counts=counts)
+        assert small("moments", sample_counts=(2, 10)).sample_counts == (2, 10)
+
+    def test_rejects_moments_with_more_than_one_seed(self):
+        # the batch used to come from seeds[0] alone, silently dropping the rest
+        with pytest.raises(ValueError, match=r"one seed, got seeds \[0, 1\]"):
+            small("moments", seeds=(0, 1))
+        with pytest.raises(ValueError, match="one seed"):
+            ExperimentConfig(kind="moments", sample_counts=(400, 800))  # the dataclass default has 20 seeds
+        assert small("moments", seeds=(7,)).seeds == (7,)
+
     @pytest.mark.parametrize("kind", ["init-continuity", "driver-continuity"])
     @pytest.mark.parametrize("weight", [-1.0, np.nan, np.inf])
     def test_rejects_negative_or_non_finite_lambda_weight(self, kind, weight):
@@ -332,6 +348,25 @@ class TestContinuityExperiments:
         res = run_experiment(small("init-continuity"))
         assert res.summary["ratio_spread"] <= 10.0
         assert res.passed
+
+    @pytest.mark.parametrize("pair_count, per_seed", [(3, [1, 1, 1, 0]), (10, [3, 3, 2, 2])])
+    def test_init_record_count_equals_pair_count(self, pair_count, per_seed, monkeypatch):
+        # pair_count // len(seeds) per seed, at least 1, used to give 4 records for 3 pairs and 8 for 10
+        import flowlab.experiments as experiments
+
+        real = experiments.solve_forward_batch
+        solved = []
+
+        def counting(x0s, *args, **kwargs):
+            solved.append(len(x0s) // 2)
+            return real(x0s, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "solve_forward_batch", counting)
+        cfg = small("init-continuity", seeds=(0, 1, 2, 3), pair_count=pair_count, solver_n=16)
+        res = run_experiment(cfg)
+        assert len(res.records) == pair_count
+        assert [sum(r["seed"] == seed for r in res.records) for seed in cfg.seeds] == per_seed
+        assert solved == [k for k in per_seed if k]  # a seed with no pair makes no solve
 
     def test_init_failures_become_error_records(self, monkeypatch):
         import flowlab.experiments as experiments

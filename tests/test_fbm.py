@@ -267,3 +267,54 @@ def test_circulant_subquadratic_scaling():
         return min(times)
 
     assert best_of(spec_large) / best_of(spec_small) < 3.0
+
+
+def one_shot_circulant_values(spec: fbm.FbmSpec, count: int) -> np.ndarray:
+    """The unblocked Davies-Harte batch: every (count, 2n) buffer alive at once."""
+    n, m = spec.grid_size, spec.components
+    m_embed = n
+    for _ in range(fbm._MAX_EMBED_DOUBLINGS + 1):
+        eig = fbm._fgn_eigenvalues(spec.hurst, m_embed)
+        if eig.min() >= -fbm._EIG_TOL * eig.max():
+            break
+        m_embed *= 2
+    lam = np.clip(eig, 0.0, None)
+    two_m = 2 * m_embed
+    scale = spec.step**spec.hurst
+    values = np.zeros((count, n + 1, m))
+    for j in range(m):
+        u = fbm._component_rng(spec.seed, j).standard_normal((count, two_m))
+        w = np.zeros((count, two_m), dtype=complex)
+        w[:, 0] = np.sqrt(lam[0] / two_m) * u[:, 0]
+        w[:, m_embed] = np.sqrt(lam[m_embed] / two_m) * u[:, 1]
+        half = np.sqrt(lam[1:m_embed] / (2.0 * two_m))
+        w[:, 1:m_embed] = half * (u[:, 2 : 2 * m_embed : 2] + 1j * u[:, 3 : 2 * m_embed + 1 : 2])
+        w[:, m_embed + 1 :] = np.conj(w[:, 1:m_embed][:, ::-1])
+        fgn = np.fft.fft(w, axis=1).real[:, :n] * scale
+        values[:, 1:, j] = np.cumsum(fgn, axis=1)
+    return values
+
+
+class TestBlockedCirculantBatch:
+    @pytest.mark.parametrize("count", [0, 1, 511, 512, 513, 1025])
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.75])
+    @pytest.mark.parametrize("n", [16, 256, 1000])
+    def test_bit_identical_to_one_shot(self, count, m, hurst, n):
+        s = spec(hurst=hurst, n=n, m=m, seed=11)
+        got = fbm.sample_paths(s, count, "circulant")
+        want = one_shot_circulant_values(s, count)
+        assert got.shape == want.shape == (count, n + 1, m)
+        assert got.tobytes() == want.tobytes()
+
+    def test_workspace_bounded_by_a_block(self):
+        # the one-shot sampler peaks near 12x the result (u, w and the FFT output at (count, 2n))
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            out = fbm.sample_paths(fbm.FbmSpec(0.75, 1, 1.0, 256), 10_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * out.nbytes

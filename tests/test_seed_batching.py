@@ -214,9 +214,12 @@ def per_pair_init_continuity(config):
     c = config.field()
     n = config.solver_n
     cfg = SolverConfig(config.alpha, n, config.hurst)
-    per_seed = max(1, config.pair_count // len(config.seeds))
+    base, extra = divmod(config.pair_count, len(config.seeds))
     records = []
-    for seed in config.seeds:
+    for q, seed in enumerate(config.seeds):
+        per_seed = base + (q < extra)
+        if per_seed == 0:
+            continue
         driver = experiments._fine_driver(config, seed, components=c.noise_dim).decimate(config.fine_n // n)
         lam = experiments._auto_lambda(config, driver)
         rng = np.random.default_rng(np.random.SeedSequence((seed, 7001)))
