@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fbm
 from .coefficients import CoefficientField, parse_field
-from .fraccalc import lambda_alpha
+from .fraccalc import _lambda_ladder, lambda_alpha
 from .paths import GridPath, _w_alpha_lambda_norms, w_alpha_lambda_norm
 from .sde import SolverConfig, _flow_marks, _march, check_order_window, solve_forward_batch
 
@@ -89,6 +89,10 @@ class ExperimentConfig:
         self.moment_orders = tuple(int(v) for v in self.moment_orders)
         if not self.seeds:
             raise ValueError("seed list must be nonempty")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {list(self.seeds)}")
+        if self.fine_n < 2:  # the samplers' smallest grid
+            raise ValueError(f"fine_n must be at least 2, got {self.fine_n}")
         if self.kind in _LADDER_KINDS and not self.ladder:
             raise ValueError(f"{self.kind} experiments need a nonempty ladder")
         if self.ladder and any(b <= a for a, b in zip(self.ladder, self.ladder[1:])):
@@ -99,6 +103,8 @@ class ExperimentConfig:
         if self.kind == "init-continuity":
             if self.solver_n < 1 or self.fine_n % self.solver_n != 0:
                 raise ValueError(f"solver_n = {self.solver_n} does not divide fine_n = {self.fine_n}")
+            if self.solver_n < 2:  # lambda_alpha of the driver needs two steps
+                raise ValueError(f"solver_n must be at least 2 for init-continuity, got {self.solver_n}")
             if self.pair_count < 1:
                 raise ValueError(f"pair_count must be at least 1, got {self.pair_count}")
             if not self.ball_radius > 0.0:
@@ -112,6 +118,11 @@ class ExperimentConfig:
         unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
         if unknown:
             raise ValueError(f"unknown tolerances {unknown}; expected names from {sorted(DEFAULT_TOLERANCES)}")
+        nan = sorted(name for name, v in self.tolerances.items() if math.isnan(float(v)))
+        if nan:
+            raise ValueError(f"tolerances {nan} must not be NaN")
+        if self.kind in _POINT_KINDS and not self.initial_points:
+            raise ValueError(f"{self.kind} experiments need nonempty initial_points")
         if self.kind == "moments":
             if len(set(self.sample_counts)) < 2 or not self.moment_orders:
                 raise ValueError("moments experiments need two distinct sample_counts and at least one moment order")
@@ -128,6 +139,8 @@ class ExperimentConfig:
                 raise ValueError(f"initial points {list(self.initial_points)} must have the field's dimension {c.dim}")
         elif not (1.0 - self.hurst < self.alpha < 0.5):
             raise ValueError(f"alpha must lie in ({1.0 - self.hurst}, 1/2) for rate experiments")
+        elif not (0.0 < self.theta < self.hurst):
+            raise ValueError(f"theta must lie in (0, hurst = {self.hurst}) for rate experiments, got {self.theta}")
 
     def field(self) -> CoefficientField:
         return parse_field(self.coefficients)
@@ -267,15 +280,16 @@ def _time_pairs(horizon: float) -> list:
     return [(r, t) for r in marks for t in marks if t >= r]
 
 
-def _replayed(run, count: int) -> tuple:
+def _replayed(run, count: int, alone=None) -> tuple:
     """Run ``run(sel, out)`` once over all ``count`` members; if it raises, once per member.
 
     ``run`` fills the dict ``out`` for the member positions in ``sel``.  In
     a batch, one member's failure stops every member, and the blow-up
     guard names the worst of them all; so a failed batch is replayed
-    member by member, and each member keeps exactly the entries and the
-    exception it gets on its own.  Returns ``(out, errors)``: errors[k] is
-    the exception member k raised alone, or None.
+    member by member, through ``alone`` (``run`` by default), and each
+    member keeps exactly the entries and the exception it gets on its own.
+    Returns ``(out, errors)``: errors[k] is the exception member k raised
+    alone, or None.
     """
     out = {}
     try:
@@ -286,7 +300,7 @@ def _replayed(run, count: int) -> tuple:
     errors = []
     for k in range(count):
         try:
-            run([k], out)
+            (alone or run)([k], out)
             errors.append(None)
         except Exception as exc:
             errors.append(exc)
@@ -577,6 +591,12 @@ def _checks_inverse(config, summary):
 
 
 def _run_rate(config: ExperimentConfig) -> list:
+    """Per seed, one decimated endpoint pass over B and every polygonal approximation B^n.
+
+    Lambda(B^n - B) is read from the difference of the rows of B^n and B.
+    If the pass raises, each rung is replayed on its own through
+    ``lambda_alpha`` and keeps the status it gets there.
+    """
     records = []
     for seed in config.seeds:
         fine = _fine_driver(config, seed)
@@ -584,17 +604,28 @@ def _run_rate(config: ExperimentConfig) -> list:
             fbm.FbmSpec(config.hurst, 1, config.horizon, config.fine_n, seed), fine
         )
         modulus = fbm.modulus_constant(fpath) if config.horizon <= 1.0 else np.nan
-        for coarse_n in config.ladder:
-            rec = {"seed": seed, "coarse_n": coarse_n, "status": "ok",
+
+        def run(sel, out):  # out[k]: the values of rung k
+            approxes = [fbm.polygonal(fine, config.ladder[k]) for k in sel]
+            for k, approx in zip(sel, approxes):
+                out[k] = {"holder_error": fbm.holder_error(fine, approx, config.theta)}
+            for k, (coarse, diff) in zip(sel, _lambda_ladder(fine, approxes, config.alpha)):
+                out[k].update(lambda_coarse=coarse, lambda_diff=diff)
+
+        def alone(sel, out):
+            (k,) = sel
+            approx = fbm.polygonal(fine, config.ladder[k])
+            cell = out[k] = {}
+            cell["holder_error"] = fbm.holder_error(fine, approx, config.theta)
+            cell["lambda_coarse"] = lambda_alpha(approx, config.alpha)
+            cell["lambda_diff"] = lambda_alpha(approx - fine, config.alpha)
+
+        cells, errors = _replayed(run, len(config.ladder), alone)
+        for k, coarse_n in enumerate(config.ladder):
+            rec = {"seed": seed, "coarse_n": coarse_n, "status": _status(errors[k]),
                    "holder_error": np.nan, "lambda_coarse": np.nan,
                    "lambda_diff": np.nan, "modulus_g": float(modulus)}
-            try:
-                approx = fbm.polygonal(fine, coarse_n)
-                rec["holder_error"] = fbm.holder_error(fine, approx, config.theta)
-                rec["lambda_coarse"] = lambda_alpha(approx, config.alpha)
-                rec["lambda_diff"] = lambda_alpha(approx - fine, config.alpha)
-            except Exception as exc:
-                rec["status"] = f"error: {exc}"
+            rec.update(cells.get(k, {}))
             records.append(rec)
     return records
 

@@ -133,7 +133,7 @@ def lambda_alpha(
     return _lambda_alpha_impl(g, _alpha_value(alpha, upper=0.5), endpoints)[0]
 
 
-def _endpoint_peaks(g: GridPath, a: float, idx: np.ndarray) -> tuple[float, int, int]:
+def _endpoint_peaks(g, a: float, idx: np.ndarray):
     """The signed pair sweep's sup |S(s, t)| over 1 <= s < t, for t in ``idx`` only.
 
     For t = t_j and w[k] = g(t_{j-k}), the sum over nodes m < k of row
@@ -142,43 +142,93 @@ def _endpoint_peaks(g: GridPath, a: float, idx: np.ndarray) -> tuple[float, int,
     an FFT length L >= 2j + 1 the kernel cut to L / 2 taps wraps onto
     no row in use: the weights, the cut kernel's spectrum and the two FFT
     outputs at each length are made once per call, and each endpoint costs
-    one rfft/irfft pair written into those outputs.
+    one rfft/irfft pair per path written into those outputs.
+
+    ``g`` is one path, giving one (peak, s, t), or a sequence of paths on
+    one grid, giving a list with one (peak, s, t) per path and a list with
+    one per later path minus the first.  The rows are linear in the path,
+    so the second list is read from the difference of the rows, with no
+    FFT of its own.
     """
-    cp, tail, last = _sweep_weights(a, g.step, g.n_steps)
+    stack = [g] if isinstance(g, GridPath) else list(g)
+    if any(not stack[0].same_grid(p) for p in stack[1:]):
+        raise ValueError("paths live on different grids")
+    cp, tail, last = _sweep_weights(a, stack[0].step, stack[0].n_steps)
     kern = np.concatenate(([0.0], cp))  # kern[m] = cp(m)
     below = np.concatenate(([0.0], np.cumsum(cp)))  # below[k-1] = sum_{m<k} cp(m)
     own = tail / (1.0 - a) + last
-    per_size, peaks, pairs = {}, [], []
+    outputs = 2 * len(stack) - 1
+    per_size, peaks, pairs = {}, [[] for _ in range(outputs)], [[] for _ in range(outputs)]
+
+    def keep(o: int, rows: np.ndarray, j: int) -> None:
+        mags = np.abs(rows[:, 0]) if rows.shape[1] == 1 else np.linalg.norm(rows, axis=1)  # as in the sweep
+        k = int(np.argmax(mags)) + 1
+        peaks[o].append(mags[k - 1])
+        pairs[o].append((j - k, j))
+
     for j in idx.tolist():
         size = 1 << (2 * j).bit_length()  # the shortest power of 2 >= 2j + 1
         if size not in per_size:  # the kernel spectrum and the rfft and irfft outputs
             per_size[size] = (np.fft.rfft(kern[: size // 2], size)[:, None],
-                              np.empty((size // 2 + 1, g.dimension), complex), np.empty((size, g.dimension)))
+                              np.empty((size // 2 + 1, stack[0].dimension), complex),
+                              np.empty((size, stack[0].dimension)))
         spectrum, spec, full = per_size[size]
-        w = g.values[j::-1]
-        np.fft.rfft(w, size, axis=0, out=spec)
-        spec *= spectrum
-        conv = np.fft.irfft(spec, size, axis=0, out=full)[1:j]
-        rows = (w[1:j] - w[0]) * own[: j - 1, None] + w[1:j] * below[: j - 1, None] + kern[1:j, None] * w[0] - conv
-        mags = np.abs(rows[:, 0]) if rows.shape[1] == 1 else np.linalg.norm(rows, axis=1)  # as in the sweep
-        k = int(np.argmax(mags)) + 1
-        peaks.append(mags[k - 1])
-        pairs.append((j - k, j))
-    b = int(np.argmax(peaks))  # the first maximum: smallest t, then largest s
-    return (0.0, 0, int(idx[-1])) if peaks[b] <= 0.0 else (float(peaks[b]),) + pairs[b]
+        own_j, below_j, kern_j = own[: j - 1, None], below[: j - 1, None], kern[1:j, None]
+        for c, path in enumerate(stack):
+            w = path.values[j::-1]
+            np.fft.rfft(w, size, axis=0, out=spec)
+            spec *= spectrum
+            conv = np.fft.irfft(spec, size, axis=0, out=full)[1:j]
+            rows = (w[1:j] - w[0]) * own_j + w[1:j] * below_j + kern_j * w[0] - conv
+            keep(c, rows, j)
+            if c == 0:
+                first = rows
+            else:
+                keep(len(stack) + c - 1, rows - first, j)
+    found = []
+    for p, q in zip(peaks, pairs):
+        b = int(np.argmax(p))  # the first maximum: smallest t, then largest s
+        found.append((0.0, 0, int(idx[-1])) if p[b] <= 0.0 else (float(p[b]),) + q[b])
+    if isinstance(g, GridPath):
+        return found[0]
+    return found[: len(stack)], found[len(stack):]
+
+
+def _check_steps(g: GridPath) -> None:
+    if g.n_steps < 2:
+        raise ValueError(f"lambda_alpha needs a path of at least 2 steps, got n = {g.n_steps}")
+
+
+def _lambda_value(a: float, peak: float) -> float:
+    value = (1.0 - a) * peak / (math.gamma(a) * math.gamma(1.0 - a))
+    if not np.isfinite(value):
+        raise RegularityError("right-sided derivative diverged; the driver is too rough for this order")
+    return float(value)
 
 
 def _lambda_alpha_impl(g, a: float, endpoints, bound: bool = False):
     """(value, s index, t index, (1-a) norm or None): one pair sweep for "all", endpoint FFTs otherwise."""
+    _check_steps(g)
     if isinstance(endpoints, str) and endpoints == "all":
         norm, (peak, s, t) = _pair_sweep(g, a, signed=True, absolute=bound)
     else:
         peak, s, t = _endpoint_peaks(g, a, _endpoint_indices(g.n_steps, endpoints))
         norm = _pair_sweep(g, a, signed=False, absolute=True)[0] if bound else None
-    value = (1.0 - a) * peak / (math.gamma(a) * math.gamma(1.0 - a))
-    if not np.isfinite(value):
-        raise RegularityError("right-sided derivative diverged; the driver is too rough for this order")
-    return float(value), s, t, norm
+    return _lambda_value(a, peak), s, t, norm
+
+
+def _lambda_ladder(fine: GridPath, approxes: Sequence[GridPath], alpha: Union[FracOrder, float]) -> list:
+    """Decimated (lambda_alpha(approx), lambda_alpha(approx - fine)) per approximation, in one endpoint pass.
+
+    The first value of each pair equals ``lambda_alpha(approx, alpha)`` bit
+    for bit; the second comes from the difference of the rows and agrees
+    with ``lambda_alpha(approx - fine, alpha)`` to rounding.
+    """
+    a = _alpha_value(alpha, upper=0.5)
+    _check_steps(fine)
+    idx = _endpoint_indices(fine.n_steps, "decimated")
+    columns, gaps = _endpoint_peaks([fine, *approxes], a, idx)
+    return [(_lambda_value(a, c[0]), _lambda_value(a, d[0])) for c, d in zip(columns[1:], gaps)]
 
 
 def lambda_alpha_report(

@@ -139,6 +139,49 @@ class TestConfig:
             small("init-continuity", ball_radius=radius)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("kind, overrides, field", [
+    # lambda_alpha of the one-step driver raised numpy's empty-argmax error through _auto_lambda
+    ("init-continuity", dict(solver_n=1), "solver_n"),
+    # theta = 0 made every cell an error; theta >= H left slope_within_band silently false
+    ("rate", dict(theta=0.0), "theta"),
+    ("rate", dict(theta=-0.1), "theta"),
+    ("rate", dict(theta=0.75), "theta"),
+    ("rate", dict(theta=0.8), "theta"),
+    ("rate", dict(theta=NAN), "theta"),
+    # 0 % 32 == 0 let fine_n = 0 pass the divisibility test; 1 raised from the sampler at run time
+    ("rate", dict(fine_n=0, ladder=(32, 64)), "fine_n"),
+    ("flow", dict(fine_n=1, ladder=(1,)), "fine_n"),
+    ("init-continuity", dict(fine_n=-4, solver_n=2), "fine_n"),
+    ("moments", dict(fine_n=0), "fine_n"),
+    # duplicate seeds doubled every record
+    ("rate", dict(seeds=(0, 0)), "seeds"),
+    ("flow", dict(seeds=(1, 2, 1)), "seeds"),
+    # a NaN tolerance made its check silently false
+    ("flow", dict(tolerances={"min_doubling_ratio": NAN}), "tolerances"),
+    # flow raised IndexError out of run_experiment
+    ("flow", dict(initial_points=()), "initial_points"),
+    ("inverse", dict(initial_points=()), "initial_points"),
+    ("driver-continuity", dict(initial_points=()), "initial_points"),
+])
+def test_bad_configs_are_rejected_naming_the_field(kind, overrides, field):
+    with pytest.raises(ValueError, match=field):
+        small(kind, **overrides)
+
+
+@pytest.mark.parametrize("kind, overrides", [
+    ("init-continuity", dict(solver_n=2, fine_n=2)),
+    ("rate", dict(theta=1e-3)),
+    ("rate", dict(theta=0.749)),
+    ("rate", dict(fine_n=2, ladder=(1, 2))),
+    ("flow", dict(tolerances={"min_doubling_ratio": float("inf")})),
+])
+def test_configs_at_the_edge_of_each_rejection_are_accepted(kind, overrides):
+    small(kind, **overrides)
+
+
 class TestFlowExperiment:
     def test_geometric_passes_and_counts(self):
         cfg = small("flow")

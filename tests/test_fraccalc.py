@@ -325,6 +325,16 @@ class TestLambdaAlphaOracle:
                 lambda_alpha_report(g, 0.3, endpoints)
 
 
+@pytest.mark.parametrize("endpoints", ["decimated", "all", [2]])
+def test_one_step_path_raises_naming_the_grid_size(endpoints):
+    # it used to raise numpy's "attempt to get argmax of an empty sequence"
+    g = GridPath.from_values([0.0, 1.0])
+    with pytest.raises(ValueError, match="at least 2 steps, got n = 1"):
+        lambda_alpha(g, 0.3, endpoints)
+    with pytest.raises(ValueError, match="at least 2 steps, got n = 1"):
+        lambda_alpha_report(g, 0.3, endpoints)
+
+
 def _fresh_buffer_endpoint_peaks(g, a, idx):
     """``_endpoint_peaks`` as it was with fresh rfft and irfft outputs at every endpoint."""
     cp, tail, last = _sweep_weights(a, g.step, g.n_steps)

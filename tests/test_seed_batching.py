@@ -5,6 +5,9 @@ they stood when every seed (and every polygonal driver) had passes of its
 own.  The batched runners must give ``==`` records, failures included.
 The init-continuity copy took one norm per pair; its batched runner must
 give ``==`` records but for ``ratio``, which may move in the last bits.
+The rate copy made two ``lambda_alpha`` calls per rung; its one endpoint
+pass per seed must give ``==`` records but for ``lambda_diff``, read from
+the difference of the rows, which agrees to 1e-12 relative.
 """
 
 import numpy as np
@@ -14,7 +17,7 @@ import flowlab.experiments as experiments
 from flowlab import fbm
 from flowlab.errors import BlowUpError
 from flowlab.experiments import default_config
-from flowlab.fraccalc import lambda_alpha
+from flowlab.fraccalc import _endpoint_indices, _endpoint_peaks, lambda_alpha
 from flowlab.paths import GridPath, w_alpha_lambda_norm
 from flowlab.sde import SolverConfig, _flow_marks, solve_forward_batch
 
@@ -339,3 +342,88 @@ def test_a_blown_seed_leaves_the_other_seeds_unchanged(kind, closed_form, reques
     with pytest.raises(BlowUpError) as alone:
         solve_forward_batch(np.array([[1.0]]), 0.0, c, g, SolverConfig(cfg.alpha, cfg.fine_n, cfg.hurst))
     assert {r["status"] for r in blown} == {f"error: {alone.value}"}
+
+
+def per_call_rate(config):
+    """The rate runner with two ``lambda_alpha`` calls per rung."""
+    records = []
+    for seed in config.seeds:
+        fine = experiments._fine_driver(config, seed)
+        fpath = fbm.FbmPath(fbm.FbmSpec(config.hurst, 1, config.horizon, config.fine_n, seed), fine)
+        modulus = fbm.modulus_constant(fpath) if config.horizon <= 1.0 else np.nan
+        for coarse_n in config.ladder:
+            rec = {"seed": seed, "coarse_n": coarse_n, "status": "ok",
+                   "holder_error": np.nan, "lambda_coarse": np.nan,
+                   "lambda_diff": np.nan, "modulus_g": float(modulus)}
+            try:
+                approx = fbm.polygonal(fine, coarse_n)
+                rec["holder_error"] = fbm.holder_error(fine, approx, config.theta)
+                rec["lambda_coarse"] = lambda_alpha(approx, config.alpha)
+                rec["lambda_diff"] = lambda_alpha(approx - fine, config.alpha)
+            except Exception as exc:
+                rec["status"] = f"error: {exc}"
+            records.append(rec)
+    return records
+
+
+def assert_rate_records_match(got, want):
+    """``==`` on every key but ``lambda_diff``, which agrees to 1e-12 relative (NaN with NaN)."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert list(a) == list(b)
+        assert {k: v for k, v in a.items() if k != "lambda_diff"} == {k: v for k, v in b.items() if k != "lambda_diff"}
+        np.testing.assert_allclose(a["lambda_diff"], b["lambda_diff"], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(fine_n=512, ladder=(4, 8, 16, 32, 64, 128), seeds=(0, 1)),
+    dict(seeds=(3,)),  # the default grid: fine_n = 2^13 and six rungs
+])
+def test_one_endpoint_pass_per_seed_matches_per_call_records(overrides):
+    cfg = default_config("rate", **overrides)
+    stacked = experiments._run_rate(cfg)
+    assert all(r["status"] == "ok" for r in stacked)
+    assert_rate_records_match(stacked, per_call_rate(cfg))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_stacked_endpoint_peaks_match_one_column_calls(d):
+    a = 0.3
+    spec = fbm.FbmSpec(0.75, d, 1.0, 1024, seed=4)
+    fine = fbm.sample_circulant(spec).path
+    approxes = [fbm.polygonal(fine, n) for n in (8, 64, 256)]
+    idx = _endpoint_indices(1024, "decimated")
+    columns, gaps = _endpoint_peaks([fine, *approxes], a, idx)
+    assert columns == [_endpoint_peaks(p, a, idx) for p in [fine, *approxes]]
+    for gap, approx in zip(gaps, approxes):
+        alone = _endpoint_peaks(approx - fine, a, idx)
+        assert gap[1:] == alone[1:]
+        assert gap[0] == pytest.approx(alone[0], rel=1e-12, abs=0.0)
+
+
+def test_a_failed_endpoint_pass_is_replayed_one_rung_at_a_time(monkeypatch):
+    cfg = default_config("rate", fine_n=512, ladder=(8, 16, 32, 64), seeds=(0, 1))
+    real = fbm.polygonal
+
+    def failing(path, coarse_n):  # rung 16 fails alone as well as in the stacked pass
+        if coarse_n == 16:
+            raise ValueError("injected failure")
+        return real(path, coarse_n)
+
+    monkeypatch.setattr(fbm, "polygonal", failing)
+    replayed = experiments._run_rate(cfg)
+    assert {(r["coarse_n"], r["status"]) for r in replayed} == {
+        (8, "ok"), (16, "error: injected failure"), (32, "ok"), (64, "ok")}
+    # the replay goes through lambda_alpha, so every record equals the per-call runner's bit for bit
+    assert bits(replayed) == bits(per_call_rate(cfg))
+
+
+def test_a_raising_endpoint_pass_leaves_every_rung_ok(monkeypatch):
+    def raising(*args):
+        raise FloatingPointError("stacked pass failed")
+
+    monkeypatch.setattr(experiments, "_lambda_ladder", raising)
+    cfg = default_config("rate", fine_n=512, ladder=(8, 16, 32), seeds=(0, 1))
+    replayed = experiments._run_rate(cfg)
+    assert all(r["status"] == "ok" for r in replayed)
+    assert bits(replayed) == bits(per_call_rate(cfg))
