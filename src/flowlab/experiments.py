@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, field as dc_field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -31,12 +31,10 @@ __all__ = [
     "EXPERIMENT_KINDS",
 ]
 
-EXPERIMENT_KINDS = ("flow", "inverse", "rate", "init-continuity", "driver-continuity", "moments")
-_LADDER_KINDS = ("flow", "inverse", "rate", "driver-continuity")
-_POINT_KINDS = ("flow", "inverse", "driver-continuity")  # the kinds that solve from initial_points
-
 # weighted norms: exp(-lambda * T) must stay representable
 _MAX_LAMBDA_EXPONENT = 600.0
+# init-continuity: squared pair norms must stay finite, or the pair sampler accepts nothing
+_MAX_BALL_RADIUS = 1e150
 
 DEFAULT_TOLERANCES = {
     "min_doubling_ratio": 1.3,      # median discrepancy decay per ladder doubling
@@ -81,6 +79,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; expected one of {EXPERIMENT_KINDS}")
+        kind = _KINDS[self.kind]
         self.ladder = tuple(int(v) for v in self.ladder)
         self.seeds = tuple(int(v) for v in self.seeds)
         self.initial_points = tuple(tuple(float(c) for c in np.atleast_1d(p)) for p in self.initial_points)
@@ -91,15 +90,19 @@ class ExperimentConfig:
             raise ValueError("seed list must be nonempty")
         if len(set(self.seeds)) < len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {list(self.seeds)}")
+        if not all(0 <= s < 2**64 for s in self.seeds):  # the samplers' seed range
+            raise ValueError(f"seeds must lie in [0, 2**64), got {list(self.seeds)}")
         if self.fine_n < 2:  # the samplers' smallest grid
             raise ValueError(f"fine_n must be at least 2, got {self.fine_n}")
-        if self.kind in _LADDER_KINDS and not self.ladder:
+        if kind.ladder and not self.ladder:
             raise ValueError(f"{self.kind} experiments need a nonempty ladder")
         if self.ladder and any(b <= a for a, b in zip(self.ladder, self.ladder[1:])):
             raise ValueError("ladder must be strictly increasing")
         bad = [n for n in self.ladder if n < 1 or self.fine_n % n != 0]
         if bad:
             raise ValueError(f"ladder rungs {bad} do not divide fine_n = {self.fine_n}")
+        if self.kind in ("flow", "inverse") and any(n % 4 for n in self.ladder):  # the quarter-time marks
+            raise ValueError(f"{self.kind} ladder rungs must be multiples of 4, got {list(self.ladder)}")
         if self.kind == "init-continuity":
             if self.solver_n < 1 or self.fine_n % self.solver_n != 0:
                 raise ValueError(f"solver_n = {self.solver_n} does not divide fine_n = {self.fine_n}")
@@ -107,22 +110,25 @@ class ExperimentConfig:
                 raise ValueError(f"solver_n must be at least 2 for init-continuity, got {self.solver_n}")
             if self.pair_count < 1:
                 raise ValueError(f"pair_count must be at least 1, got {self.pair_count}")
-            if not self.ball_radius > 0.0:
-                raise ValueError(f"ball_radius must be positive, got {self.ball_radius}")
+            if not 0.0 < self.ball_radius <= _MAX_BALL_RADIUS:
+                raise ValueError(f"ball_radius must be positive and at most {_MAX_BALL_RADIUS:g}, "
+                                 f"got {self.ball_radius}")
         if self.lambda_weight is not None and not 0.0 <= self.lambda_weight < math.inf:
             raise ValueError(f"lambda_weight must be finite and nonnegative, got {self.lambda_weight}")
         if not (0.0 < self.hurst < 1.0):
             raise ValueError(f"Hurst parameter must lie in (0, 1), got {self.hurst}")
-        if not self.horizon > 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
         if unknown:
             raise ValueError(f"unknown tolerances {unknown}; expected names from {sorted(DEFAULT_TOLERANCES)}")
         nan = sorted(name for name, v in self.tolerances.items() if math.isnan(float(v)))
         if nan:
             raise ValueError(f"tolerances {nan} must not be NaN")
-        if self.kind in _POINT_KINDS and not self.initial_points:
+        if kind.points and not self.initial_points:
             raise ValueError(f"{self.kind} experiments need nonempty initial_points")
+        if kind.points and not np.isfinite([v for p in self.initial_points for v in p]).all():
+            raise ValueError(f"initial_points must be finite, got {list(self.initial_points)}")
         if self.kind == "moments":
             if len(set(self.sample_counts)) < 2 or not self.moment_orders:
                 raise ValueError("moments experiments need two distinct sample_counts and at least one moment order")
@@ -130,13 +136,29 @@ class ExperimentConfig:
                 raise ValueError(f"moments sample_counts must all be at least 2, got {list(self.sample_counts)}")
             if len(self.seeds) > 1:
                 raise ValueError(f"moments experiments sample one batch from one seed, got seeds {list(self.seeds)}")
+            if self.solver_n < 2:  # the sampler's smallest grid
+                raise ValueError(f"solver_n must be at least 2 for moments, got {self.solver_n}")
+            if min(self.moment_orders) < 1:  # order 0 has zero stderr, so its stability check cannot pass
+                raise ValueError(f"moment_orders must all be at least 1, got {list(self.moment_orders)}")
+            if not 0.0 < self.exp_moment_gamma < math.inf:
+                raise ValueError(f"exp_moment_gamma must be positive and finite, got {self.exp_moment_gamma}")
+            if not (math.isfinite(self.moment_x0) and math.isfinite(self.exp_moment_lambda)):
+                raise ValueError(f"moment_x0 and exp_moment_lambda must be finite, "
+                                 f"got {self.moment_x0} and {self.exp_moment_lambda}")
         if self.kind != "rate":
             # solver-backed kinds must pass the admissible-order gate
             c = self.field()
             probe_n = self.ladder[0] if self.ladder else self.solver_n
             check_order_window(SolverConfig(self.alpha, probe_n, self.hurst), c)
-            if self.kind in _POINT_KINDS and any(len(p) != c.dim for p in self.initial_points):
+            if kind.points and any(len(p) != c.dim for p in self.initial_points):
                 raise ValueError(f"initial points {list(self.initial_points)} must have the field's dimension {c.dim}")
+            if self.kind == "inverse" and c.dim == 1:  # the sortedness probe runs on 1-D fields only
+                if self.probe_seeds < 1 or self.probe_n < 2:
+                    raise ValueError(f"the probe needs probe_seeds >= 1 and probe_n >= 2, "
+                                     f"got {self.probe_seeds} and {self.probe_n}")
+                fan = self.probe_fan
+                if len(set(fan)) < max(2, len(fan)) or not np.isfinite(fan).all():
+                    raise ValueError(f"probe_fan must hold at least two distinct finite points, got {list(fan)}")
         elif not (1.0 - self.hurst < self.alpha < 0.5):
             raise ValueError(f"alpha must lie in ({1.0 - self.hurst}, 1/2) for rate experiments")
         elif not (0.0 < self.theta < self.hurst):
@@ -169,22 +191,8 @@ class ExperimentConfig:
 
 def default_config(kind: str, **overrides) -> ExperimentConfig:
     """Spec-scale defaults per experiment kind."""
-    base: dict = {"kind": kind}
-    if kind == "flow" or kind == "inverse":
-        base.update(ladder=(2**8, 2**9, 2**10, 2**11), fine_n=2**13, seeds=tuple(range(20)))
-    elif kind == "rate":
-        base.update(ladder=(2**4, 2**5, 2**6, 2**7, 2**8, 2**9), fine_n=2**13, seeds=tuple(range(50)))
-    elif kind == "init-continuity":
-        base.update(seeds=tuple(range(8)), solver_n=2**9)
-    elif kind == "driver-continuity":
-        # moderate discount: the uncapped lambda rule concentrates the norm
-        # near t = 0 where the polygonal gap no longer shrinks with the ladder
-        base.update(ladder=(2**4, 2**5, 2**6, 2**7, 2**8, 2**9), fine_n=2**13,
-                    seeds=tuple(range(8)), lambda_weight=5.0)
-    elif kind == "moments":
-        base.update(coefficients="builtin:sin", solver_n=2**8, seeds=(0,))
-    base.update(overrides)
-    return ExperimentConfig(**base)
+    defaults = _KINDS[kind].defaults if kind in _KINDS else {}
+    return ExperimentConfig(kind, **{**defaults, **overrides})
 
 
 @dataclass
@@ -202,8 +210,7 @@ class ExperimentResult:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     started = time.perf_counter()
-    runner = _RUNNERS[config.kind]
-    records = runner(config)
+    records = _KINDS[config.kind].run(config)
     records.sort(key=_record_key)
     summary = summarize(config, records)
     checks = evaluate_checks(config, summary)
@@ -211,11 +218,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 def summarize(config: ExperimentConfig, records: list) -> dict:
-    return _SUMMARIZERS[config.kind](config, records)
+    return _KINDS[config.kind].summarize(config, records)
 
 
 def evaluate_checks(config: ExperimentConfig, summary: dict) -> dict:
-    return _CHECKERS[config.kind](config, summary)
+    return _KINDS[config.kind].check(config, summary)
 
 
 def _record_key(rec: dict) -> tuple:
@@ -311,29 +318,20 @@ def _stack_pass(inits, starts, marks, c: CoefficientField, drivers: list, cfg: S
                 backward: bool = False) -> np.ndarray:
     """One Euler pass over every block, driver and point, with the states at grid indices ``marks``.
 
-    ``inits`` is (blocks, len(drivers), npts, d): the members of block j
-    start at grid index starts[j] (end there when ``backward``), member
-    [j, q, i] under drivers[q].  Returns the states (len(marks), blocks,
-    len(drivers), npts, d).
+    ``inits`` broadcasts to (len(starts), len(drivers), npts, d): the
+    members of block j start at grid index starts[j] (end there when
+    ``backward``), member [j, q, i] under drivers[q].  Returns the states
+    (len(marks), len(starts), len(drivers), npts, d).  With the points
+    (npts, d) as ``inits`` and starts = marks = idx, entry [b, a, q, i] is
+    X_{r_a t_b}(x_i); backward with starts = idx[1:], entry [a, b - 1, q, i]
+    is Y_{r_a t_b}(x_i), for a <= b.
     """
-    blocks, count, npts, d = inits.shape
-    members = [p for p in drivers for _ in range(npts)] * blocks
-    out = _flow_marks(inits.reshape(-1, d), np.repeat(starts, count * npts), marks, c, members, cfg,
+    npts, d = np.shape(inits)[-2:]
+    inits = np.broadcast_to(inits, (len(starts), len(drivers), npts, d))
+    members = [p for p in drivers for _ in range(npts)] * len(starts)
+    out = _flow_marks(inits.reshape(-1, d), np.repeat(starts, len(drivers) * npts), marks, c, members, cfg,
                       backward=backward)
-    return out.reshape(len(marks), blocks, count, npts, d)
-
-
-def _marks_pass(x0s: np.ndarray, idx: list, c: CoefficientField, drivers: list, cfg: SolverConfig,
-                backward: bool = False) -> np.ndarray:
-    """One Euler pass from every point at every mark, under every driver.
-
-    Forward, every mark starts members: entry [b, a, q, i] is X_{r_a t_b}(x_i)
-    under drivers[q], for a <= b.  Backward, every mark after the first ends
-    them: entry [a, b - 1, q, i] is Y_{r_a t_b}(x_i), for a <= b.
-    """
-    starts = idx[1:] if backward else idx
-    inits = np.broadcast_to(x0s, (len(starts), len(drivers)) + x0s.shape)
-    return _stack_pass(inits, starts, idx, c, drivers, cfg, backward)
+    return out.reshape(len(marks), len(starts), len(drivers), npts, d)
 
 
 def _reference_maps(config: ExperimentConfig, c: CoefficientField, fines: list, marks: list,
@@ -357,7 +355,7 @@ def _reference_maps(config: ExperimentConfig, c: CoefficientField, fines: list, 
 
     def reference(backward: bool):
         def run(sel, out):
-            states = _marks_pass(x0s, idx, c, [fines[q] for q in sel], cfg, backward)
+            states = _stack_pass(x0s, idx[1:] if backward else idx, idx, c, [fines[q] for q in sel], cfg, backward)
             out.update(zip(sel, np.moveaxis(states, 2, 0)))
 
         states, errors = _replayed(run, len(fines))
@@ -398,13 +396,13 @@ def _run_flow(config: ExperimentConfig) -> list:
 
         def run(sel, out):  # out[q, direction, r, t, i]: the discrepancy of seed q
             stack = [drivers[q] for q in sel]
-            fwd = _marks_pass(x0s, idx, c, stack, cfg)
+            fwd = _stack_pass(x0s, idx, idx, c, stack, cfg)
             for p, q in enumerate(sel):
                 for a, r in enumerate(marks):
                     for b in range(a, len(marks)):
                         for i in range(npts):
                             out[q, "f", r, marks[b], i] = float(np.linalg.norm(fwd[b, a, p, i] - ref_fwd(q, a, b, i)))
-            bwd = _marks_pass(x0s, idx, c, stack, cfg, backward=True)
+            bwd = _stack_pass(x0s, idx[1:], idx, c, stack, cfg, backward=True)
             for p, q in enumerate(sel):
                 # the first mark is t = 0, where no backward member ends
                 out.update({(q, "b", marks[0], marks[0], i): 0.0 for i in range(npts)})
@@ -443,7 +441,7 @@ def _run_inverse(config: ExperimentConfig) -> list:
         def run(sel, out):  # out[q, r, t, i]: (disc_xy, disc_yx) of seed q
             stack = [drivers[q] for q in sel]
             # (1) Y_{r_a t_b}(x) = ys[a, b - 1]: one backward pass from every t > 0
-            ys = _marks_pass(x0s, idx, c, stack, cfg, backward=True)
+            ys = _stack_pass(x0s, idx[1:], idx, c, stack, cfg, backward=True)
             # (2) from every r: X_rt(Y_rt(x)) for each later t, then X_{r.}(x) itself
             inits = [ys[a, b - 1] for a, b in later] + [np.broadcast_to(x0s, ys.shape[2:])] * len(marks)
             xs = _stack_pass(np.stack(inits), [idx[a] for a, _ in later] + idx, idx, c, stack, cfg)
@@ -485,21 +483,10 @@ def _run_sortedness_probe(config: ExperimentConfig, c: CoefficientField) -> list
         for _, states in _march(x0s, 0, c, np.arange(n + 1) * h, drivers, h):
             min_gap = np.minimum(min_gap, np.diff(states[..., 0], axis=-1).min(axis=(0, 2)))
     except Exception as exc:  # a failed probe is one error cell; the pair cells stand
-        rec["status"] = f"error: {exc}"
+        rec["status"] = _status(exc)
         return [rec]
     rec.update(disc_xy=float(np.count_nonzero(min_gap <= 0.0)), disc_yx=float(min_gap.min()))
     return [rec]
-
-
-def _ladder_medians(records: list, value_key: str, strict_only=None) -> dict:
-    per_n: dict = {}
-    for rec in records:
-        if rec.get("status") not in ("ok",):
-            continue
-        if strict_only is not None and not strict_only(rec):
-            continue
-        per_n.setdefault(int(rec["n"]), []).append(float(rec[value_key]))
-    return {n: float(np.median(v)) for n, v in sorted(per_n.items())}
 
 
 def _summarize_flow(config: ExperimentConfig, records: list) -> dict:
@@ -526,44 +513,39 @@ def _summarize_inverse(config: ExperimentConfig, records: list) -> dict:
     return summary
 
 
+def _ok_rows(records: list, rung: str, keep=None) -> tuple:
+    """The sorted rungs of ``records`` and, per rung, its ok records (those ``keep`` accepts) in record order."""
+    ladder = sorted({int(r[rung]) for r in records})
+    rows: dict = {n: [] for n in ladder}
+    for r in records:
+        if r["status"] == "ok" and (keep is None or keep(r)):
+            rows[int(r[rung])].append(r)
+    return ladder, rows
+
+
 def _flow_style_summary(config, records, strict, value_keys, group_cols) -> dict:
-    ladder = sorted({int(r["n"]) for r in records})
-    medians_by_name = {k: _ladder_medians(records, k, strict) for k in value_keys}
-    summary: dict = {
-        "ladder": ladder,
-        "medians": {k: [v.get(n, np.nan) for n in ladder] for k, v in medians_by_name.items()},
-    }
-    pooled = {}
-    for n in ladder:
-        vals = [float(r[k]) for r in records
-                if int(r["n"]) == n and r["status"] == "ok" and strict(r) for k in value_keys]
-        pooled[n] = float(np.median(vals)) if vals else np.nan
-    summary["median_pooled"] = [pooled[n] for n in ladder]
-    summary["doubling_ratios"] = [
-        pooled[a] / pooled[b] if pooled[b] != 0 else np.inf for a, b in zip(ladder, ladder[1:])
-    ]
+    ladder, rows = _ok_rows(records, "n", strict)
+    pooled = [_median([float(r[k]) for r in rows[n] for k in value_keys]) for n in ladder]
     # tol_flow(n) = A n^{-(2H-1)/2}, A anchored at the coarsest rung with a safety factor
     decay = -(2.0 * config.hurst - 1.0) / 2.0
-    amp = pooled[ladder[0]] / ladder[0] ** decay * config.tol("tol_flow_safety") if pooled[ladder[0]] > 0 else 0.0
-    summary["tol_flow_amplitude"] = amp
-    summary["tol_flow_top"] = amp * ladder[-1] ** decay
+    amp = pooled[0] / ladder[0] ** decay * config.tol("tol_flow_safety") if pooled[0] > 0 else 0.0
     # every probe cell must sit below the schedule at the top rung (median over seeds)
     groups: dict = {}
-    for r in records:
-        if int(r["n"]) != ladder[-1] or r["status"] != "ok" or not strict(r):
-            continue
-        key = tuple(r[c] for c in group_cols)
-        groups.setdefault(key, []).append(max(float(r[k]) for k in value_keys))
-    summary["top_rung_worst_cell_median"] = (
-        max(float(np.median(v)) for v in groups.values()) if groups else np.nan
-    )
-    ok = [r for r in records if r["status"] == "ok"]
-    summary["max_discrepancy"] = max(
-        (max(float(r[k]) for k in value_keys) for r in ok), default=np.nan
-    )
-    summary["error_records"] = _error_count(records)
-    summary["exact_field"] = config.field().grid_exact
-    return summary
+    for r in rows[ladder[-1]]:
+        groups.setdefault(tuple(r[c] for c in group_cols), []).append(max(float(r[k]) for k in value_keys))
+    return {
+        "ladder": ladder,
+        "medians": {k: [_median([float(r[k]) for r in rows[n]]) for n in ladder] for k in value_keys},
+        "median_pooled": pooled,
+        "doubling_ratios": [a / b if b != 0 else np.inf for a, b in zip(pooled, pooled[1:])],
+        "tol_flow_amplitude": amp,
+        "tol_flow_top": amp * ladder[-1] ** decay,
+        "top_rung_worst_cell_median": max((_median(v) for v in groups.values()), default=np.nan),
+        "max_discrepancy": max((max(float(r[k]) for k in value_keys) for r in records if r["status"] == "ok"),
+                               default=np.nan),
+        "error_records": _error_count(records),
+        "exact_field": config.field().grid_exact,
+    }
 
 
 def _checks_flow_style(config: ExperimentConfig, summary: dict) -> dict:
@@ -631,36 +613,23 @@ def _run_rate(config: ExperimentConfig) -> list:
 
 
 def _summarize_rate(config: ExperimentConfig, records: list) -> dict:
-    ladder = sorted({int(r["coarse_n"]) for r in records})
-    per_rung: dict = {n: {"holder_error": [], "lambda_coarse": [], "lambda_diff": []} for n in ladder}
-    moduli = []
-    for rec in records:
-        if rec["status"] != "ok":
-            continue
-        n = int(rec["coarse_n"])
-        for key in ("holder_error", "lambda_coarse", "lambda_diff"):
-            per_rung[n][key].append(float(rec[key]))
-        moduli.append(float(rec["modulus_g"]))
-    med = {key: [_median(per_rung[n][key]) for n in ladder]
-           for key in ("holder_error", "lambda_coarse", "lambda_diff")}
-    quart = {
-        "q25": [_percentile(per_rung[n]["holder_error"], 25) for n in ladder],
-        "q75": [_percentile(per_rung[n]["holder_error"], 75) for n in ladder],
-    }
+    ladder, rows = _ok_rows(records, "coarse_n")
+    col = lambda key, n: [float(r[key]) for r in rows[n]]
+    med = {key: [_median(col(key, n)) for n in ladder] for key in ("holder_error", "lambda_coarse", "lambda_diff")}
+    moduli = [float(r["modulus_g"]) for r in records if r["status"] == "ok"]
     # the predicted rate carries a sqrt(log n) factor; divide it out before fitting
     logs = np.log(ladder)
     reduced = np.log(np.asarray(med["holder_error"]) / np.sqrt(np.log(ladder)))
     fittable = len(ladder) > 1 and np.isfinite(reduced).all()
     slope = float(np.polyfit(logs, reduced, 1)[0]) if fittable else np.nan
-    ladder_median = _median([v for n in ladder for v in per_rung[n]["lambda_coarse"]])
     return {
         "ladder": ladder,
         "median_error": med["holder_error"],
-        "q25": quart["q25"],
-        "q75": quart["q75"],
+        "q25": [_percentile(col("holder_error", n), 25) for n in ladder],
+        "q75": [_percentile(col("holder_error", n), 75) for n in ladder],
         "median_lambda_coarse": med["lambda_coarse"],
         "median_lambda_diff": med["lambda_diff"],
-        "lambda_coarse_ladder_median": ladder_median,
+        "lambda_coarse_ladder_median": _median([v for n in ladder for v in col("lambda_coarse", n)]),
         "fitted_slope": slope,
         "target_slope": config.theta - config.hurst,
         "modulus_q99": _percentile(moduli, 99),
@@ -716,7 +685,7 @@ def _run_init_continuity(config: ExperimentConfig) -> list:
         try:
             sols, failure = solve_forward_batch(flat, 0.0, c, driver, cfg), None
         except Exception as exc:  # every non-degenerate pair of the seed records the failure
-            failure = f"error: {exc}"
+            failure = _status(exc)
         if failure is None:
             sols[0::2] -= sols[1::2]  # row 2i is now pair i's difference
             diffs = sols[0::2]
@@ -781,15 +750,14 @@ def _run_driver_continuity(config: ExperimentConfig) -> list:
     """
     c = config.field()
     cfg = SolverConfig(config.alpha, config.fine_n, config.hurst)
-    x = np.asarray(config.initial_points[0], dtype=float)
+    x = np.asarray(config.initial_points[:1], dtype=float)
     gs = [_fine_driver(config, seed, components=c.noise_dim) for seed in config.seeds]
     # member q * width is seed q's g, member q * width + l its polygonal h at rung l
     width = 1 + len(config.ladder)
     drivers = [path for g in gs for path in [g] + [fbm.polygonal(g, n) for n in config.ladder]]
 
     def run(sel, out):
-        inits = np.broadcast_to(x, (1, len(sel), 1, x.size))
-        states = _stack_pass(inits, [0], range(config.fine_n + 1), c, [drivers[k] for k in sel], cfg)
+        states = _stack_pass(x, [0], range(config.fine_n + 1), c, [drivers[k] for k in sel], cfg)
         out.update(zip(sel, np.moveaxis(states[:, 0, :, 0], 1, 0)))
 
     sols, errors = _replayed(run, len(drivers))
@@ -809,30 +777,19 @@ def _run_driver_continuity(config: ExperimentConfig) -> list:
                 rec["sol_gap"] = w_alpha_lambda_norm(diff, config.alpha, lam)
                 rec["lambda_gap"] = lambda_alpha(g - drivers[q * width + l], config.alpha)
             except Exception as exc:
-                rec["status"] = f"error: {exc}"
+                rec["status"] = _status(exc)
             records.append(rec)
     return records
 
 
 def _summarize_driver(config: ExperimentConfig, records: list) -> dict:
-    ladder = sorted({int(r["coarse_n"]) for r in records})
-    gaps: dict = {n: [] for n in ladder}
-    lams: dict = {n: [] for n in ladder}
-    ratios = []
-    log_pairs = []
-    for rec in records:
-        if rec["status"] != "ok":
-            continue
-        n = int(rec["coarse_n"])
-        sol_gap, lam_gap = float(rec["sol_gap"]), float(rec["lambda_gap"])
-        gaps[n].append(sol_gap)
-        lams[n].append(lam_gap)
-        if lam_gap > 0:
-            ratios.append(sol_gap / lam_gap)
-            if sol_gap > 0:
-                log_pairs.append((math.log(lam_gap), math.log(sol_gap)))
-    med_gap = [_median(gaps[n]) for n in ladder]
-    med_lam = [_median(lams[n]) for n in ladder]
+    ladder, rows = _ok_rows(records, "coarse_n")
+    # in record order, not rung order: the correlation's sums depend on it
+    gaps = [(float(r["sol_gap"]), float(r["lambda_gap"])) for r in records if r["status"] == "ok"]
+    ratios = [sol / lam for sol, lam in gaps if lam > 0]
+    log_pairs = [(math.log(lam), math.log(sol)) for sol, lam in gaps if lam > 0 and sol > 0]
+    med_gap = [_median([float(r["sol_gap"]) for r in rows[n]]) for n in ladder]
+    med_lam = [_median([float(r["lambda_gap"]) for r in rows[n]]) for n in ladder]
     med_ratio = _median(ratios)
     max_ratio = float(np.max(ratios)) if ratios else np.nan
     corr = float(np.corrcoef(*zip(*log_pairs))[0, 1]) if len(log_pairs) > 2 else np.nan
@@ -877,7 +834,7 @@ def _run_moments(config: ExperimentConfig) -> list:
         for _, states in _march(x0s, 0, c, np.arange(n + 1) * h, drivers, h):
             sup_abs = np.maximum(sup_abs, np.linalg.norm(states, axis=-1).max(axis=0))
     except Exception as exc:  # every path shares the pass, so a failure is one error cell for all of them
-        return [{"path": -1, "sup_abs": np.nan, "status": f"error: {exc}"}]
+        return [{"path": -1, "sup_abs": np.nan, "status": _status(exc)}]
     return [{"path": i, "sup_abs": float(v)} for i, v in enumerate(sup_abs)]
 
 
@@ -917,29 +874,33 @@ def _checks_moments(config: ExperimentConfig, summary: dict) -> dict:
     return checks
 
 
-_RUNNERS = {
-    "flow": _run_flow,
-    "inverse": _run_inverse,
-    "rate": _run_rate,
-    "init-continuity": _run_init_continuity,
-    "driver-continuity": _run_driver_continuity,
-    "moments": _run_moments,
-}
+class _Kind(NamedTuple):
+    """One campaign kind: its runner, summary, checks and ``default_config`` values."""
 
-_SUMMARIZERS = {
-    "flow": _summarize_flow,
-    "inverse": _summarize_inverse,
-    "rate": _summarize_rate,
-    "init-continuity": _summarize_init,
-    "driver-continuity": _summarize_driver,
-    "moments": _summarize_moments,
-}
+    run: Callable
+    summarize: Callable
+    check: Callable
+    defaults: dict
+    ladder: bool = False  # needs a nonempty ladder
+    points: bool = False  # solves from initial_points
 
-_CHECKERS = {
-    "flow": _checks_flow_style,
-    "inverse": _checks_inverse,
-    "rate": _checks_rate,
-    "init-continuity": _checks_init,
-    "driver-continuity": _checks_driver,
-    "moments": _checks_moments,
+
+_LADDER_4 = (2**8, 2**9, 2**10, 2**11)
+_LADDER_6 = (2**4, 2**5, 2**6, 2**7, 2**8, 2**9)
+
+_KINDS = {
+    "flow": _Kind(_run_flow, _summarize_flow, _checks_flow_style, {"ladder": _LADDER_4}, ladder=True, points=True),
+    "inverse": _Kind(_run_inverse, _summarize_inverse, _checks_inverse, {"ladder": _LADDER_4},
+                     ladder=True, points=True),
+    "rate": _Kind(_run_rate, _summarize_rate, _checks_rate, {"ladder": _LADDER_6, "seeds": tuple(range(50))},
+                  ladder=True),
+    "init-continuity": _Kind(_run_init_continuity, _summarize_init, _checks_init, {"seeds": tuple(range(8))}),
+    # moderate discount: the uncapped lambda rule concentrates the norm
+    # near t = 0 where the polygonal gap no longer shrinks with the ladder
+    "driver-continuity": _Kind(_run_driver_continuity, _summarize_driver, _checks_driver,
+                               {"ladder": _LADDER_6, "seeds": tuple(range(8)), "lambda_weight": 5.0},
+                               ladder=True, points=True),
+    "moments": _Kind(_run_moments, _summarize_moments, _checks_moments,
+                     {"coefficients": "builtin:sin", "solver_n": 2**8, "seeds": (0,)}),
 }
+EXPERIMENT_KINDS = tuple(_KINDS)

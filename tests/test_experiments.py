@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from flowlab.experiments import (
+    EXPERIMENT_KINDS,
     ExperimentConfig,
     ExperimentResult,
     default_config,
@@ -140,6 +141,7 @@ class TestConfig:
 
 
 NAN = float("nan")
+INF = float("inf")
 
 
 @pytest.mark.parametrize("kind, overrides, field", [
@@ -165,6 +167,37 @@ NAN = float("nan")
     ("flow", dict(initial_points=()), "initial_points"),
     ("inverse", dict(initial_points=()), "initial_points"),
     ("driver-continuity", dict(initial_points=()), "initial_points"),
+    # each of these raised out of run_experiment: a non-finite path, a sampler range overflow,
+    # a pair sampler that never accepts, and the samplers' seed range
+    ("driver-continuity", dict(horizon=INF), "horizon"),
+    ("flow", dict(horizon=NAN), "horizon"),
+    ("init-continuity", dict(ball_radius=INF), "ball_radius"),
+    ("init-continuity", dict(ball_radius=1e300), "ball_radius"),
+    ("rate", dict(seeds=(-1,)), "seeds"),
+    ("rate", dict(seeds=(0, 2**64)), "seeds"),
+    # non-finite points gave ok records with NaN discrepancies, or one error cell per rung
+    ("flow", dict(initial_points=((INF,),)), "initial_points"),
+    ("inverse", dict(initial_points=((NAN,),)), "initial_points"),
+    ("driver-continuity", dict(initial_points=((-INF,),)), "initial_points"),
+    # NaN sup_abs samples, or NaN exponential moments
+    ("moments", dict(moment_x0=NAN), "moment_x0"),
+    ("moments", dict(moment_x0=INF), "moment_x0"),
+    ("moments", dict(exp_moment_lambda=INF), "exp_moment_lambda"),
+    ("moments", dict(exp_moment_lambda=NAN), "exp_moment_lambda"),
+    # each made the 1-D sortedness probe one error cell, or a check that passed on NaN or never could
+    ("inverse", dict(probe_seeds=0), "probe_seeds"),
+    ("inverse", dict(probe_n=1), "probe_n"),
+    ("inverse", dict(probe_fan=(1.0,)), "probe_fan"),
+    ("inverse", dict(probe_fan=(1.0, 1.0)), "probe_fan"),
+    ("inverse", dict(probe_fan=(1.0, NAN)), "probe_fan"),
+    # one error cell; order 0 has zero stderr; negative orders and gamma <= 0 mean nothing
+    ("moments", dict(solver_n=1), "solver_n"),
+    ("moments", dict(moment_orders=(0,)), "moment_orders"),
+    ("moments", dict(moment_orders=(2, -2)), "moment_orders"),
+    ("moments", dict(exp_moment_gamma=0.0), "exp_moment_gamma"),
+    ("moments", dict(exp_moment_gamma=-1.0), "exp_moment_gamma"),
+    ("moments", dict(exp_moment_gamma=INF), "exp_moment_gamma"),
+    ("moments", dict(exp_moment_gamma=NAN), "exp_moment_gamma"),
 ])
 def test_bad_configs_are_rejected_naming_the_field(kind, overrides, field):
     with pytest.raises(ValueError, match=field):
@@ -177,6 +210,17 @@ def test_bad_configs_are_rejected_naming_the_field(kind, overrides, field):
     ("rate", dict(theta=0.749)),
     ("rate", dict(fine_n=2, ladder=(1, 2))),
     ("flow", dict(tolerances={"min_doubling_ratio": float("inf")})),
+    ("driver-continuity", dict(horizon=1e6)),
+    ("init-continuity", dict(ball_radius=1e150)),
+    ("rate", dict(seeds=(0, 2**64 - 1))),
+    ("flow", dict(initial_points=((1e300,),))),
+    ("moments", dict(moment_x0=-1e300, exp_moment_lambda=1e300)),
+    ("inverse", dict(probe_seeds=1, probe_n=2, probe_fan=(1.0, 1.0 + 1e-15))),
+    # the probe runs on 1-D fields only, so a 2-D inverse campaign does not read its settings
+    ("inverse", dict(coefficients="builtin:additive:0.5,1;0,1", initial_points=((1.0, 2.0),),
+                     probe_seeds=0, probe_n=1, probe_fan=())),
+    ("moments", dict(solver_n=2)),
+    ("moments", dict(moment_orders=(1,), exp_moment_gamma=1e-300)),
 ])
 def test_configs_at_the_edge_of_each_rejection_are_accepted(kind, overrides):
     small(kind, **overrides)
@@ -612,3 +656,55 @@ class TestPersistence:
         series = (out / "series_holder_error.csv").read_text().splitlines()
         assert series[0] == "x,y,q25,q75"
         assert len(series) == 1 + len(res.summary["ladder"])
+
+
+# Every kind at tiny grids; each boundary value below is swept over every kind, since every
+# config carries every field whether its kind reads it or not.
+SWEEP_BASE = {
+    "flow": dict(ladder=(8, 16), seeds=(0, 1), fine_n=64),
+    "inverse": dict(ladder=(8, 16), seeds=(0, 1), fine_n=64, probe_seeds=3, probe_n=16),
+    "rate": dict(ladder=(8, 16), seeds=(0, 1), fine_n=64),
+    "init-continuity": dict(seeds=(0, 1), pair_count=3, solver_n=16, fine_n=64),
+    "driver-continuity": dict(ladder=(8, 16), seeds=(0, 1), fine_n=64),
+    "moments": dict(sample_counts=(4, 8), solver_n=16),
+}
+BOUNDARIES = {
+    "hurst": (0.0, 0.5, 0.99, 1.0, NAN),
+    "alpha": (0.0, 0.26, 0.49, 0.5, NAN),
+    "theta": (0.0, 1e-9, 0.749, 0.75, NAN),
+    "horizon": (0.0, 1e-9, 1e3, INF, NAN),
+    "fine_n": (1, 2, 16, 48),
+    "ladder": ((), (1,), (1, 2), (64,), (16, 8)),
+    "seeds": ((), (0,), (0, 0), (-1,), (2**64 - 1,), (2**64,)),
+    "coefficients": ("builtin:zero", "builtin:additive:0.5", "builtin:linear-drift:0.5",
+                     "builtin:additive:0.5,1;0,1"),
+    "initial_points": ((), ((0.0,),), ((1.0,), (-1.0,)), ((1e300,),), ((INF,),), ((1.0, 2.0),)),
+    "lambda_weight": (None, 0.0, 600.0, 1e300, INF, -1.0),
+    "solver_n": (0, 1, 2, 64, 48),
+    "pair_count": (-1, 0, 1),
+    "ball_radius": (0.0, 1e-300, 1e150, 1e151, INF, NAN),
+    "probe_seeds": (-1, 0, 1),
+    "probe_n": (0, 1, 2),
+    "probe_fan": ((), (1.0,), (1.0, 1.0), (-1.0, 1.0), (0.0, INF)),
+    "sample_counts": ((2, 3), (4,), (1, 4), (4, 4)),
+    "moment_orders": ((), (0,), (1,), (-2,)),
+    "exp_moment_gamma": (-1.0, 0.0, 1e-300, 3.0, INF, NAN),
+    "exp_moment_lambda": (-1.0, 0.0, 1e300, INF, NAN),
+    "moment_x0": (0.0, -1e300, INF, NAN),
+    "tolerances": ({"slope_band": NAN}, {"ratio_spread": INF}, {"ratio_spread": -1.0}, {"exact_discrepancy": 0.0}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARIES))
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_boundary_configs_are_rejected_or_run_and_verify(kind, name, tmp_path):
+    """Construction raises ValueError, or the run returns, round-trips through verify, and checks are bools."""
+    for k, value in enumerate(BOUNDARIES[name]):
+        try:
+            cfg = default_config(kind, **{**SWEEP_BASE[kind], name: value})
+        except ValueError:
+            continue
+        res = run_experiment(cfg)
+        assert res.checks and all(type(v) is bool for v in res.checks.values()), (value, res.checks)
+        report = verify_result(save_result(res, tmp_path / str(k)))
+        assert report.ok, (value, report.mismatches)

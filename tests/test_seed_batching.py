@@ -189,7 +189,7 @@ def config_for(kind, coefficients, points, **overrides):
 @pytest.mark.parametrize("coefficients, points", FIELDS)
 def test_batched_records_equal_per_seed_records(kind, coefficients, points):
     cfg = config_for(kind, coefficients, points)
-    batched = experiments._RUNNERS[kind](cfg)
+    batched = experiments._KINDS[kind].run(cfg)
     assert all(r["status"] in ("ok", "probe") for r in batched)
     assert bits(batched) == bits(PER_SEED[kind](cfg))
 
@@ -323,9 +323,9 @@ def test_a_blown_seed_leaves_the_other_seeds_unchanged(kind, closed_form, reques
         spec.write_text('{"name": "g", "dim": 1, "noise_dim": 1, "sigma": [["0.5*x1"]], "drift": ["0"]}')
         coefficients = f"file:{spec}"
     cfg = config_for(kind, coefficients, ((1.0,),))
-    clean = experiments._RUNNERS[kind](cfg)
+    clean = experiments._KINDS[kind].run(cfg)
     request.getfixturevalue("blown_driver")
-    batched = experiments._RUNNERS[kind](cfg)
+    batched = experiments._KINDS[kind].run(cfg)
 
     def seed_rows(records, keep):
         return bits(r for r in records if keep(r["seed"]))
