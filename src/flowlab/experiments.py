@@ -103,6 +103,8 @@ class ExperimentConfig:
             raise ValueError(f"ladder rungs {bad} do not divide fine_n = {self.fine_n}")
         if self.kind in ("flow", "inverse") and any(n % 4 for n in self.ladder):  # the quarter-time marks
             raise ValueError(f"{self.kind} ladder rungs must be multiples of 4, got {list(self.ladder)}")
+        if self.kind == "rate" and min(self.ladder) < 2:  # the slope fit divides by sqrt(log n)
+            raise ValueError(f"rate ladder rungs must be at least 2, got {list(self.ladder)}")
         if self.kind == "init-continuity":
             if self.solver_n < 1 or self.fine_n % self.solver_n != 0:
                 raise ValueError(f"solver_n = {self.solver_n} does not divide fine_n = {self.fine_n}")
@@ -556,7 +558,8 @@ def _checks_flow_style(config: ExperimentConfig, summary: dict) -> dict:
     min_ratio = config.tol("min_doubling_ratio")
     ratios = summary["doubling_ratios"]
     checks["median_decay_ratio"] = bool(ratios) and all(r >= min_ratio for r in ratios)
-    checks["top_rung_below_tol"] = summary["top_rung_worst_cell_median"] <= summary["tol_flow_top"]
+    worst, tol = summary["top_rung_worst_cell_median"], summary["tol_flow_top"]
+    checks["top_rung_below_tol"] = math.isfinite(worst) and math.isfinite(tol) and worst <= tol
     return checks
 
 
@@ -581,10 +584,8 @@ def _run_rate(config: ExperimentConfig) -> list:
     """
     records = []
     for seed in config.seeds:
-        fine = _fine_driver(config, seed)
-        fpath = fbm.FbmPath(
-            fbm.FbmSpec(config.hurst, 1, config.horizon, config.fine_n, seed), fine
-        )
+        fpath = fbm.sample_circulant(fbm.FbmSpec(config.hurst, 1, config.horizon, config.fine_n, seed))
+        fine = fpath.path
         modulus = fbm.modulus_constant(fpath) if config.horizon <= 1.0 else np.nan
 
         def run(sel, out):  # out[k]: the values of rung k

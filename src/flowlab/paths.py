@@ -144,9 +144,6 @@ class GridPath:
     def step(self) -> float:
         return float((self.times[-1] - self.times[0]) / self.n_steps)
 
-    def component(self, j: int) -> "GridPath":
-        return GridPath(self.times, self.values[:, j])
-
     def restrict(self, t_end: float) -> "GridPath":
         """Prefix of the path up to the grid time nearest t_end (must lie on the grid)."""
         k = self.index_of(t_end)
@@ -257,24 +254,31 @@ def estimate_holder_order(f: GridPath) -> float:
     return float(min(1.0, max(slope, _HOLDER_FLOOR)))
 
 
+def _lag_sup(vals: np.ndarray, denominators) -> float:
+    """max over lags 1 .. len(denominators) of ``_lag_peak(vals, lag) / denominators[lag - 1]``.
+
+    Every increment is bounded by the componentwise range, so a lag whose
+    bound ratio cannot beat the incumbent is skipped, and the scan stops
+    once the suffix maximum of the bound ratios cannot, so the denominators
+    need not rise: gap^H sqrt(log 1/gap) rises and then falls.
+    """
+    den = np.asarray(denominators, dtype=float)
+    bound = float(np.linalg.norm(vals.max(axis=0) - vals.min(axis=0))) / den
+    reach = np.maximum.accumulate(bound[::-1])[::-1]
+    best = 0.0
+    for lag, (d, b, r) in enumerate(zip(den, bound, reach), start=1):
+        if r <= best:
+            break
+        if b > best:
+            best = max(best, _lag_peak(vals, lag) / d)
+    return float(best)
+
+
 def holder_seminorm(f: GridPath, order: Union[HolderOrder, float]) -> float:
     """sup over grid pairs s < t of |f(t) - f(s)| / (t - s)**lambda."""
     lam = _holder_value(order)
-    vals = f.values
-    n = f.n_steps
     h = f.step
-    # any increment is bounded by the componentwise range, so once that bound
-    # divided by the growing denominator drops below the incumbent, stop
-    range_bound = float(np.linalg.norm(vals.max(axis=0) - vals.min(axis=0)))
-    best = 0.0
-    for lag in range(1, n + 1):
-        denom = (lag * h) ** lam
-        if range_bound / denom <= best:
-            break
-        ratio = _lag_peak(vals, lag) / denom
-        if ratio > best:
-            best = ratio
-    return float(best)
+    return _lag_sup(f.values, [(lag * h) ** lam for lag in range(1, f.n_steps + 1)])
 
 
 def w_alpha_inf_norm(f: GridPath, alpha: Union[FracOrder, float]) -> float:

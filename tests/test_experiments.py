@@ -198,6 +198,8 @@ INF = float("inf")
     ("moments", dict(exp_moment_gamma=-1.0), "exp_moment_gamma"),
     ("moments", dict(exp_moment_gamma=INF), "exp_moment_gamma"),
     ("moments", dict(exp_moment_gamma=NAN), "exp_moment_gamma"),
+    # a rung of 1 made the slope fit divide by sqrt(log 1) = 0, so slope_within_band could never pass
+    ("rate", dict(fine_n=2, ladder=(1, 2)), "ladder"),
 ])
 def test_bad_configs_are_rejected_naming_the_field(kind, overrides, field):
     with pytest.raises(ValueError, match=field):
@@ -208,7 +210,7 @@ def test_bad_configs_are_rejected_naming_the_field(kind, overrides, field):
     ("init-continuity", dict(solver_n=2, fine_n=2)),
     ("rate", dict(theta=1e-3)),
     ("rate", dict(theta=0.749)),
-    ("rate", dict(fine_n=2, ladder=(1, 2))),
+    ("rate", dict(fine_n=2, ladder=(2,))),
     ("flow", dict(tolerances={"min_doubling_ratio": float("inf")})),
     ("driver-continuity", dict(horizon=1e6)),
     ("init-continuity", dict(ball_radius=1e150)),
@@ -245,6 +247,14 @@ class TestFlowExperiment:
         assert res.summary["doubling_ratios"] == []
         assert res.checks["median_decay_ratio"] is False
         assert not res.passed
+
+    def test_overflowed_discrepancies_fail_top_rung_check(self, tmp_path):
+        # the schedule is anchored at the (inf) coarsest rung, so inf <= inf passed before
+        cfg = default_config("flow", ladder=(32, 64), seeds=(0, 1), fine_n=256, initial_points=((1e300,),))
+        res = run_experiment(cfg)
+        assert res.summary["tol_flow_top"] == np.inf
+        assert res.checks["top_rung_below_tol"] is False
+        assert verify_result(save_result(res, tmp_path / "out")).ok
 
     def test_all_error_records_fail_every_check(self):
         cfg = small("flow")

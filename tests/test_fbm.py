@@ -186,9 +186,9 @@ class TestHolderError:
 
     def test_grid_mismatch(self):
         p = fbm.sample_circulant(spec(n=128, seed=1)).path
-        q = fbm.sample_circulant(spec(n=64, seed=1)).path
-        with pytest.raises(ValueError):
-            fbm.holder_error(p, q, 0.55)
+        for q in (fbm.sample_circulant(spec(n=64, seed=1)).path, fbm.sample_circulant(spec(n=128, horizon=0.5)).path):
+            with pytest.raises(ValueError, match="paths live on different grids"):
+                fbm.holder_error(p, q, 0.55)
 
     def test_error_decreases_with_coarse_n(self):
         p = fbm.sample_circulant(spec(n=2**10, seed=4))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from flowlab import fbm
+from flowlab import fbm, paths
 from flowlab.paths import (
     FracOrder,
     GridPath,
@@ -342,8 +342,25 @@ def _oracle_lag_scans(path, order, hurst):
     return est, float(semi), float(modulus)
 
 
-@pytest.mark.parametrize("n, d, seed", [(2, 1, 0), (5, 2, 1), (64, 1, 2), (1000, 2, 3)])
-def test_lag_scans_match_separate_loops(n, d, seed):
-    fp = fbm.sample_circulant(fbm.FbmSpec(hurst=0.7, components=d, grid_size=n, seed=seed))
+# n = 2^13: the modulus prune fires at seed 0 (d = 1) and seed 4 (d = 2), and never at seed 1
+LAG_SCAN_CASES = [(2, 1, 0, 1.0), (5, 2, 1, 1.0), (64, 1, 2, 1.0), (1000, 2, 3, 1.0),
+                  (2**13, 1, 0, 1.0), (2**13, 1, 1, 1.0), (2**13, 2, 4, 1.0), (1024, 2, 6, 0.3)]
+
+
+@pytest.mark.parametrize("n, d, seed, horizon", LAG_SCAN_CASES,
+                         ids=[f"{n}-{d}-{s}" + (f"-T{t}" if t != 1.0 else "") for n, d, s, t in LAG_SCAN_CASES])
+def test_lag_scans_match_separate_loops(n, d, seed, horizon):
+    fp = fbm.sample_circulant(fbm.FbmSpec(hurst=0.7, components=d, horizon=horizon, grid_size=n, seed=seed))
     got = (estimate_holder_order(fp.path), holder_seminorm(fp.path, 0.4), fbm.modulus_constant(fp))
     assert got == _oracle_lag_scans(fp.path, 0.4, 0.7)
+
+
+def test_modulus_scan_is_pruned(monkeypatch):
+    """On a path where the range bound beats the late lags, fewer than all n - 1 lag peaks are taken."""
+    n = 2**13
+    fp = fbm.sample_circulant(fbm.FbmSpec(hurst=0.7, grid_size=n, seed=0))
+    peak, calls = paths._lag_peak, []
+    monkeypatch.setattr(paths, "_lag_peak", lambda vals, lag: calls.append(lag) or peak(vals, lag))
+    got = fbm.modulus_constant(fp)
+    assert 0 < len(calls) < n - 1
+    assert got == _oracle_lag_scans(fp.path, 0.4, 0.7)[2]
