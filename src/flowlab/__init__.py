@@ -8,9 +8,7 @@ homeomorphism properties of those solutions.
 """
 
 from .paths import (
-    FracOrder,
     GridPath,
-    HolderOrder,
     f_alpha_one_norm,
     holder_seminorm,
     w_alpha_inf_norm,
@@ -22,8 +20,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GridPath",
-    "HolderOrder",
-    "FracOrder",
     "holder_seminorm",
     "w_alpha_inf_norm",
     "w_alpha_lambda_norm",

@@ -11,6 +11,7 @@ statistic is recomputable from the records alone.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field as dc_field
 from typing import Callable, NamedTuple, Optional
@@ -47,6 +48,13 @@ DEFAULT_TOLERANCES = {
 }
 
 
+def _integral(name: str, v) -> int:
+    """``v`` as an int: 64 and 64.0 are kept as 64, and 16.5 is rejected, naming the field."""
+    if isinstance(v, numbers.Integral) or (isinstance(v, numbers.Real) and float(v).is_integer()):
+        return int(v)
+    raise ValueError(f"{name} must be integral, got {v!r}")
+
+
 @dataclass
 class ExperimentConfig:
     """Field-for-field mirror of the JSON experiment configuration."""
@@ -80,12 +88,12 @@ class ExperimentConfig:
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; expected one of {EXPERIMENT_KINDS}")
         kind = _KINDS[self.kind]
-        self.ladder = tuple(int(v) for v in self.ladder)
-        self.seeds = tuple(int(v) for v in self.seeds)
+        for name in ("fine_n", "solver_n", "probe_n", "probe_seeds", "pair_count"):
+            setattr(self, name, _integral(name, getattr(self, name)))
+        for name in ("ladder", "seeds", "sample_counts", "moment_orders"):
+            setattr(self, name, tuple(_integral(name, v) for v in getattr(self, name)))
         self.initial_points = tuple(tuple(float(c) for c in np.atleast_1d(p)) for p in self.initial_points)
         self.probe_fan = tuple(float(v) for v in self.probe_fan)
-        self.sample_counts = tuple(int(v) for v in self.sample_counts)
-        self.moment_orders = tuple(int(v) for v in self.moment_orders)
         if not self.seeds:
             raise ValueError("seed list must be nonempty")
         if len(set(self.seeds)) < len(self.seeds):

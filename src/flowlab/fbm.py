@@ -19,7 +19,7 @@ from typing import Union
 import numpy as np
 
 from .errors import EmbeddingError, FactorizationError
-from .paths import GridPath, HolderOrder, holder_seminorm, _holder_value, _lag_sup
+from .paths import GridPath, holder_seminorm, _lag_sup
 
 __all__ = [
     "FbmSpec",
@@ -234,10 +234,10 @@ def polygonal(path: Union[FbmPath, GridPath], coarse_n: int) -> GridPath:
     return GridPath(grid.times, values)
 
 
-def holder_error(fine: GridPath, approx: GridPath, theta: Union[HolderOrder, float]) -> float:
+def holder_error(fine: GridPath, approx: GridPath, theta: float) -> float:
     """C^theta distance sup|diff| + theta-Holder seminorm of the difference."""
     diff = fine - approx
-    return diff.sup_norm() + holder_seminorm(diff, _holder_value(theta))
+    return diff.sup_norm() + holder_seminorm(diff, theta)
 
 
 def modulus_constant(path: FbmPath) -> float:

@@ -13,16 +13,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .errors import RegularityError
-from .paths import FracOrder, GridPath, _alpha_value, _pair_sweep, _sweep_weights, estimate_holder_order
+from .paths import GridPath, _alpha_value, _pair_sweep, _sweep_weights, estimate_holder_order
 from .quadrature import increment_profile, kernel_profile
 
 __all__ = [
-    "FracOrder",
     "left_frac_integral",
     "right_frac_integral",
     "left_weyl_derivative",
@@ -33,14 +32,14 @@ __all__ = [
 ]
 
 
-def left_frac_integral(f: GridPath, alpha: Union[FracOrder, float]) -> GridPath:
+def left_frac_integral(f: GridPath, alpha: float) -> GridPath:
     """Convolution of f against (x-y)^{alpha-1}/Gamma(alpha) from the left endpoint."""
     a = _alpha_value(alpha)
     out = kernel_profile(f.values, a - 1.0, f.step) / math.gamma(a)
     return GridPath(f.times, out)
 
 
-def right_frac_integral(f: GridPath, alpha: Union[FracOrder, float]) -> GridPath:
+def right_frac_integral(f: GridPath, alpha: float) -> GridPath:
     """Mirror of the left integral under time reversal (real-valued convention)."""
     a = _alpha_value(alpha)
     out = kernel_profile(f.values[::-1], a - 1.0, f.step) / math.gamma(a)
@@ -72,7 +71,7 @@ def _warn_if_too_rough(f: GridPath, a: float, side: str) -> None:
         )
 
 
-def left_weyl_derivative(f: GridPath, alpha: Union[FracOrder, float]) -> GridPath:
+def left_weyl_derivative(f: GridPath, alpha: float) -> GridPath:
     """Marchaud-form derivative: boundary decay term plus the singular increment integral."""
     a = _alpha_value(alpha)
     _warn_if_too_rough(f, a, "left")
@@ -80,7 +79,7 @@ def left_weyl_derivative(f: GridPath, alpha: Union[FracOrder, float]) -> GridPat
     return GridPath(f.times, _marchaud_values(f.values, a, f.step, rel))
 
 
-def right_weyl_derivative(f: GridPath, alpha: Union[FracOrder, float], pin_endpoint: bool = False) -> GridPath:
+def right_weyl_derivative(f: GridPath, alpha: float, pin_endpoint: bool = False) -> GridPath:
     """Mirror derivative from the right endpoint; ``pin_endpoint`` subtracts f(T) first.
 
     Real-valued convention: the (-1)^alpha phase of the right-sided
@@ -94,18 +93,9 @@ def right_weyl_derivative(f: GridPath, alpha: Union[FracOrder, float], pin_endpo
     return GridPath(f.times, out[::-1])
 
 
-def _endpoint_indices(n: int, endpoints: Union[str, Sequence[int]]) -> np.ndarray:
-    """Right endpoints of the decimated mode or of an explicit list ("all" runs the pair sweep)."""
-    if isinstance(endpoints, str):
-        if endpoints == "decimated":
-            count = int(np.ceil(np.sqrt(n)))
-            idx = np.unique(np.linspace(2, n, count).round().astype(int))
-            return idx
-        raise ValueError(f"unknown endpoint mode {endpoints!r}")
-    idx = np.unique(np.asarray(list(endpoints), dtype=int))
-    if idx.size == 0 or idx[0] < 2 or idx[-1] > n:
-        raise ValueError("endpoint indices must lie in [2, n]")
-    return idx
+def _endpoint_indices(n: int) -> np.ndarray:
+    """Right endpoints of the decimated mode: ceil(sqrt(n)) grid indices from 2 to n."""
+    return np.unique(np.linspace(2, n, int(np.ceil(np.sqrt(n)))).round().astype(int))
 
 
 @dataclass(frozen=True)
@@ -121,19 +111,20 @@ class LambdaReport:
 
 def lambda_alpha(
     g: GridPath,
-    alpha: Union[FracOrder, float],
-    endpoints: Union[str, Sequence[int]] = "decimated",
+    alpha: float,
+    endpoints: str = "decimated",
 ) -> float:
     """sup over (s, t) of the pinned right-sided derivative, scaled by Gamma(1-alpha).
 
     The supremum over right endpoints t runs over ``endpoints``: the
     default decimated mode uses ceil(sqrt(n)) grid times plus the horizon
     (a lower bound on the full supremum); pass "all" for every grid time.
+    Any other value raises a ValueError.
     """
     return _lambda_alpha_impl(g, _alpha_value(alpha, upper=0.5), endpoints)[0]
 
 
-def _endpoint_peaks(g, a: float, idx: np.ndarray):
+def _endpoint_peaks(stack: Sequence[GridPath], a: float, idx: np.ndarray):
     """The signed pair sweep's sup |S(s, t)| over 1 <= s < t, for t in ``idx`` only.
 
     For t = t_j and w[k] = g(t_{j-k}), the sum over nodes m < k of row
@@ -144,13 +135,11 @@ def _endpoint_peaks(g, a: float, idx: np.ndarray):
     outputs at each length are made once per call, and each endpoint costs
     one rfft/irfft pair per path written into those outputs.
 
-    ``g`` is one path, giving one (peak, s, t), or a sequence of paths on
-    one grid, giving a list with one (peak, s, t) per path and a list with
-    one per later path minus the first.  The rows are linear in the path,
-    so the second list is read from the difference of the rows, with no
-    FFT of its own.
+    ``stack`` is a sequence of paths on one grid.  Returns a list with one
+    (peak, s, t) per path and a list with one per later path minus the
+    first.  The rows are linear in the path, so the second list is read
+    from the difference of the rows, with no FFT of its own.
     """
-    stack = [g] if isinstance(g, GridPath) else list(g)
     if any(not stack[0].same_grid(p) for p in stack[1:]):
         raise ValueError("paths live on different grids")
     cp, tail, last = _sweep_weights(a, stack[0].step, stack[0].n_steps)
@@ -189,8 +178,6 @@ def _endpoint_peaks(g, a: float, idx: np.ndarray):
     for p, q in zip(peaks, pairs):
         b = int(np.argmax(p))  # the first maximum: smallest t, then largest s
         found.append((0.0, 0, int(idx[-1])) if p[b] <= 0.0 else (float(p[b]),) + q[b])
-    if isinstance(g, GridPath):
-        return found[0]
     return found[: len(stack)], found[len(stack):]
 
 
@@ -209,15 +196,17 @@ def _lambda_value(a: float, peak: float) -> float:
 def _lambda_alpha_impl(g, a: float, endpoints, bound: bool = False):
     """(value, s index, t index, (1-a) norm or None): one pair sweep for "all", endpoint FFTs otherwise."""
     _check_steps(g)
-    if isinstance(endpoints, str) and endpoints == "all":
+    if not isinstance(endpoints, str) or endpoints not in ("decimated", "all"):
+        raise ValueError(f"unknown endpoint mode {endpoints!r}; expected 'decimated' or 'all'")
+    if endpoints == "all":
         norm, (peak, s, t) = _pair_sweep(g, a, signed=True, absolute=bound)
     else:
-        peak, s, t = _endpoint_peaks(g, a, _endpoint_indices(g.n_steps, endpoints))
+        peak, s, t = _endpoint_peaks([g], a, _endpoint_indices(g.n_steps))[0][0]
         norm = _pair_sweep(g, a, signed=False, absolute=True)[0] if bound else None
     return _lambda_value(a, peak), s, t, norm
 
 
-def _lambda_ladder(fine: GridPath, approxes: Sequence[GridPath], alpha: Union[FracOrder, float]) -> list:
+def _lambda_ladder(fine: GridPath, approxes: Sequence[GridPath], alpha: float) -> list:
     """Decimated (lambda_alpha(approx), lambda_alpha(approx - fine)) per approximation, in one endpoint pass.
 
     The first value of each pair equals ``lambda_alpha(approx, alpha)`` bit
@@ -226,15 +215,15 @@ def _lambda_ladder(fine: GridPath, approxes: Sequence[GridPath], alpha: Union[Fr
     """
     a = _alpha_value(alpha, upper=0.5)
     _check_steps(fine)
-    idx = _endpoint_indices(fine.n_steps, "decimated")
+    idx = _endpoint_indices(fine.n_steps)
     columns, gaps = _endpoint_peaks([fine, *approxes], a, idx)
     return [(_lambda_value(a, c[0]), _lambda_value(a, d[0])) for c, d in zip(columns[1:], gaps)]
 
 
 def lambda_alpha_report(
     g: GridPath,
-    alpha: Union[FracOrder, float],
-    endpoints: Union[str, Sequence[int]] = "decimated",
+    alpha: float,
+    endpoints: str = "decimated",
 ) -> LambdaReport:
     """Value plus the attaining pair and the norm-based upper bound.
 
@@ -244,11 +233,10 @@ def lambda_alpha_report(
     a = _alpha_value(alpha, upper=0.5)
     value, s_idx, t_idx, norm = _lambda_alpha_impl(g, a, endpoints, bound=True)
     bound = norm / (math.gamma(1.0 - a) * math.gamma(a))
-    mode = endpoints if isinstance(endpoints, str) else "explicit"
     return LambdaReport(
         value=value,
         attained_s=float(g.times[s_idx]),
         attained_t=float(g.times[t_idx]),
-        endpoint_mode=mode,
+        endpoint_mode=endpoints,
         upper_bound=float(bound),
     )

@@ -20,8 +20,6 @@ from .quadrature import _PATH_CHUNK, abs_increment_profile, cell_weights, weight
 
 __all__ = [
     "GridPath",
-    "HolderOrder",
-    "FracOrder",
     "holder_seminorm",
     "w_alpha_inf_norm",
     "w_alpha_lambda_norm",
@@ -34,37 +32,15 @@ _SWEEP_ROWS = 32  # start rows per block of the pair sweep
 _HOLDER_FLOOR = 1e-3  # lower clip of estimate_holder_order
 
 
-@dataclass(frozen=True)
-class HolderOrder:
-    """Holder exponent in (0, 1]."""
-
-    value: float
-
-    def __post_init__(self):
-        if not (0.0 < self.value <= 1.0):
-            raise ValueError(f"Holder order must lie in (0, 1], got {self.value}")
-
-
-@dataclass(frozen=True)
-class FracOrder:
-    """Fractional integration/differentiation order in (0, 1)."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"fractional order must lie in (0, 1), got {self.alpha}")
-
-
-def _holder_value(order: Union[HolderOrder, float]) -> float:
-    lam = order.value if isinstance(order, HolderOrder) else float(order)
+def _holder_value(order: float) -> float:
+    lam = float(order)
     if not (0.0 < lam <= 1.0):
         raise ValueError(f"Holder order must lie in (0, 1], got {lam}")
     return lam
 
 
-def _alpha_value(order: Union[FracOrder, float], upper: float = 1.0) -> float:
-    alpha = order.alpha if isinstance(order, FracOrder) else float(order)
+def _alpha_value(order: float, upper: float = 1.0) -> float:
+    alpha = float(order)
     if not (0.0 < alpha < upper):
         raise ValueError(f"fractional order must lie in (0, {upper}), got {alpha}")
     return alpha
@@ -274,24 +250,24 @@ def _lag_sup(vals: np.ndarray, denominators) -> float:
     return float(best)
 
 
-def holder_seminorm(f: GridPath, order: Union[HolderOrder, float]) -> float:
+def holder_seminorm(f: GridPath, order: float) -> float:
     """sup over grid pairs s < t of |f(t) - f(s)| / (t - s)**lambda."""
     lam = _holder_value(order)
     h = f.step
     return _lag_sup(f.values, [(lag * h) ** lam for lag in range(1, f.n_steps + 1)])
 
 
-def w_alpha_inf_norm(f: GridPath, alpha: Union[FracOrder, float]) -> float:
+def w_alpha_inf_norm(f: GridPath, alpha: float) -> float:
     """The W^{alpha,infinity}_0 norm: sup_t of |f(t)| plus the alpha-increment tail."""
     return w_alpha_lambda_norm(f, alpha, 0.0)
 
 
-def w_alpha_lambda_norm(f: GridPath, alpha: Union[FracOrder, float], lambda_weight: float) -> float:
+def w_alpha_lambda_norm(f: GridPath, alpha: float, lambda_weight: float) -> float:
     """Exponentially discounted variant: sup_t e^{-lambda t} (|f(t)| + tail)."""
     return float(_w_alpha_lambda_norms(f.values[None], f.times, alpha, lambda_weight)[0])
 
 
-def _w_alpha_lambda_norms(values: np.ndarray, times: np.ndarray, alpha: Union[FracOrder, float],
+def _w_alpha_lambda_norms(values: np.ndarray, times: np.ndarray, alpha: float,
                           lambda_weight: float) -> np.ndarray:
     """``w_alpha_lambda_norm`` of each path of ``values`` (P, n+1, d) on the uniform grid ``times``.
 
@@ -391,13 +367,13 @@ def _pair_sweep(g: GridPath, a: float, signed: bool, absolute: bool):
     return norm, ((0.0, 0, n) if peaks[b] <= 0.0 else (float(peaks[b]),) + pairs[b])
 
 
-def w_one_minus_alpha_norm(g: GridPath, alpha: Union[FracOrder, float]) -> float:
+def w_one_minus_alpha_norm(g: GridPath, alpha: float) -> float:
     """sup over grid pairs of the (1-alpha) increment ratio plus its singular tail integral."""
     a = _alpha_value(alpha, upper=0.5)
     return _pair_sweep(g, a, signed=False, absolute=True)[0]
 
 
-def f_alpha_one_norm(f: GridPath, alpha: Union[FracOrder, float]) -> float:
+def f_alpha_one_norm(f: GridPath, alpha: float) -> float:
     """Weighted L^1 norm plus double increment integral controlling integrands of dg."""
     a = _alpha_value(alpha, upper=0.5)
     h = f.step

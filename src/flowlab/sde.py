@@ -15,7 +15,9 @@ a step are a prefix of the batch.  The blow-up guard is checked once per
 block of ``_GUARD_BLOCK`` steps: the block's states are scanned for the
 first crossing in stepping order, which raises the same error, with the
 same time and magnitude, as a check after every step would.  The guard
-bound is ``DEFAULT_BLOWUP_FACTOR`` times (1 + |x0|), read at each call.
+bound is ``DEFAULT_BLOWUP_FACTOR`` times (1 + |x0|), read at each call;
+a non-finite state (say from a field that returns NaN) counts as a
+crossing.
 Blocks are handed back one at a time.  ``_flow_marks`` is the one place
 that stores states: it keeps them at chosen grid indices, and a full
 solve (``solve_*_batch``) is ``_flow_marks`` over every grid index on the
@@ -33,7 +35,7 @@ import numpy as np
 
 from .coefficients import CoefficientField
 from .errors import BlowUpError
-from .paths import GridPath, HolderOrder, _holder_value, holder_seminorm
+from .paths import GridPath, _holder_value, holder_seminorm
 
 __all__ = [
     "alpha0",
@@ -118,7 +120,7 @@ def _check_block(block, active, bound, reached_times) -> None:
     """Raise at the first step of the block at which a started member crossed its bound."""
     with np.errstate(over="ignore", invalid="ignore"):
         mag = np.linalg.norm(block, axis=-1)
-    over = mag > bound
+    over = ~(mag <= bound)  # NaN compares false, so a NaN state counts as a crossing
     if not over.any():
         return
     for j in np.flatnonzero(over.reshape(over.shape[0], -1).any(axis=1)):
@@ -291,7 +293,7 @@ def sup_estimate_check(
     solution: GridPath,
     driver: GridPath,
     c: CoefficientField,
-    theta: Union[HolderOrder, float],
+    theta: float,
 ) -> SupEstimateReport:
     """Back out the unspecified constant in sup_t |X_t| <= 2^{1 + k T a ||B||^(1/theta)} (|X_0| + 1).
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .fraccalc import _marchaud_values, lambda_alpha
-from .paths import FracOrder, GridPath, _alpha_value, estimate_holder_order, f_alpha_one_norm
+from .paths import GridPath, _alpha_value, estimate_holder_order, f_alpha_one_norm
 from .quadrature import cell_weights
 
 __all__ = [
@@ -97,39 +97,15 @@ def default_bridge_order(f: GridPath, g: GridPath) -> float:
     return min(max(alpha, _BRIDGE_MARGIN), 0.5 - _BRIDGE_MARGIN)
 
 
-def _scalar_zahle(fv: np.ndarray, gv: np.ndarray, a: float, h: float, rel: np.ndarray) -> float:
-    """Real-valued fractional representation of integral f dg for scalar columns.
-
-    The dropped phases multiply to -1, hence the leading sign.  The outer
-    integral is trapezoidal on interior nodes; the endpoint cells use the
-    same product-integration closed forms as the singular kernels.
-    """
-    n = fv.shape[0] - 1
-    df = _marchaud_values(fv[:, None], a, h, rel)[:, 0]  # left derivative of f; node 0 enters via q0 below
-    # right derivative of g (order 1 - a) pinned at T, taken in reversed time; dg[n] (s = T) is the pinned 0
-    dg = _marchaud_values((gv[::-1] - gv[-1])[:, None], 1.0 - a, h, rel)[::-1, 0]
-    psi = df[1:n] * dg[1:n]
-    interior = h * (0.5 * psi[0] + psi[1:-1].sum() + 0.5 * psi[-1]) if n >= 3 else 0.0
-    # first cell: integrand ~ u^{-a} * (linear), with q(u) = u^a * D_f
-    beta, gamma = cell_weights(-a, h, 1)
-    q0 = fv[0] / math.gamma(1.0 - a)
-    q1 = (h**a) * df[1]
-    left = (q0 * dg[0]) * gamma[1] + (q1 * dg[1]) * beta[1]
-    # last cell: pinned derivative of g vanishes at s = T
-    right = 0.5 * h * psi[-1] if n >= 2 else 0.0
-    return -(left + interior + right)
-
-
-def zahle_integral(
-    f: GridPath,
-    g: GridPath,
-    alpha: Optional[Union[FracOrder, float]] = None,
-) -> np.ndarray:
+def zahle_integral(f: GridPath, g: GridPath, alpha: Optional[float] = None) -> np.ndarray:
     """Young integral via fractional derivatives; agrees with ``rs_integral`` in the limit.
 
     ``alpha`` must satisfy lambda > alpha and mu > 1 - alpha for the Holder
     orders of f and g; by default it is placed mid-window from measured
-    orders.
+    orders.  This is the real-valued fractional representation, whose
+    dropped phases multiply to -1, hence the leading sign.  The outer
+    integral is trapezoidal on interior nodes; the endpoint cells use the
+    same product-integration closed forms as the singular kernels.
     """
     d = _integrand_shape(f, g)
     _warn_if_orders_too_low(f, g)
@@ -137,12 +113,20 @@ def zahle_integral(
     n, m = f.n_steps, g.dimension
     h = f.step
     rel = f.times - f.times[0]
-    fcols = f.values.reshape(n + 1, d, m)
-    out = np.zeros(d)
-    for i in range(d):
-        for j in range(m):
-            out[i] += _scalar_zahle(fcols[:, i, j], g.values[:, j], a, h, rel)
-    return out
+    # left derivative of each f^{i,j}, shaped (n+1, d, m); node 0 enters via q0 below
+    df = _marchaud_values(f.values, a, h, rel).reshape(n + 1, d, m)
+    # right derivative of each g^j (order 1 - a) pinned at T, taken in reversed time; dg[n] (s = T) is the pinned 0
+    dg = _marchaud_values(g.values[::-1] - g.values[-1], 1.0 - a, h, rel)[::-1]
+    psi = (df[1:n] * dg[1:n, None]).transpose(1, 2, 0)  # (d, m, n-1): each column's interior sum runs alone
+    interior = h * (0.5 * psi[..., 0] + psi[..., 1:-1].sum(axis=-1) + 0.5 * psi[..., -1]) if n >= 3 else 0.0
+    # first cell: integrand ~ u^{-a} * (linear), with q(u) = u^a * D_f
+    beta, gamma = cell_weights(-a, h, 1)
+    q0 = f.values[0].reshape(d, m) / math.gamma(1.0 - a)
+    q1 = (h**a) * df[1]
+    left = (q0 * dg[0]) * gamma[1] + (q1 * dg[1]) * beta[1]
+    # last cell: pinned derivative of g vanishes at s = T
+    right = 0.5 * h * psi[..., -1] if n >= 2 else 0.0
+    return -(left + interior + right).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -155,11 +139,7 @@ class YoungBoundReport:
     ok: bool
 
 
-def young_bound_check(
-    f: GridPath,
-    g: GridPath,
-    alpha: Union[FracOrder, float],
-) -> YoungBoundReport:
+def young_bound_check(f: GridPath, g: GridPath, alpha: float) -> YoungBoundReport:
     """Evaluate the fundamental estimate with the full (non-decimated) driver functional."""
     a = _alpha_value(alpha, upper=0.5)
     lhs = float(np.linalg.norm(rs_integral(f, g)))

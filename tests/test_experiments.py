@@ -200,6 +200,17 @@ INF = float("inf")
     ("moments", dict(exp_moment_gamma=NAN), "exp_moment_gamma"),
     # a rung of 1 made the slope fit divide by sqrt(log 1) = 0, so slope_within_band could never pass
     ("rate", dict(fine_n=2, ladder=(1, 2)), "ladder"),
+    # int(v) truncated seeds and rungs; a float grid size or count failed at run time, or was used as is
+    ("rate", dict(seeds=(0.5, 1.7)), "seeds"),
+    ("rate", dict(ladder=(16.9, 32)), "ladder"),
+    ("moments", dict(fine_n=64.5), "fine_n"),
+    ("moments", dict(solver_n=16.5), "solver_n"),
+    ("init-continuity", dict(pair_count=2.5), "pair_count"),
+    ("inverse", dict(probe_seeds=2.5), "probe_seeds"),
+    ("inverse", dict(probe_n=16.5), "probe_n"),
+    ("moments", dict(sample_counts=(400, 800.5)), "sample_counts"),
+    ("moments", dict(moment_orders=(2.5,)), "moment_orders"),
+    ("rate", dict(seeds=(NAN,)), "seeds"),
 ])
 def test_bad_configs_are_rejected_naming_the_field(kind, overrides, field):
     with pytest.raises(ValueError, match=field):
@@ -683,21 +694,21 @@ BOUNDARIES = {
     "alpha": (0.0, 0.26, 0.49, 0.5, NAN),
     "theta": (0.0, 1e-9, 0.749, 0.75, NAN),
     "horizon": (0.0, 1e-9, 1e3, INF, NAN),
-    "fine_n": (1, 2, 16, 48),
-    "ladder": ((), (1,), (1, 2), (64,), (16, 8)),
-    "seeds": ((), (0,), (0, 0), (-1,), (2**64 - 1,), (2**64,)),
+    "fine_n": (1, 2, 16, 48, 64.0, 64.5),
+    "ladder": ((), (1,), (1, 2), (64,), (16, 8), (8.0, 16), (8.5, 16)),
+    "seeds": ((), (0,), (0, 0), (-1,), (2**64 - 1,), (2**64,), (0.0, 1.0), (0.5, 1.7)),
     "coefficients": ("builtin:zero", "builtin:additive:0.5", "builtin:linear-drift:0.5",
                      "builtin:additive:0.5,1;0,1"),
     "initial_points": ((), ((0.0,),), ((1.0,), (-1.0,)), ((1e300,),), ((INF,),), ((1.0, 2.0),)),
     "lambda_weight": (None, 0.0, 600.0, 1e300, INF, -1.0),
-    "solver_n": (0, 1, 2, 64, 48),
-    "pair_count": (-1, 0, 1),
+    "solver_n": (0, 1, 2, 64, 48, 16.0, 16.5),
+    "pair_count": (-1, 0, 1, 3.0, 2.5),
     "ball_radius": (0.0, 1e-300, 1e150, 1e151, INF, NAN),
-    "probe_seeds": (-1, 0, 1),
-    "probe_n": (0, 1, 2),
+    "probe_seeds": (-1, 0, 1, 3.0, 2.5),
+    "probe_n": (0, 1, 2, 16.0, 16.5),
     "probe_fan": ((), (1.0,), (1.0, 1.0), (-1.0, 1.0), (0.0, INF)),
-    "sample_counts": ((2, 3), (4,), (1, 4), (4, 4)),
-    "moment_orders": ((), (0,), (1,), (-2,)),
+    "sample_counts": ((2, 3), (4,), (1, 4), (4, 4), (4.0, 8), (4, 8.5)),
+    "moment_orders": ((), (0,), (1,), (-2,), (2.0,), (2.5,)),
     "exp_moment_gamma": (-1.0, 0.0, 1e-300, 3.0, INF, NAN),
     "exp_moment_lambda": (-1.0, 0.0, 1e300, INF, NAN),
     "moment_x0": (0.0, -1e300, INF, NAN),

@@ -8,10 +8,10 @@ import pytest
 
 from flowlab import fbm
 from flowlab.fraccalc import (
-    FracOrder,
     _endpoint_indices,
     _endpoint_peaks,
     _lambda_alpha_impl,
+    _lambda_value,
     lambda_alpha,
     lambda_alpha_report,
     left_frac_integral,
@@ -41,7 +41,7 @@ class TestFracIntegral:
         assert out.values[0, 0] == 0.0
 
     def test_constant_power_rule(self):
-        out = left_frac_integral(path_of(lambda t: np.ones_like(t), 2048), FracOrder(0.5))
+        out = left_frac_integral(path_of(lambda t: np.ones_like(t), 2048), 0.5)
         t = out.times[1:]
         expected = np.sqrt(t) / math.gamma(1.5)
         assert np.allclose(out.values[1:, 0], expected, rtol=1e-10)
@@ -194,10 +194,12 @@ class TestLambdaAlpha:
             lambda_alpha(fbm_path, 0.6)
 
     def test_explicit_endpoint_sequence(self, fbm_path):
-        sub = lambda_alpha(fbm_path, 0.3, endpoints=[64, 128, 256])
-        assert sub <= lambda_alpha(fbm_path, 0.3, endpoints="all") + 1e-12
-        with pytest.raises(ValueError):
-            lambda_alpha(fbm_path, 0.3, endpoints=[0, 5])
+        # only the two modes are accepted; an array must not reach numpy's ambiguous truth value
+        for endpoints in ([64, 128, 256], np.array([64]), "every"):
+            with pytest.raises(ValueError, match="'decimated' or 'all'"):
+                lambda_alpha(fbm_path, 0.3, endpoints)
+            with pytest.raises(ValueError, match="'decimated' or 'all'"):
+                lambda_alpha_report(fbm_path, 0.3, endpoints)
 
 
 # -- oracle: the per-endpoint FFT loop that lambda_alpha ran before the pair sweep --
@@ -232,6 +234,12 @@ def _oracle_lambda(g, a, idx):
     return float(best), best_pair[0], best_pair[1]
 
 
+def _explicit_lambda(g, a, idx):
+    """(value, s index, t index) over the right endpoints ``idx`` only, from ``_endpoint_peaks``."""
+    peak, s, t = _endpoint_peaks([g], a, np.asarray(idx))[0][0]
+    return _lambda_value(a, peak), s, t
+
+
 def _oracle_endpoints(n, mode):
     if mode == "all":
         return np.arange(2, n + 1)
@@ -261,8 +269,7 @@ class TestLambdaAlphaOracle:
         a = 0.3
         g = _oracle_path(kind, n, d)
         idx = _oracle_endpoints(n, mode)
-        endpoints = idx.tolist() if mode == "explicit" else mode
-        value, s, t, _ = _lambda_alpha_impl(g, a, endpoints)
+        value, s, t = _explicit_lambda(g, a, idx) if mode == "explicit" else _lambda_alpha_impl(g, a, mode)[:3]
         ref_value, ref_s, ref_t = _oracle_lambda(g, a, idx)
         if kind == "constant":
             # the loop's FFT leaves a rounding residue; the pair it picks from it means nothing
@@ -273,7 +280,8 @@ class TestLambdaAlphaOracle:
             return
         assert value == pytest.approx(ref_value, rel=1e-12)
         assert (s, t) == (ref_s, ref_t)
-        assert lambda_alpha(g, a, endpoints) == value
+        if mode != "explicit":
+            assert lambda_alpha(g, a, mode) == value
 
     def test_endpoint_fft_does_not_wrap_onto_short_distances(self):
         # at j = 2^k - 1 the FFT length is 2j + 2, so a kernel cut three taps
@@ -284,7 +292,7 @@ class TestLambdaAlphaOracle:
             vals = base.values + 5.0
             vals[j] += 40.0
             g = GridPath(base.times, vals)
-            value, s, t, _ = _lambda_alpha_impl(g, a, [j])
+            value, s, t = _explicit_lambda(g, a, [j])
             assert (value, s, t) == pytest.approx(_oracle_lambda(g, a, [j]), rel=1e-12)
             assert (s, t) == (j - 1, j)
 
@@ -293,9 +301,11 @@ class TestLambdaAlphaOracle:
         # finite values whose squares overflow: the value scales like the path
         unit = np.zeros(65)
         unit[1::2] = 1.0
-        endpoints = list(range(2, 65)) if mode == "explicit" else mode
-        base = lambda_alpha(GridPath.from_values(unit), 0.3, endpoints)
-        big = lambda_alpha(GridPath.from_values(1e200 * unit), 0.3, endpoints)
+        if mode == "explicit":
+            base, big = (_explicit_lambda(GridPath.from_values(v), 0.3, range(2, 65))[0] for v in (unit, 1e200 * unit))
+        else:
+            base = lambda_alpha(GridPath.from_values(unit), 0.3, mode)
+            big = lambda_alpha(GridPath.from_values(1e200 * unit), 0.3, mode)
         assert big == pytest.approx(1e200 * base, rel=1e-12)
 
     @pytest.mark.parametrize("mode", ["all", "decimated"])
@@ -316,13 +326,16 @@ class TestLambdaAlphaOracle:
         vals = np.zeros(65)
         vals[1::2] = 1e308  # finite values whose pinned derivative overflows
         g = GridPath.from_values(vals)
-        endpoints = [8, 64] if mode == "explicit" else mode
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
+            if mode == "explicit":
+                with pytest.raises(RegularityError):
+                    _explicit_lambda(g, 0.3, [8, 64])
+                return
             with pytest.raises(RegularityError):
-                lambda_alpha(g, 0.3, endpoints)
+                lambda_alpha(g, 0.3, mode)
             with pytest.raises(RegularityError):
-                lambda_alpha_report(g, 0.3, endpoints)
+                lambda_alpha_report(g, 0.3, mode)
 
 
 @pytest.mark.parametrize("endpoints", ["decimated", "all", [2]])
@@ -363,8 +376,8 @@ def _fresh_buffer_endpoint_peaks(g, a, idx):
 @pytest.mark.parametrize("mode", ["decimated", "explicit"])
 def test_endpoint_peaks_reuse_buffers_bit_for_bit(n, d, kind, mode):
     g = _oracle_path(kind, n, d)
-    idx = _endpoint_indices(n, "decimated") if mode == "decimated" else np.arange(2, n + 1, max(1, n // 40))
-    assert _endpoint_peaks(g, 0.3, idx) == _fresh_buffer_endpoint_peaks(g, 0.3, idx)
+    idx = _endpoint_indices(n) if mode == "decimated" else np.arange(2, n + 1, max(1, n // 40))
+    assert _endpoint_peaks([g], 0.3, idx)[0][0] == _fresh_buffer_endpoint_peaks(g, 0.3, idx)
 
 
 def test_zigzag_path_warns_too_rough():

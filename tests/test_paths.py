@@ -8,9 +8,7 @@ import pytest
 
 from flowlab import fbm, paths
 from flowlab.paths import (
-    FracOrder,
     GridPath,
-    HolderOrder,
     estimate_holder_order,
     f_alpha_one_norm,
     holder_seminorm,
@@ -93,7 +91,7 @@ class TestHolderSeminorm:
         assert holder_seminorm(path_of(lambda t: np.full_like(t, 3.3), 64), 0.4) == 0.0
 
     def test_identity_lipschitz(self):
-        assert holder_seminorm(path_of(lambda t: t, 1024), HolderOrder(1.0)) == pytest.approx(1.0)
+        assert holder_seminorm(path_of(lambda t: t, 1024), 1.0) == pytest.approx(1.0)
 
     def test_sqrt_half_order(self):
         # attained on every pair (0, t); frozen by brute force over all grid pairs
@@ -122,7 +120,7 @@ class TestWAlphaInfNorm:
 
     def test_identity_closed_form(self):
         # t + t^{1-a}/(1-a) maximized at t = 1
-        assert w_alpha_inf_norm(path_of(lambda t: t, 512), FracOrder(0.25)) == pytest.approx(7.0 / 3.0, rel=1e-12)
+        assert w_alpha_inf_norm(path_of(lambda t: t, 512), 0.25) == pytest.approx(7.0 / 3.0, rel=1e-12)
 
     def test_alpha_domain(self):
         p = path_of(lambda t: t, 32)

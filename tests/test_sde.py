@@ -535,6 +535,19 @@ class TestSteppingKernel:
         with pytest.raises(ValueError, match="domain"):
             solve_forward_batch([0.0], 0.0, picky, driver, cfg)
 
+    def test_nan_state_crosses_the_guard(self):
+        # NaN compares false with the bound; it used to step on, or fail later in GridPath
+        def sigma(t, x):
+            return np.where(x > 1.0, np.nan, 1.0)[..., None]
+
+        spotty = CoefficientField(sigma, lambda t, x: np.zeros_like(x), 1, 1)
+        driver = driver_of(seed=3, n=256)
+        cfg = SolverConfig(0.3, 256, 0.75)
+        with pytest.raises(BlowUpError, match=r"\|X\| = nan at t = "):
+            solve_forward_batch(np.array([[1.0], [0.0]]), 0.0, spotty, driver, cfg)
+        with pytest.raises(BlowUpError, match=r"\|X\| = nan at t = "):
+            solve_forward([1.0], 0.0, spotty, driver, cfg)
+
     @pytest.mark.parametrize("coefficients", ["builtin:geometric:0.5", "builtin:sin", "builtin:additive:0.8"])
     def test_probe_matches_oracle(self, coefficients):
         cfg = experiments.default_config("inverse", ladder=(2**7,), seeds=(0,), fine_n=2**10,

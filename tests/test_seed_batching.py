@@ -392,11 +392,11 @@ def test_stacked_endpoint_peaks_match_one_column_calls(d):
     spec = fbm.FbmSpec(0.75, d, 1.0, 1024, seed=4)
     fine = fbm.sample_circulant(spec).path
     approxes = [fbm.polygonal(fine, n) for n in (8, 64, 256)]
-    idx = _endpoint_indices(1024, "decimated")
+    idx = _endpoint_indices(1024)
     columns, gaps = _endpoint_peaks([fine, *approxes], a, idx)
-    assert columns == [_endpoint_peaks(p, a, idx) for p in [fine, *approxes]]
+    assert columns == [_endpoint_peaks([p], a, idx)[0][0] for p in [fine, *approxes]]
     for gap, approx in zip(gaps, approxes):
-        alone = _endpoint_peaks(approx - fine, a, idx)
+        alone = _endpoint_peaks([approx - fine], a, idx)[0][0]
         assert gap[1:] == alone[1:]
         assert gap[0] == pytest.approx(alone[0], rel=1e-12, abs=0.0)
 

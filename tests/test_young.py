@@ -11,7 +11,6 @@ from flowlab.errors import RegularityError
 from flowlab.paths import GridPath
 from flowlab.quadrature import cell_weights, increment_profile
 from flowlab.young import (
-    _scalar_zahle,
     default_bridge_order,
     indefinite_integral,
     rs_integral,
@@ -164,6 +163,19 @@ def inline_marchaud_zahle(fv, gv, a, h, rel):
     return -(left + interior + right)
 
 
+def per_column_zahle(f, g, a):
+    """``zahle_integral`` as it was: one scalar representation per column pair (i, j), summed over j."""
+    n, m = f.n_steps, g.dimension
+    d = f.dimension // m
+    fcols = f.values.reshape(n + 1, d, m)
+    rel = f.times - f.times[0]
+    out = np.zeros(d)
+    for i in range(d):
+        for j in range(m):
+            out[i] += inline_marchaud_zahle(fcols[:, i, j], g.values[:, j], a, f.step, rel)
+    return out
+
+
 class TestZahleIntegral:
     @pytest.mark.parametrize("a", [0.3, 0.45])
     @pytest.mark.parametrize("n", [2, 3, 17, 256, 2048])
@@ -173,7 +185,23 @@ class TestZahleIntegral:
             t, b = g.times, g.values[:, 0]
             for fv in (np.sin(t), 1.0 + np.cos(3.0 * t) + b, b * b):
                 expected = inline_marchaud_zahle(fv, b, a, g.step, t)
-                assert _scalar_zahle(fv, b, a, g.step, t) == pytest.approx(expected, rel=1e-12, abs=0.0)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # the order estimate of a short path
+                    value = zahle_integral(GridPath(t, fv), g, a)[0]
+                assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("a", [0.3, 0.45])
+    @pytest.mark.parametrize("n", [2, 3, 17, 256, 2048])
+    @pytest.mark.parametrize("d, m", [(2, 1), (1, 2), (2, 3)])
+    def test_columns_match_the_per_column_loop(self, d, m, n, a):
+        g = fbm.sample_circulant(fbm.FbmSpec(hurst=0.75, components=m, grid_size=n, seed=n + m)).path
+        t, b = g.times, g.values
+        cols = [np.sin((k + 1) * t) + b[:, k % m] * (1.0 + np.cos(k * t)) for k in range(d * m)]
+        f = GridPath(t, np.column_stack(cols))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the order estimate of a short path
+            value = zahle_integral(f, g, a)
+        assert value == pytest.approx(per_column_zahle(f, g, a), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("rough_side", ["f", "g"])
     def test_too_rough_path_raises(self, rough_side):
