@@ -19,7 +19,7 @@ from .errors import BlowUpError, EmbeddingError, RegularityError
 from .experiments import ExperimentConfig, default_config, run_experiment
 from .fraccalc import lambda_alpha_report
 from .paths import GridPath
-from .reporting import load_result, save_result, verify_result
+from .reporting import iter_series, load_result, save_result, verify_result
 from .sde import SolverConfig, solve_forward
 from .young import rs_integral, young_bound_check, zahle_integral
 
@@ -118,9 +118,7 @@ def _cmd_fbm_rate(args) -> int:
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["coarse_n", "median_error", "q25", "q75"])
-        s = result.summary
-        for row in zip(s["ladder"], s["median_error"], s["q25"], s["q75"]):
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        writer.writerows(dict(iter_series("rate", result.summary))["holder_error"])
     if args.result_dir:
         save_result(result, args.result_dir)
     print(f"wrote {args.out}; slope = {result.summary['fitted_slope']:.4f} "

@@ -71,6 +71,11 @@ def _zero_drift(d: int) -> Callable[[float, np.ndarray], np.ndarray]:
     return lambda t, x: np.zeros_like(_as_batch(x, d))
 
 
+def _constant_sigma(mat: np.ndarray) -> Callable[[float, np.ndarray], np.ndarray]:
+    d, m = mat.shape
+    return lambda t, x: np.broadcast_to(mat, _as_batch(x, d).shape[:-1] + (d, m)).copy()
+
+
 def builtin_field(kind: str, matrix: Optional[np.ndarray] = None, sigma0: float = 1.0) -> CoefficientField:
     """Ready-made fields: zero, additive, geometric, sin, linear-drift."""
     if kind == "zero":
@@ -79,13 +84,8 @@ def builtin_field(kind: str, matrix: Optional[np.ndarray] = None, sigma0: float 
     if kind == "additive":
         mat = np.atleast_2d(np.asarray(matrix if matrix is not None else [[sigma0]], dtype=float))
         d, m = mat.shape
-
-        def sigma(t, x):
-            x = _as_batch(x, d)
-            return np.broadcast_to(mat, x.shape[:-1] + (d, m)).copy()
-
         return CoefficientField(
-            sigma, _zero_drift(d), d, m,
+            _constant_sigma(mat), _zero_drift(d), d, m,
             sigma_lipschitz=0.0, dsigma_holder=0.0, time_holder=0.0,
             drift_lipschitz=0.0, drift_growth=0.0,
             name="additive", sigma_bound=float(np.linalg.norm(mat)),
@@ -122,16 +122,8 @@ def builtin_field(kind: str, matrix: Optional[np.ndarray] = None, sigma0: float 
     if kind == "linear-drift":
         mat = np.atleast_2d(np.asarray(matrix if matrix is not None else [[sigma0]], dtype=float))
         d, m = mat.shape
-
-        def sigma(t, x):
-            x = _as_batch(x, d)
-            return np.broadcast_to(mat, x.shape[:-1] + (d, m)).copy()
-
-        def drift(t, x):
-            return -_as_batch(x, d)
-
         return CoefficientField(
-            sigma, drift, d, m,
+            _constant_sigma(mat), lambda t, x: -_as_batch(x, d), d, m,
             sigma_lipschitz=0.0, dsigma_holder=0.0, time_holder=0.0,
             drift_lipschitz=1.0, drift_growth=1.0,
             name="linear-drift", sigma_bound=float(np.linalg.norm(mat)),

@@ -11,7 +11,6 @@ statistic is recomputable from the records alone.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field as dc_field
 from typing import Callable, NamedTuple, Optional
@@ -48,13 +47,6 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def _integral(name: str, v) -> int:
-    """``v`` as an int: 64 and 64.0 are kept as 64, and 16.5 is rejected, naming the field."""
-    if isinstance(v, numbers.Integral) or (isinstance(v, numbers.Real) and float(v).is_integer()):
-        return int(v)
-    raise ValueError(f"{name} must be integral, got {v!r}")
-
-
 @dataclass
 class ExperimentConfig:
     """Field-for-field mirror of the JSON experiment configuration."""
@@ -89,9 +81,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}; expected one of {EXPERIMENT_KINDS}")
         kind = _KINDS[self.kind]
         for name in ("fine_n", "solver_n", "probe_n", "probe_seeds", "pair_count"):
-            setattr(self, name, _integral(name, getattr(self, name)))
+            setattr(self, name, fbm._integral(name, getattr(self, name)))
         for name in ("ladder", "seeds", "sample_counts", "moment_orders"):
-            setattr(self, name, tuple(_integral(name, v) for v in getattr(self, name)))
+            setattr(self, name, tuple(fbm._integral(name, v) for v in getattr(self, name)))
         self.initial_points = tuple(tuple(float(c) for c in np.atleast_1d(p)) for p in self.initial_points)
         self.probe_fan = tuple(float(v) for v in self.probe_fan)
         if not self.seeds:
@@ -181,14 +173,7 @@ class ExperimentConfig:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["ladder"] = list(self.ladder)
-        doc["seeds"] = list(self.seeds)
-        doc["initial_points"] = [list(p) for p in self.initial_points]
-        doc["probe_fan"] = list(self.probe_fan)
-        doc["sample_counts"] = list(self.sample_counts)
-        doc["moment_orders"] = list(self.moment_orders)
-        return doc
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -272,6 +257,19 @@ def _fine_driver(config: ExperimentConfig, seed: int, components: int = 1) -> Gr
     return fbm.sample_circulant(spec).path
 
 
+def _sampled_march(config: ExperimentConfig, c: CoefficientField, x0s: np.ndarray, n: int, seed: int):
+    """The Euler states (steps, B, ..., d) of ``_march``, block by block, from grid index 0.
+
+    Member x0s[i] runs under path i of one circulant batch of B = len(x0s)
+    fBm paths on n steps, drawn from ``seed``.
+    """
+    spec = fbm.FbmSpec(config.hurst, c.noise_dim, config.horizon, n, seed=seed)
+    drivers = fbm.sample_paths(spec, x0s.shape[0], method="circulant")
+    h = config.horizon / n
+    for _, states in _march(x0s, 0, c, np.arange(n + 1) * h, drivers, h):
+        yield states
+
+
 def _auto_lambda(config: ExperimentConfig, driver: GridPath) -> float:
     """Discount rate making lambda^{2a-1} * Lambda_a(driver) = 1/4, capped against underflow."""
     if config.lambda_weight is not None:
@@ -297,14 +295,14 @@ def _time_pairs(horizon: float) -> list:
     return [(r, t) for r in marks for t in marks if t >= r]
 
 
-def _replayed(run, count: int, alone=None) -> tuple:
+def _replayed(run, count: int) -> tuple:
     """Run ``run(sel, out)`` once over all ``count`` members; if it raises, once per member.
 
     ``run`` fills the dict ``out`` for the member positions in ``sel``.  In
     a batch, one member's failure stops every member, and the blow-up
     guard names the worst of them all; so a failed batch is replayed
-    member by member, through ``alone`` (``run`` by default), and each
-    member keeps exactly the entries and the exception it gets on its own.
+    member by member, and each member keeps exactly the entries and the
+    exception it gets on its own.
     Returns ``(out, errors)``: errors[k] is the exception member k raised
     alone, or None.
     """
@@ -317,7 +315,7 @@ def _replayed(run, count: int, alone=None) -> tuple:
     errors = []
     for k in range(count):
         try:
-            (alone or run)([k], out)
+            run([k], out)
             errors.append(None)
         except Exception as exc:
             errors.append(exc)
@@ -481,16 +479,12 @@ def _run_sortedness_probe(config: ExperimentConfig, c: CoefficientField) -> list
     if c.dim != 1:
         return []
     fan = np.sort(np.asarray(config.probe_fan, dtype=float))[:, None]
-    n = config.probe_n
-    rec = {"seed": -1, "n": n, "r": 0.0, "t": config.horizon, "point": -1,
+    rec = {"seed": -1, "n": config.probe_n, "r": 0.0, "t": config.horizon, "point": -1,
            "status": "probe", "disc_xy": np.nan, "disc_yx": np.nan}
     try:
-        spec = fbm.FbmSpec(config.hurst, c.noise_dim, config.horizon, n, seed=0)
-        drivers = fbm.sample_paths(spec, config.probe_seeds, method="circulant")
-        h = config.horizon / n
         x0s = np.broadcast_to(fan, (config.probe_seeds,) + fan.shape)
         min_gap = np.full(config.probe_seeds, np.inf)
-        for _, states in _march(x0s, 0, c, np.arange(n + 1) * h, drivers, h):
+        for states in _sampled_march(config, c, x0s, config.probe_n, seed=0):
             min_gap = np.minimum(min_gap, np.diff(states[..., 0], axis=-1).min(axis=(0, 2)))
     except Exception as exc:  # a failed probe is one error cell; the pair cells stand
         rec["status"] = _status(exc)
@@ -587,8 +581,9 @@ def _run_rate(config: ExperimentConfig) -> list:
     """Per seed, one decimated endpoint pass over B and every polygonal approximation B^n.
 
     Lambda(B^n - B) is read from the difference of the rows of B^n and B.
-    If the pass raises, each rung is replayed on its own through
-    ``lambda_alpha`` and keeps the status it gets there.
+    If the pass raises, each rung is replayed in an endpoint pass of its
+    own, which gives it the values the full pass would have, and keeps the
+    status it gets there.
     """
     records = []
     for seed in config.seeds:
@@ -603,15 +598,7 @@ def _run_rate(config: ExperimentConfig) -> list:
             for k, (coarse, diff) in zip(sel, _lambda_ladder(fine, approxes, config.alpha)):
                 out[k].update(lambda_coarse=coarse, lambda_diff=diff)
 
-        def alone(sel, out):
-            (k,) = sel
-            approx = fbm.polygonal(fine, config.ladder[k])
-            cell = out[k] = {}
-            cell["holder_error"] = fbm.holder_error(fine, approx, config.theta)
-            cell["lambda_coarse"] = lambda_alpha(approx, config.alpha)
-            cell["lambda_diff"] = lambda_alpha(approx - fine, config.alpha)
-
-        cells, errors = _replayed(run, len(config.ladder), alone)
+        cells, errors = _replayed(run, len(config.ladder))
         for k, coarse_n in enumerate(config.ladder):
             rec = {"seed": seed, "coarse_n": coarse_n, "status": _status(errors[k]),
                    "holder_error": np.nan, "lambda_coarse": np.nan,
@@ -720,24 +707,21 @@ def _run_init_continuity(config: ExperimentConfig) -> list:
 
 def _summarize_init(config: ExperimentConfig, records: list) -> dict:
     ratios = np.array([float(r["ratio"]) for r in records if r["status"] == "ok"])
-    summary = {
+    return {
         "pairs": len(ratios),
-        "ratio_median": np.nan,
-        "ratio_max": np.nan,
-        "ratio_spread": np.nan,
-        "max_deviation_from_one": np.nan,
+        **_ratio_stats(ratios),
+        "max_deviation_from_one": float(np.max(np.abs(ratios - 1.0))) if len(ratios) else np.nan,
         "exact_field": config.field().grid_exact,
         "error_records": _error_count(records),
     }
-    if len(ratios):  # with no ok pair every statistic stays NaN, so its check is false
-        med = float(np.median(ratios))
-        summary.update(
-            ratio_median=med,
-            ratio_max=float(np.max(ratios)),
-            ratio_spread=float(np.max(ratios) / med) if med > 0 else np.inf,
-            max_deviation_from_one=float(np.max(np.abs(ratios - 1.0))),
-        )
-    return summary
+
+
+def _ratio_stats(ratios) -> dict:
+    """Median, max and spread (max / median) of the nonnegative ok ratios; all NaN for none, so a check on them is false."""
+    if not len(ratios):
+        return {"ratio_median": np.nan, "ratio_max": np.nan, "ratio_spread": np.nan}
+    med, top = float(np.median(ratios)), float(np.max(ratios))
+    return {"ratio_median": med, "ratio_max": top, "ratio_spread": top / med if med > 0 else np.inf}
 
 
 def _checks_init(config: ExperimentConfig, summary: dict) -> dict:
@@ -799,16 +783,12 @@ def _summarize_driver(config: ExperimentConfig, records: list) -> dict:
     log_pairs = [(math.log(lam), math.log(sol)) for sol, lam in gaps if lam > 0 and sol > 0]
     med_gap = [_median([float(r["sol_gap"]) for r in rows[n]]) for n in ladder]
     med_lam = [_median([float(r["lambda_gap"]) for r in rows[n]]) for n in ladder]
-    med_ratio = _median(ratios)
-    max_ratio = float(np.max(ratios)) if ratios else np.nan
     corr = float(np.corrcoef(*zip(*log_pairs))[0, 1]) if len(log_pairs) > 2 else np.nan
     return {
         "ladder": ladder,
         "median_sol_gap": med_gap,
         "median_lambda_gap": med_lam,
-        "ratio_median": med_ratio,
-        "ratio_max": max_ratio,
-        "ratio_spread": max_ratio / med_ratio if med_ratio != 0 else np.inf,
+        **_ratio_stats(ratios),
         "log_correlation": corr,
         "error_records": _error_count(records),
     }
@@ -832,15 +812,10 @@ def _checks_driver(config: ExperimentConfig, summary: dict) -> dict:
 
 def _run_moments(config: ExperimentConfig) -> list:
     c = config.field()
-    n = config.solver_n
-    total = max(config.sample_counts)
-    h = config.horizon / n
-    x0s = np.full((total, c.dim), config.moment_x0)
+    x0s = np.full((max(config.sample_counts), c.dim), config.moment_x0)
     sup_abs = np.linalg.norm(x0s, axis=-1)
     try:
-        spec = fbm.FbmSpec(config.hurst, c.noise_dim, config.horizon, n, seed=config.seeds[0])
-        drivers = fbm.sample_paths(spec, total, method="circulant")
-        for _, states in _march(x0s, 0, c, np.arange(n + 1) * h, drivers, h):
+        for states in _sampled_march(config, c, x0s, config.solver_n, seed=config.seeds[0]):
             sup_abs = np.maximum(sup_abs, np.linalg.norm(states, axis=-1).max(axis=0))
     except Exception as exc:  # every path shares the pass, so a failure is one error cell for all of them
         return [{"path": -1, "sup_abs": np.nan, "status": _status(exc)}]

@@ -12,6 +12,7 @@ spectrum and FFT output) is bounded by one block, not by the batch size.
 
 from __future__ import annotations
 
+import numbers
 import threading
 from dataclasses import dataclass
 from typing import Union
@@ -42,6 +43,13 @@ _eig_cache: dict[tuple[float, int], np.ndarray] = {}
 _eig_lock = threading.Lock()
 
 
+def _integral(name: str, v) -> int:
+    """``v`` as an int: 64 and 64.0 are kept as 64, and 16.5 is rejected, naming the field."""
+    if isinstance(v, numbers.Integral) or (isinstance(v, numbers.Real) and float(v).is_integer()):
+        return int(v)
+    raise ValueError(f"{name} must be integral, got {v!r}")
+
+
 @dataclass(frozen=True)
 class FbmSpec:
     """Hurst exponent, component count, horizon, grid size, seed: fully determines a sample."""
@@ -55,13 +63,15 @@ class FbmSpec:
     def __post_init__(self):
         if not (0.0 < self.hurst < 1.0):
             raise ValueError(f"Hurst parameter must lie in (0, 1), got {self.hurst}")
+        for name in ("components", "grid_size", "seed"):
+            object.__setattr__(self, name, _integral(name, getattr(self, name)))
         if self.components < 1:
             raise ValueError("need at least one component")
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.horizon < np.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if self.grid_size < 2:
             raise ValueError("grid size must be at least 2")
-        if not (0 <= int(self.seed) < 2**64):
+        if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 unsigned bits")
 
     @property

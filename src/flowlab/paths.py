@@ -68,6 +68,8 @@ class GridPath:
         n = times.shape[0] - 1
         if n < 1:
             raise ValueError("a GridPath needs at least two grid points")
+        if not np.isfinite(times).all():  # a NaN gap would pass the uniform-grid test below
+            raise ValueError("times must be finite")
         h = (times[-1] - times[0]) / n
         if h <= 0.0:
             raise ValueError("times must be strictly increasing")

@@ -76,16 +76,26 @@ def weighted_integral(phi: np.ndarray, p: float, h: float) -> float:
     return float(first + rest)
 
 
-def _causal_convolve(f: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Rows 0..n of the linear convolution of each column of f (n+1, d) with c (n+1,).
+def _left_node_sums(values: np.ndarray, p: float, h: float) -> tuple:
+    """The node values f (n+1, d), the cell weights (beta, gamma) for cells 0..n+1, and the left-node sums s.
 
-    One rfft/irfft pair at the shortest power-of-2 length >= 2n + 1, so no
-    wrapped term lands on a row in use.
+    Row k of s (n+1, d) sums f(t_j) over the nodes j < k, with weight
+    ``beta(k)`` for node 0 and ``cp[k - j] = beta(k - j) + gamma(k - j + 1)``
+    otherwise; row 0 is empty.  cp is convolved in through one rfft/irfft
+    pair at the shortest power-of-2 length >= 2n + 1, so no wrapped term
+    lands on a row in use, and f(0) * gamma(k + 1) is taken off each row.
     """
+    vals = np.asarray(values, dtype=float)
+    f = vals[:, None] if vals.ndim == 1 else vals
     n = f.shape[0] - 1
+    beta, gamma = cell_weights(p, h, n + 1)
+    cp = np.zeros(n + 1)
+    cp[1:] = beta[1:-1] + gamma[2:]
     size = 1 << (2 * n).bit_length()
-    spec = np.fft.rfft(f, size, axis=0) * np.fft.rfft(c, size)[:, None]
-    return np.fft.irfft(spec, size, axis=0)[: n + 1]
+    s = np.fft.irfft(np.fft.rfft(f, size, axis=0) * np.fft.rfft(cp, size)[:, None], size, axis=0)[: n + 1]
+    s[1:] -= f[0] * gamma[2:, None]
+    s[0] = 0.0
+    return f, beta, gamma, s
 
 
 def kernel_profile(values: np.ndarray, p: float, h: float) -> np.ndarray:
@@ -97,18 +107,10 @@ def kernel_profile(values: np.ndarray, p: float, h: float) -> np.ndarray:
     """
     if p <= -1.0:
         raise ValueError("kernel_profile requires p > -1; use increment_profile for stronger singularities")
-    vals = np.asarray(values, dtype=float)
-    scalar = vals.ndim == 1
-    f = vals[:, None] if scalar else vals
-    n = f.shape[0] - 1
-    beta, gamma = cell_weights(p, h, n + 1)
-    c = np.zeros(n + 1)
-    c[0] = gamma[1]
-    c[1:] = beta[1:-1] + gamma[2:]
-    out = _causal_convolve(f, c)
-    out -= f[0] * gamma[1:, None]
-    out[0] = 0.0  # empty integral; clears FFT residue
-    return out[:, 0] if scalar else out
+    f, _, gamma, s = _left_node_sums(values, p, h)
+    out = s + gamma[1] * f  # node k itself
+    out[0] = 0.0  # empty integral
+    return out.reshape(np.shape(values))
 
 
 def increment_profile(values: np.ndarray, p: float, h: float) -> np.ndarray:
@@ -119,23 +121,14 @@ def increment_profile(values: np.ndarray, p: float, h: float) -> np.ndarray:
     """
     if not (-2.0 < p < -1.0):
         raise ValueError(f"increment_profile requires p in (-2, -1), got {p}")
-    vals = np.asarray(values, dtype=float)
-    scalar = vals.ndim == 1
-    f = vals[:, None] if scalar else vals
-    n = f.shape[0] - 1
-    beta, gamma = cell_weights(p, h, n + 1)
-    k = np.arange(n + 1, dtype=float)
-    t = k * h
+    f, beta, _, s = _left_node_sums(values, p, h)
+    t = np.arange(f.shape[0], dtype=float) * h
     with np.errstate(divide="ignore", invalid="ignore"):
         w_total = (t ** (p + 1.0) - h ** (p + 1.0)) / (p + 1.0) + beta[1]
     w_total[0] = 0.0
-    cp = np.zeros(n + 1)
-    cp[1:] = beta[1:-1] + gamma[2:]
-    s = _causal_convolve(f, cp)
-    s[1:] -= f[0] * gamma[2:, None]  # row k subtracts f(0) * gamma(k+1); row 0 is zeroed below
     out = f * w_total[:, None] - s
     out[0] = 0.0
-    return out[:, 0] if scalar else out
+    return out.reshape(np.shape(values))
 
 
 _CHUNK = 64  # rows of one block of abs_increment_profile

@@ -36,13 +36,16 @@ class TestFbmCommands:
         out = tmp_path / "rate.csv"
         code = run_cli("fbm", "rate", "--hurst", "0.75", "--theta", "0.55",
                        "--fine", str(2**10), "--coarse", "16,32,64", "--seeds", "6",
-                       "--out", str(out))
+                       "--out", str(out), "--result-dir", str(tmp_path / "result"))
         lines = out.read_text().splitlines()
         assert lines[0] == "coarse_n,median_error,q25,q75"
         assert len(lines) == 4
         med = [float(line.split(",")[1]) for line in lines[1:]]
         assert med[0] > med[1] > med[2]
         assert code in (0, 1)  # slope band is not asserted at this toy scale
+        # the data rows are those of the persisted holder_error series, text for text
+        series = (tmp_path / "result" / "series_holder_error.csv").read_text().splitlines()
+        assert lines[1:] == series[1:]
 
 
 class TestFraccalcCommand:
@@ -55,6 +58,13 @@ class TestFraccalcCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["endpoint_mode"] == "decimated"
         assert 0.0 < doc["lambda_alpha"] <= doc["upper_bound"]
+
+    def test_lambda_rejects_nonfinite_times(self, tmp_path, capsys):
+        # it used to print "attained_t": Infinity, which is not JSON, and exit 0
+        src = tmp_path / "g.csv"
+        src.write_text("t,x1\n0,0\n1,1\n2,0.5\ninf,2\n")
+        assert run_cli("fraccalc", "lambda", "--alpha", "0.3", "--in", str(src)) == 2
+        assert "times must be finite" in capsys.readouterr().err
 
     def test_exact_flag(self, tmp_path, capsys):
         src = tmp_path / "g.csv"

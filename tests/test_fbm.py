@@ -135,6 +135,24 @@ class TestSamplers:
         with pytest.raises(ValueError):
             fbm.FbmSpec(hurst=0.5, grid_size=1)
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("horizon", np.nan, "horizon must be positive and finite"),  # sampling then failed on "path values"
+        ("horizon", np.inf, "horizon must be positive and finite"),
+        ("seed", 1.7, "seed must be integral"),  # it drew seed 1's path
+        ("grid_size", 16.5, "grid_size must be integral"),
+        ("components", 1.5, "components must be integral"),
+    ])
+    def test_rejects_nonfinite_horizon_and_nonintegral_counts(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            fbm.FbmSpec(**{"hurst": 0.75, "grid_size": 8, field: value})
+
+    def test_integral_floats_are_kept_as_ints(self):
+        spec = fbm.FbmSpec(0.75, 2.0, 1.0, 8.0, 3.0)
+        assert (spec.components, spec.grid_size, spec.seed) == (2, 8, 3)
+        assert all(type(v) is int for v in (spec.components, spec.grid_size, spec.seed))
+        assert np.array_equal(fbm.sample_circulant(spec).path.values,
+                              fbm.sample_circulant(fbm.FbmSpec(0.75, 2, 1.0, 8, 3)).path.values)
+
 
 class TestPolygonal:
     def test_identity_at_full_resolution(self):

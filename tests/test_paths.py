@@ -36,6 +36,17 @@ class TestGridPath:
         with pytest.raises(ValueError):
             GridPath(np.array([0.0, 0.3, 1.0]), np.zeros(3))
 
+    @pytest.mark.parametrize("times", [
+        [0.0, 0.5, np.nan, 1.5],
+        [0.0, 1.0, 2.0, np.inf],
+        [np.nan, 1.0, 2.0, 3.0],
+        [-np.inf, 0.0, 1.0, 2.0],
+    ])
+    def test_rejects_nonfinite_times(self, times):
+        # the uniform-grid test compares a NaN gap with its tolerance, which is false, so these passed it
+        with pytest.raises(ValueError, match="times must be finite"):
+            GridPath(np.array(times), np.array([0.0, 1.0, 0.5, 2.0]))
+
     def test_rejects_nonfinite_values(self):
         with pytest.raises(ValueError):
             GridPath(np.array([0.0, 0.5, 1.0]), np.array([0.0, np.nan, 1.0]))

@@ -410,20 +410,29 @@ def test_a_failed_endpoint_pass_is_replayed_one_rung_at_a_time(monkeypatch):
             raise ValueError("injected failure")
         return real(path, coarse_n)
 
+    unfailed = experiments._run_rate(cfg)
     monkeypatch.setattr(fbm, "polygonal", failing)
     replayed = experiments._run_rate(cfg)
     assert {(r["coarse_n"], r["status"]) for r in replayed} == {
         (8, "ok"), (16, "error: injected failure"), (32, "ok"), (64, "ok")}
-    # the replay goes through lambda_alpha, so every record equals the per-call runner's bit for bit
-    assert bits(replayed) == bits(per_call_rate(cfg))
+    assert_rate_records_match(replayed, per_call_rate(cfg))
+    # each rung is replayed in an endpoint pass of its own, which gives an ok rung its stacked values
+    ok = [r for r in replayed if r["status"] == "ok"]
+    assert bits(ok) == bits([r for r in unfailed if r["coarse_n"] != 16])
 
 
 def test_a_raising_endpoint_pass_leaves_every_rung_ok(monkeypatch):
-    def raising(*args):
-        raise FloatingPointError("stacked pass failed")
+    real = experiments._lambda_ladder
 
-    monkeypatch.setattr(experiments, "_lambda_ladder", raising)
+    def raising(fine, approxes, alpha):  # only a pass over more than one rung fails
+        if len(approxes) > 1:
+            raise FloatingPointError("stacked pass failed")
+        return real(fine, approxes, alpha)
+
     cfg = default_config("rate", fine_n=512, ladder=(8, 16, 32), seeds=(0, 1))
+    unfailed = experiments._run_rate(cfg)
+    monkeypatch.setattr(experiments, "_lambda_ladder", raising)
     replayed = experiments._run_rate(cfg)
     assert all(r["status"] == "ok" for r in replayed)
-    assert bits(replayed) == bits(per_call_rate(cfg))
+    assert_rate_records_match(replayed, per_call_rate(cfg))
+    assert bits(replayed) == bits(unfailed)
