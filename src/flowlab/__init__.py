@@ -11,7 +11,6 @@ from .paths import (
     GridPath,
     f_alpha_one_norm,
     holder_seminorm,
-    w_alpha_inf_norm,
     w_alpha_lambda_norm,
     w_one_minus_alpha_norm,
 )
@@ -21,7 +20,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GridPath",
     "holder_seminorm",
-    "w_alpha_inf_norm",
     "w_alpha_lambda_norm",
     "w_one_minus_alpha_norm",
     "f_alpha_one_norm",

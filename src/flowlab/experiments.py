@@ -709,6 +709,8 @@ def _summarize_init(config: ExperimentConfig, records: list) -> dict:
     ratios = np.array([float(r["ratio"]) for r in records if r["status"] == "ok"])
     return {
         "pairs": len(ratios),
+        # the discounted sup sits at t = 0, where the gap is x - y: such a ratio reads the solution nowhere else
+        "sup_at_origin_pairs": int(np.sum(np.abs(ratios - 1.0) <= 1e-12)),
         **_ratio_stats(ratios),
         "max_deviation_from_one": float(np.max(np.abs(ratios - 1.0))) if len(ratios) else np.nan,
         "exact_field": config.field().grid_exact,

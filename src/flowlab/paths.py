@@ -16,12 +16,12 @@ from typing import Callable, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .quadrature import _PATH_CHUNK, abs_increment_profile, cell_weights, weighted_integral
+from .quadrature import _CHUNK, _LAG_EXACT, _PATH_CHUNK, _abs_block, _abs_buffers, _abs_weights
+from .quadrature import abs_increment_profile, cell_weights, weighted_integral
 
 __all__ = [
     "GridPath",
     "holder_seminorm",
-    "w_alpha_inf_norm",
     "w_alpha_lambda_norm",
     "w_one_minus_alpha_norm",
     "f_alpha_one_norm",
@@ -259,24 +259,31 @@ def holder_seminorm(f: GridPath, order: float) -> float:
     return _lag_sup(f.values, [(lag * h) ** lam for lag in range(1, f.n_steps + 1)])
 
 
-def w_alpha_inf_norm(f: GridPath, alpha: float) -> float:
-    """The W^{alpha,infinity}_0 norm: sup_t of |f(t)| plus the alpha-increment tail."""
-    return w_alpha_lambda_norm(f, alpha, 0.0)
-
-
 def w_alpha_lambda_norm(f: GridPath, alpha: float, lambda_weight: float) -> float:
-    """Exponentially discounted variant: sup_t e^{-lambda t} (|f(t)| + tail)."""
+    """Exponentially discounted W^{alpha,infinity}_0 norm: sup_t e^{-lambda t} (|f(t)| + tail).
+
+    ``lambda_weight = 0`` gives the undiscounted W^{alpha,infinity}_0 norm.
+    """
     return float(_w_alpha_lambda_norms(f.values[None], f.times, alpha, lambda_weight)[0])
+
+
+_BOUND_MARGIN = 1.0 + 1e-12  # so that rounding cannot let the row bound skip the winner
 
 
 def _w_alpha_lambda_norms(values: np.ndarray, times: np.ndarray, alpha: float,
                           lambda_weight: float) -> np.ndarray:
     """``w_alpha_lambda_norm`` of each path of ``values`` (P, n+1, d) on the uniform grid ``times``.
 
-    The per-node values |f(t)| + integral_0^t |f(t)-f(s)| (t-s)**(-alpha-1) ds
-    come from ``abs_increment_profile``, ``_PATH_CHUNK`` paths at a time,
-    and each chunk is reduced to its norms before the next starts, so no
-    (P, n+1) profile is held.
+    The row values e^{-lambda t_k} (|f(t_k)| + I[k]), with I the
+    ``abs_increment_profile`` of the exponent -alpha-1, are computed
+    ``_PATH_CHUNK`` paths at a time, a block of ``_CHUNK`` rows at a time,
+    and only for the blocks that can beat the incumbent sup (row 0, where
+    I = 0, to begin with).  ``_row_bounds`` bounds every row from above;
+    a block whose bound cannot beat the incumbent of any path of the chunk
+    is skipped, and the walk stops once the suffix maximum of the bounds
+    cannot.  A block that runs, runs for the whole chunk through the block
+    body of ``abs_increment_profile``, so each computed row, and the sup,
+    is bit-identical to the full profile's.  No (P, n+1) array is held.
     """
     if not np.isfinite(values).all():
         raise ValueError("path values must be finite")
@@ -285,14 +292,63 @@ def _w_alpha_lambda_norms(values: np.ndarray, times: np.ndarray, alpha: float,
         raise ValueError(f"lambda_weight must be finite, got {lambda_weight}")
     if lambda_weight < 0.0:
         raise ValueError("lambda_weight must be nonnegative")
-    h = (times[-1] - times[0]) / (times.shape[0] - 1)
+    n = times.shape[0] - 1
+    h = (times[-1] - times[0]) / n
     discount = np.exp(-lambda_weight * (times - times[0]))
+    weights = _abs_weights(-a - 1.0, h, n)
+    cp = weights[1][n - 1 :: -1]  # rev reversed: cp(1) .. cp(n)
     norms = np.empty(values.shape[0])
     for p0 in range(0, values.shape[0], _PATH_CHUNK):
         chunk = values[p0 : p0 + _PATH_CHUNK]
-        profile = np.linalg.norm(chunk, axis=2) + abs_increment_profile(chunk, -a - 1.0, h)
-        norms[p0 : p0 + _PATH_CHUNK] = (discount * profile).max(axis=1)
+        mags = np.linalg.norm(chunk, axis=2)
+        bound = _row_bounds(chunk, cp, discount, mags)
+        block_bound = np.maximum.reduceat(bound[:, 1:], np.arange(0, n, _CHUNK), axis=1)
+        reach = np.maximum.accumulate(block_bound[:, ::-1], axis=1)[:, ::-1]
+        best = discount[0] * mags[:, 0]
+        # sized as abs_increment_profile(chunk) sizes them, so each computed row is bit-identical to its
+        buffers = _abs_buffers(n, chunk.shape[0], chunk.shape[2])
+        f = np.ascontiguousarray(chunk.transpose(2, 1, 0))  # f[c, k, path]
+        for b, k0 in enumerate(range(1, n + 1, _CHUNK)):
+            if (reach[:, b] <= best).all():
+                break
+            if (block_bound[:, b] > best).any():
+                rows = _abs_block(f, k0, *weights, *buffers)
+                k1 = k0 + rows.shape[1]
+                best = np.maximum(best, (discount[k0:k1] * (mags[:, k0:k1] + rows)).max(axis=1))
+        norms[p0 : p0 + _PATH_CHUNK] = best
     return norms
+
+
+def _row_bounds(chunk: np.ndarray, cp: np.ndarray, discount: np.ndarray, mags: np.ndarray) -> np.ndarray:
+    """An upper bound (P, n+1) of every row value e^{-lambda t_k} (|f(t_k)| + I[k]) of a chunk (P, n+1, d).
+
+    ``cp[g - 1]`` is the weight ``beta(g) + gamma(g + 1)`` of the node g
+    steps before the row, and ``mags`` holds |f(t_k)|.  Every distance
+    |f(t_k) - f(t_j)| is at most rho, the norm of the componentwise range,
+    and at most the lag peak M(k - j).  M is exact for lags up to G =
+    ``_LAG_EXACT`` and subadditive beyond: M(qG + r) <= q M(G) + M(r).
+    The weights are positive and node 0's weight beta(k) is at most cp(k),
+    so I[k] <= sum_{g <= k} cp(g) min(rho, M(g)): one cumulative sum per
+    path.  The bound carries the margin ``_BOUND_MARGIN``.
+    """
+    n = chunk.shape[1] - 1
+    lags = min(_LAG_EXACT, n)
+    peak = np.zeros((chunk.shape[0], lags + 1))
+    for g in range(1, lags + 1):
+        diff = chunk[:, g:] - chunk[:, :-g]
+        peak[:, g] = np.sqrt(np.einsum("pkc,pkc->pk", diff, diff).max(axis=1))
+    q, r = np.divmod(np.arange(1, n + 1), lags)
+    rho = np.linalg.norm(chunk.max(axis=1) - chunk.min(axis=1), axis=1)
+    dist_bound = peak[:, r]
+    dist_bound += q * peak[:, lags, None]
+    np.minimum(dist_bound, rho[:, None], out=dist_bound)
+    dist_bound *= cp
+    np.cumsum(dist_bound, axis=1, out=dist_bound)
+    bound = mags.copy()
+    bound[:, 1:] += dist_bound
+    bound *= discount
+    bound *= _BOUND_MARGIN
+    return bound
 
 
 def _sweep_weights(a: float, h: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

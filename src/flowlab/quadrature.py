@@ -132,6 +132,7 @@ def increment_profile(values: np.ndarray, p: float, h: float) -> np.ndarray:
 
 
 _CHUNK = 64  # rows of one block of abs_increment_profile
+_LAG_EXACT = 16  # lags with an exact peak in the row bound of the pruned sup of paths.w_alpha_lambda_norm
 _PATH_CHUNK = 64  # paths of one block of a batched abs_increment_profile
 _DIST_ELEMENTS = 2**18  # entries of the distance buffer of abs_increment_profile (2 MB)
 
@@ -141,61 +142,88 @@ def abs_increment_profile(values: np.ndarray, p: float, h: float) -> np.ndarray:
 
     The absolute value (Euclidean over components) breaks the convolution
     structure, so this runs the O(n^2) product-integration sum in blocks of
-    ``_CHUNK`` rows.  p in (-2, -1).  ``values`` is one path, (n+1,) or
-    (n+1, d), giving (n+1,), or a batch of paths (P, n+1, d), giving
-    (P, n+1); a single path is a batch of one.
-
-    Node j < k of row k carries the weight ``cp[k - j]`` with
-    ``cp[g] = beta(g) + gamma(g + 1)``, except node 0, which carries
-    ``beta(k)`` only.  The weights are therefore Toeplitz in k - j: ``cp``
-    is stored once, reversed and zero-padded, and each block's weights are
-    a strided window view of that vector, with every node j >= k landing on
-    the zero padding.  Paths are taken ``_PATH_CHUNK`` at a time, copied
-    time-major so the path axis is innermost: every subtraction then runs
-    over contiguous paths, and one einsum contracts a block's rows for all
-    of them.  The distances |f(t_k) - f(t_j)| of a block are written into
-    one buffer allocated per call (for d > 1 the squared components are
-    accumulated there before one square root), a slice of rows at a time:
-    the buffer holds at most ``_DIST_ELEMENTS`` entries, so a long path
-    does not allocate (and touch) a 16 MB buffer per call.  Each row's sum
-    is the same whatever the slice.
+    ``_CHUNK`` rows, every block of every path.  p in (-2, -1).  ``values``
+    is one path, (n+1,) or (n+1, d), giving (n+1,), or a batch of paths
+    (P, n+1, d), giving (P, n+1); a single path is a batch of one.  Paths
+    are taken ``_PATH_CHUNK`` at a time, and each block goes through
+    ``_abs_block``, the one block body that the pruned sup of
+    ``paths.w_alpha_lambda_norm`` runs on only the blocks that can win.
     """
     if not (-2.0 < p < -1.0):
         raise ValueError(f"abs_increment_profile requires p in (-2, -1), got {p}")
     vals = np.asarray(values, dtype=float)
     paths = vals[:, None] if vals.ndim == 1 else vals
     paths = paths if paths.ndim == 3 else paths[None]
-    count, n, dim = paths.shape[0], paths.shape[1] - 1, paths.shape[2]
+    count, n = paths.shape[0], paths.shape[1] - 1
+    weights = _abs_weights(p, h, n)
+    buffers = _abs_buffers(n, min(_PATH_CHUNK, count), paths.shape[2])
+    out = np.zeros((count, n + 1))
+    for p0 in range(0, count, _PATH_CHUNK):
+        f = np.ascontiguousarray(paths[p0 : p0 + _PATH_CHUNK].transpose(2, 1, 0))  # f[c, k, path]
+        for k0 in range(1, n + 1, _CHUNK):
+            out[p0 : p0 + _PATH_CHUNK, k0 : k0 + _CHUNK] = _abs_block(f, k0, *weights, *buffers)
+    return out if vals.ndim == 3 else out[0]
+
+
+def _abs_weights(p: float, h: float, n: int) -> tuple:
+    """The weights of ``_abs_block``: the cell weights beta(k) and ``rev``.
+
+    ``rev[n - g] = cp[g] = beta(g) + gamma(g + 1)`` for g = 1..n, and
+    ``rev[n:] = 0`` covers every gap g <= 0.
+    """
     beta, gamma = cell_weights(p, h, n + 1)
-    # rev[n - g] = cp[g] for g = 1..n; rev[n:] = 0 covers every gap g <= 0
     rev = np.zeros(2 * n)
     rev[:n] = (beta[1:-1] + gamma[2:])[::-1]
-    width = min(_PATH_CHUNK, count)
+    return beta, rev
+
+
+def _abs_buffers(n: int, width: int, dim: int) -> tuple:
+    """The distance buffer of ``_abs_block`` (and its squares buffer for dim > 1) for chunks of at most ``width`` paths.
+
+    It holds at most ``_DIST_ELEMENTS`` entries, so a long path does not
+    allocate (and touch) a 16 MB buffer per call.
+    """
     rows = min(_CHUNK, n, max(1, _DIST_ELEMENTS // ((n + 1) * width)))  # rows of one distance buffer
-    dist = np.empty((rows, n + 1, width))
-    sq = np.empty((rows, n + 1, width)) if dim > 1 else None
-    out = np.zeros((count, n + 1))
-    for p0 in range(0, count, width):
-        p1 = min(p0 + width, count)
-        f = np.ascontiguousarray(paths[p0:p1].transpose(2, 1, 0))  # f[c, k, path]
-        for k0 in range(1, n + 1, _CHUNK):
-            k1 = min(k0 + _CHUNK, n + 1)
-            # row k starts its window at rev[n - k]
-            window = sliding_window_view(rev, k1)[n - k1 + 1 : n - k0 + 1][::-1]
-            for r0 in range(k0, k1, rows):
-                r1 = min(r0 + rows, k1)
-                w = window[r0 - k0 : r1 - k0]
-                d = dist[: r1 - r0, :k1, : p1 - p0]
-                np.subtract(f[0, r0:r1, None], f[0, None, :k1], out=d)
-                if dim == 1:
-                    np.abs(d, out=d)
-                else:
-                    np.multiply(d, d, out=d)
-                    s = sq[: r1 - r0, :k1, : p1 - p0]
-                    for c in range(1, dim):
-                        np.subtract(f[c, r0:r1, None], f[c, None, :k1], out=s)
-                        np.multiply(s, s, out=s)
-                        d += s
-                    np.sqrt(d, out=d)
-                out[p0:p1, r0:r1] = (np.einsum("kjp,kj->kp", d[:, 1:], w[:, 1:]) + beta[r0:r1, None] * d[:, 0]).T
-    return out if vals.ndim == 3 else out[0]
+    return np.empty((rows, n + 1, width)), (np.empty((rows, n + 1, width)) if dim > 1 else None)
+
+
+def _abs_block(f: np.ndarray, k0: int, beta: np.ndarray, rev: np.ndarray, dist: np.ndarray, sq) -> np.ndarray:
+    """Rows k0 .. k0 + _CHUNK - 1 (at most row n) of the absolute increment profile, shaped (paths, rows).
+
+    ``f[c, k, path]`` is a chunk of paths copied time-major, so the path
+    axis is innermost and every subtraction runs over contiguous paths;
+    the arguments after ``k0`` come from ``_abs_weights`` and
+    ``_abs_buffers``.  Node j < k of row k carries the weight
+    ``cp[k - j]``, except node 0, which carries ``beta(k)`` only.  The
+    weights are therefore Toeplitz in k - j: each block's weights are a
+    strided window view of ``rev``, with every node j >= k landing on the
+    zero padding.  The distances |f(t_k) - f(t_j)| are written into
+    ``dist`` a slice of rows at a time (for d > 1 the squared components
+    are accumulated there before one square root), and one einsum
+    contracts a slice's rows for every path.  Each row's sum is the same
+    whatever the slice, so a block is bit-identical whichever caller runs
+    it on the same chunk.
+    """
+    dim, n = f.shape[0], f.shape[1] - 1
+    width, rows = f.shape[2], dist.shape[0]
+    k1 = min(k0 + _CHUNK, n + 1)
+    # row k starts its window at rev[n - k]
+    window = sliding_window_view(rev, k1)[n - k1 + 1 : n - k0 + 1][::-1]
+    out = np.empty((width, k1 - k0))
+    for r0 in range(k0, k1, rows):
+        r1 = min(r0 + rows, k1)
+        w = window[r0 - k0 : r1 - k0]
+        d = dist[: r1 - r0, :k1, :width]
+        np.subtract(f[0, r0:r1, None], f[0, None, :k1], out=d)
+        if dim == 1:
+            np.abs(d, out=d)
+        else:
+            np.multiply(d, d, out=d)
+            s = sq[: r1 - r0, :k1, :width]
+            for c in range(1, dim):
+                np.subtract(f[c, r0:r1, None], f[c, None, :k1], out=s)
+                np.multiply(s, s, out=s)
+                d += s
+            np.sqrt(d, out=d)
+        out[:, r0 - k0 : r1 - k0] = (np.einsum("kjp,kj->kp", d[:, 1:], w[:, 1:]) + beta[r0:r1, None] * d[:, 0]).T
+    return out

@@ -452,6 +452,14 @@ class TestContinuityExperiments:
         assert res.summary["max_deviation_from_one"] <= 1e-12
         assert res.passed
 
+    def test_init_sup_at_origin_pairs(self, tmp_path):
+        # the default auto lambda puts every pair's discounted sup at t = 0, where the ratio is exactly 1
+        res = run_experiment(default_config("init-continuity"))
+        assert res.summary["sup_at_origin_pairs"] == res.summary["pairs"] == 1000
+        fixed = run_experiment(default_config("init-continuity", lambda_weight=5.0))
+        assert fixed.summary["sup_at_origin_pairs"] < fixed.summary["pairs"]
+        assert verify_result(save_result(fixed, tmp_path / "fixed")).ok
+
     def test_init_geometric_bounded(self):
         res = run_experiment(small("init-continuity"))
         assert res.summary["ratio_spread"] <= 10.0

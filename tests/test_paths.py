@@ -12,10 +12,10 @@ from flowlab.paths import (
     estimate_holder_order,
     f_alpha_one_norm,
     holder_seminorm,
-    w_alpha_inf_norm,
     w_alpha_lambda_norm,
     w_one_minus_alpha_norm,
 )
+from flowlab.quadrature import _PATH_CHUNK, abs_increment_profile
 
 
 @pytest.fixture(scope="module")
@@ -125,24 +125,26 @@ class TestHolderSeminorm:
 
 
 class TestWAlphaInfNorm:
+    """The undiscounted norm, ``w_alpha_lambda_norm(f, alpha, 0.0)``."""
+
     def test_zero_and_constant(self):
-        assert w_alpha_inf_norm(path_of(lambda t: np.zeros_like(t), 64), 0.25) == 0.0
-        assert w_alpha_inf_norm(path_of(lambda t: np.full_like(t, -2.0), 64), 0.25) == pytest.approx(2.0)
+        assert w_alpha_lambda_norm(path_of(lambda t: np.zeros_like(t), 64), 0.25, 0.0) == 0.0
+        assert w_alpha_lambda_norm(path_of(lambda t: np.full_like(t, -2.0), 64), 0.25, 0.0) == pytest.approx(2.0)
 
     def test_identity_closed_form(self):
-        # t + t^{1-a}/(1-a) maximized at t = 1
-        assert w_alpha_inf_norm(path_of(lambda t: t, 512), 0.25) == pytest.approx(7.0 / 3.0, rel=1e-12)
+        # t + t^{1-a}/(1-a) maximized at t = 1: the last node, so the pruned sup must reach the last block
+        assert w_alpha_lambda_norm(path_of(lambda t: t, 512), 0.25, 0.0) == pytest.approx(7.0 / 3.0, rel=1e-12)
 
     def test_alpha_domain(self):
         p = path_of(lambda t: t, 32)
         for bad in (0.0, 0.5, 0.7):
             with pytest.raises(ValueError):
-                w_alpha_inf_norm(p, bad)
+                w_alpha_lambda_norm(p, bad, 0.0)
 
     def test_monotone_in_appended_time(self):
         p = path_of(lambda t: np.sin(5 * t), 512)
-        full = w_alpha_inf_norm(p, 0.3)
-        half = w_alpha_inf_norm(p.restrict(0.5), 0.3)
+        full = w_alpha_lambda_norm(p, 0.3, 0.0)
+        half = w_alpha_lambda_norm(p.restrict(0.5), 0.3, 0.0)
         assert full >= half - 1e-12
 
 
@@ -176,7 +178,8 @@ class TestFAlphaOneNorm:
 
 class TestWeightedNorm:
     def test_zero_weight_equals_inf_norm(self, fbm_path):
-        assert w_alpha_lambda_norm(fbm_path, 0.3, 0.0) == pytest.approx(w_alpha_inf_norm(fbm_path, 0.3))
+        profile = fbm_path.magnitude() + abs_increment_profile(fbm_path.values, -1.3, fbm_path.step)
+        assert w_alpha_lambda_norm(fbm_path, 0.3, 0.0) == np.max(profile)
 
     def test_constant_attained_at_origin(self):
         p = path_of(lambda t: np.full_like(t, 1.7), 64)
@@ -205,8 +208,87 @@ class TestWeightedNorm:
 
     def test_equivalent_norm_lower_bound(self, fbm_path):
         lam = 4.0
-        lower = math.exp(-lam * 1.0) * w_alpha_inf_norm(fbm_path, 0.3)
+        lower = math.exp(-lam * 1.0) * w_alpha_lambda_norm(fbm_path, 0.3, 0.0)
         assert w_alpha_lambda_norm(fbm_path, 0.3, lam) >= lower - 1e-12
+
+
+def unpruned_w_alpha_lambda_norms(values, times, alpha, lambda_weight):
+    """``paths._w_alpha_lambda_norms`` as it was before the sup skipped blocks: the full profile, then its max."""
+    h = (times[-1] - times[0]) / (times.shape[0] - 1)
+    discount = np.exp(-lambda_weight * (times - times[0]))
+    norms = np.empty(values.shape[0])
+    for p0 in range(0, values.shape[0], _PATH_CHUNK):
+        chunk = values[p0 : p0 + _PATH_CHUNK]
+        profile = np.linalg.norm(chunk, axis=2) + abs_increment_profile(chunk, -alpha - 1.0, h)
+        norms[p0 : p0 + _PATH_CHUNK] = (discount * profile).max(axis=1)
+    return norms
+
+
+def auto_lambda_of_sampled_driver():
+    from flowlab import experiments
+
+    config = experiments.default_config("init-continuity")
+    driver = experiments._fine_driver(config, 0).decimate(config.fine_n // config.solver_n)
+    return experiments._auto_lambda(config, driver)
+
+
+class TestPrunedWeightedSup:
+    """The block-skipping sup against a copy of the full-profile sup, bit for bit."""
+
+    @pytest.mark.parametrize("count", [1, 65])  # 65 crosses a path chunk
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("lam", [0.0, 5.0, "auto", 1e5])  # 1e5: the discount underflows to 0 past t = 0.0075
+    @pytest.mark.parametrize("n", [200, 512])
+    def test_matches_full_profile(self, count, d, lam, n):
+        lam = auto_lambda_of_sampled_driver() if lam == "auto" else lam
+        rng = np.random.default_rng(n + 10 * d + count)
+        values = rng.standard_normal((count, n + 1, d)).cumsum(axis=1) * n**-0.5
+        times = np.linspace(0.0, 1.0, n + 1)
+        got = paths._w_alpha_lambda_norms(values, times, 0.3, lam)
+        assert np.array_equal(got, unpruned_w_alpha_lambda_norms(values, times, 0.3, lam))
+
+    @pytest.mark.parametrize("lam", [0.0, 5.0])
+    def test_constant_path(self, lam):
+        # rho = 0: every bound is |f(t)| e^{-lambda t}, and at lambda = 0 every row ties with row 0
+        values = np.full((3, 129, 2), [[[1.5, -0.5]]])
+        times = np.linspace(0.0, 1.0, 129)
+        got = paths._w_alpha_lambda_norms(values, times, 0.3, lam)
+        assert np.array_equal(got, unpruned_w_alpha_lambda_norms(values, times, 0.3, lam))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_argmax_in_last_block(self, d):
+        n = 8 * 64 + 5  # the last block holds rows 513 .. 517
+        t = np.linspace(0.0, 1.0, n + 1)
+        rng = np.random.default_rng(d)
+        values = (t[:, None] ** 3 * rng.uniform(1.0, 2.0, d) + 1e-4 * rng.standard_normal((n + 1, d)))[None]
+        profile = np.linalg.norm(values[0], axis=1) + abs_increment_profile(values[0], -1.3, 1.0 / n)
+        assert np.argmax(profile) > 8 * 64
+        got = paths._w_alpha_lambda_norms(values, t, 0.3, 0.0)
+        assert np.array_equal(got, unpruned_w_alpha_lambda_norms(values, t, 0.3, 0.0))
+
+    def test_prune_fires_on_a_driver_continuity_input(self, monkeypatch):
+        from flowlab import experiments, sde
+
+        config = experiments.default_config("driver-continuity")
+        c = config.field()
+        g = experiments._fine_driver(config, 0)
+        h = fbm.polygonal(g, config.ladder[-1])
+        cfg = sde.SolverConfig(config.alpha, config.fine_n, config.hurst)
+        x = np.asarray(config.initial_points[:1], dtype=float)
+        diff = sde.solve_forward_batch(x, 0.0, c, g, cfg)[0] - sde.solve_forward_batch(x, 0.0, c, h, cfg)[0]
+        blocks = []
+        real = paths._abs_block
+
+        def counting(f, k0, *args):
+            blocks.append(k0)
+            return real(f, k0, *args)
+
+        monkeypatch.setattr(paths, "_abs_block", counting)
+        got = paths._w_alpha_lambda_norms(diff[None], g.times, config.alpha, config.lambda_weight)
+        offered = -(-config.fine_n // 64)
+        assert 0 < len(blocks) < offered
+        assert np.array_equal(got, unpruned_w_alpha_lambda_norms(diff[None], g.times, config.alpha,
+                                                                 config.lambda_weight))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -218,7 +300,7 @@ def test_norms_absolutely_homogeneous(seed):
     scaled = c * p
     for norm in (
         lambda q: holder_seminorm(q, 0.4),
-        lambda q: w_alpha_inf_norm(q, 0.3),
+        lambda q: w_alpha_lambda_norm(q, 0.3, 0.0),
         lambda q: w_one_minus_alpha_norm(q, 0.3),
         lambda q: f_alpha_one_norm(q, 0.3),
         lambda q: w_alpha_lambda_norm(q, 0.3, 2.0),
@@ -233,7 +315,7 @@ def test_norms_satisfy_triangle_inequality(seed):
     q = GridPath.from_values(rng.standard_normal((65, 2)).cumsum(axis=0) * 0.2)
     for norm in (
         lambda f: holder_seminorm(f, 0.4),
-        lambda f: w_alpha_inf_norm(f, 0.3),
+        lambda f: w_alpha_lambda_norm(f, 0.3, 0.0),
         lambda f: w_one_minus_alpha_norm(f, 0.3),
         lambda f: f_alpha_one_norm(f, 0.3),
         lambda f: w_alpha_lambda_norm(f, 0.3, 2.0),
@@ -247,7 +329,7 @@ def test_embedding_chain_inequality():
     for seed in range(5):
         rng = np.random.default_rng(seed + 7)
         p = GridPath.from_values(rng.standard_normal((129, 1)).cumsum(axis=0) * 0.1)
-        lhs = w_alpha_inf_norm(p, alpha)
+        lhs = w_alpha_lambda_norm(p, alpha, 0.0)
         f0 = float(np.linalg.norm(p.values[0]))
         c_alpha_eps = 1.0 / eps  # sup_t of the (t-s)^{eps-1} integral on T = 1
         rhs = f0 + holder_seminorm(p, alpha + eps) * (1.0 + c_alpha_eps)
@@ -261,7 +343,7 @@ def test_refinement_stability_on_known_path():
         p = path_of(lambda t: np.sin(3.0 * t), n)
         results[n] = (
             holder_seminorm(p, 0.5),
-            w_alpha_inf_norm(p, 0.3),
+            w_alpha_lambda_norm(p, 0.3, 0.0),
             w_one_minus_alpha_norm(p, 0.3),
             f_alpha_one_norm(p, 0.3),
         )

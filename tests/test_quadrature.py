@@ -48,6 +48,18 @@ def test_weighted_integral_converges_on_smooth_function():
     assert errs[0] > errs[1] > errs[2]
 
 
+@pytest.mark.parametrize("h", [2.0**-9, 2.0**-13])
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.49])
+def test_row_bound_premises(alpha, h):
+    """The pruned W^{alpha,lambda} sup bounds a row by sum_g cp[g] min(rho, M(g)); that needs positive
+    weights cp[g] = beta(g) + gamma(g + 1) and node 0's weight beta(k) at most cp[k]."""
+    n = round(1.0 / h)
+    beta, gamma = cell_weights(-alpha - 1.0, h, n + 1)
+    cp = beta[1:-1] + gamma[2:]  # cp[g - 1] for g = 1..n
+    assert (cp > 0.0).all()
+    assert (beta[1 : n + 1] <= cp).all()
+
+
 @pytest.mark.parametrize("p", [-0.3, -0.6])
 def test_kernel_profile_matches_quadrature(p):
     n = 256
