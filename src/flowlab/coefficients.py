@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Union
@@ -25,6 +26,14 @@ __all__ = [
     "load_expression_field",
     "validate_coefficients",
 ]
+
+# the declared hypothesis constants, each a finite number >= 0
+_CONSTANTS = ("sigma_lipschitz", "dsigma_holder", "time_holder", "drift_lipschitz", "drift_growth")
+_FILE_KEYS = {"dim", "noise_dim", "sigma", "drift", "constants", "delta", "beta", "name"}
+
+
+def _is_constant(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and 0.0 <= v < math.inf
 
 
 @dataclass(frozen=True)
@@ -58,6 +67,11 @@ class CoefficientField:
             v = getattr(self, label)
             if not (0.0 < v <= 1.0):
                 raise ValueError(f"{label} must lie in (0, 1], got {v}")
+        for label in _CONSTANTS:
+            if not _is_constant(getattr(self, label)):
+                raise ValueError(f"{label} must be a finite number >= 0, got {getattr(self, label)!r}")
+        if self.sigma_bound is not None and not _is_constant(self.sigma_bound):
+            raise ValueError(f"sigma_bound must be None or a finite number >= 0, got {self.sigma_bound!r}")
 
 
 def _as_batch(x: np.ndarray, d: int) -> np.ndarray:
@@ -78,6 +92,8 @@ def _constant_sigma(mat: np.ndarray) -> Callable[[float, np.ndarray], np.ndarray
 
 def builtin_field(kind: str, matrix: Optional[np.ndarray] = None, sigma0: float = 1.0) -> CoefficientField:
     """Ready-made fields: zero, additive, geometric, sin, linear-drift."""
+    if not (np.isfinite(sigma0) and np.isfinite(0.0 if matrix is None else matrix).all()):
+        raise ValueError(f"builtin field {kind!r} needs finite parameters, got sigma0 = {sigma0}, matrix = {matrix}")
     if kind == "zero":
         return builtin_field("additive", matrix=np.zeros((1, 1)))
 
@@ -196,6 +212,13 @@ def load_expression_field(path: Union[str, Path]) -> CoefficientField:
     allowed = {name: getattr(sympy, name) for name in ("sin", "cos", "exp", "tanh", "cosh", "sinh", "sqrt", "Abs")}
     with open(path) as fh:
         doc = json.load(fh)
+    constants = doc.get("constants", {})
+    if not isinstance(constants, dict):
+        raise ValueError(f"constants in {path} must map names to numbers, got {constants!r}")
+    unknown = sorted(set(doc) - _FILE_KEYS) + sorted(set(constants) - {*_CONSTANTS, "sigma_bound"})
+    if unknown:
+        raise ValueError(f"unknown keys {unknown} in {path}; expected {sorted(_FILE_KEYS)} and "
+                         f"constants named {[*_CONSTANTS, 'sigma_bound']}")
     d = int(doc["dim"])
     m = int(doc["noise_dim"])
     t_sym = sympy.Symbol("t")
@@ -226,14 +249,9 @@ def load_expression_field(path: Union[str, Path]) -> CoefficientField:
     def drift(t, x):
         return _eval_layer([[fn] for fn in dri_fns], t, x, (d,))
 
-    constants = doc.get("constants", {})
     return CoefficientField(
         sigma, drift, d, m,
-        sigma_lipschitz=float(constants.get("sigma_lipschitz", 1.0)),
-        dsigma_holder=float(constants.get("dsigma_holder", 1.0)),
-        time_holder=float(constants.get("time_holder", 1.0)),
-        drift_lipschitz=float(constants.get("drift_lipschitz", 1.0)),
-        drift_growth=float(constants.get("drift_growth", 1.0)),
+        **{label: float(constants.get(label, 1.0)) for label in _CONSTANTS},
         dsigma_holder_order=float(doc.get("delta", 1.0)),
         time_holder_order=float(doc.get("beta", 1.0)),
         name=doc.get("name", f"file:{path}"),

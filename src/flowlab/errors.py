@@ -12,8 +12,8 @@ class FactorizationError(ValueError):
 class EmbeddingError(RuntimeError):
     """Circulant embedding produced negative eigenvalues beyond tolerance.
 
-    Raised only after the internal retries; doubling the embedding size
-    further (``max_doublings``) is the usual fix.
+    Raised after a fixed number of doublings (``fbm._MAX_EMBED_DOUBLINGS``,
+    not an option); the Cholesky sampler needs no embedding.
     """
 
 

@@ -1,5 +1,6 @@
-"""Fractional Riemann-Liouville integrals, Weyl (Marchaud-form) derivatives,
-and the driver-strength functional built from the right-sided derivative.
+"""Left-sided fractional Riemann-Liouville integrals and Weyl (Marchaud-form)
+derivatives, and the driver-strength functional built from the right-sided
+derivative, which is not a public operator.
 
 All operators are real-valued: the complex phases carried by the
 right-sided definitions cancel in every pairing used here (the Young
@@ -23,9 +24,7 @@ from .quadrature import increment_profile, kernel_profile
 
 __all__ = [
     "left_frac_integral",
-    "right_frac_integral",
     "left_weyl_derivative",
-    "right_weyl_derivative",
     "lambda_alpha",
     "lambda_alpha_report",
     "LambdaReport",
@@ -37,13 +36,6 @@ def left_frac_integral(f: GridPath, alpha: float) -> GridPath:
     a = _alpha_value(alpha)
     out = kernel_profile(f.values, a - 1.0, f.step) / math.gamma(a)
     return GridPath(f.times, out)
-
-
-def right_frac_integral(f: GridPath, alpha: float) -> GridPath:
-    """Mirror of the left integral under time reversal (real-valued convention)."""
-    a = _alpha_value(alpha)
-    out = kernel_profile(f.values[::-1], a - 1.0, f.step) / math.gamma(a)
-    return GridPath(f.times, out[::-1])
 
 
 def _marchaud_values(values: np.ndarray, a: float, h: float, rel_times: np.ndarray) -> np.ndarray:
@@ -61,36 +53,18 @@ def _marchaud_values(values: np.ndarray, a: float, h: float, rel_times: np.ndarr
     return out
 
 
-def _warn_if_too_rough(f: GridPath, a: float, side: str) -> None:
-    est = estimate_holder_order(f)
-    if est <= a:
-        warnings.warn(
-            f"{side} Weyl derivative of order {a:.3g} on a path with estimated "
-            f"Holder order {est:.3g}; the singular integral may be unstable",
-            stacklevel=3,
-        )
-
-
 def left_weyl_derivative(f: GridPath, alpha: float) -> GridPath:
     """Marchaud-form derivative: boundary decay term plus the singular increment integral."""
     a = _alpha_value(alpha)
-    _warn_if_too_rough(f, a, "left")
+    est = estimate_holder_order(f)
+    if est <= a:
+        warnings.warn(
+            f"left Weyl derivative of order {a:.3g} on a path with estimated "
+            f"Holder order {est:.3g}; the singular integral may be unstable",
+            stacklevel=2,
+        )
     rel = f.times - f.times[0]
     return GridPath(f.times, _marchaud_values(f.values, a, f.step, rel))
-
-
-def right_weyl_derivative(f: GridPath, alpha: float, pin_endpoint: bool = False) -> GridPath:
-    """Mirror derivative from the right endpoint; ``pin_endpoint`` subtracts f(T) first.
-
-    Real-valued convention: the (-1)^alpha phase of the right-sided
-    definition is dropped; pairings that need it reinstate the sign.
-    """
-    a = _alpha_value(alpha)
-    _warn_if_too_rough(f, a, "right")
-    vals = f.values - f.values[-1] if pin_endpoint else f.values
-    rel = f.times - f.times[0]
-    out = _marchaud_values(vals[::-1], a, f.step, rel)
-    return GridPath(f.times, out[::-1])
 
 
 def _endpoint_indices(n: int) -> np.ndarray:

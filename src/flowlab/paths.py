@@ -122,13 +122,6 @@ class GridPath:
     def step(self) -> float:
         return float((self.times[-1] - self.times[0]) / self.n_steps)
 
-    def restrict(self, t_end: float) -> "GridPath":
-        """Prefix of the path up to the grid time nearest t_end (must lie on the grid)."""
-        k = self.index_of(t_end)
-        if k < 1:
-            raise ValueError("restriction must keep at least one step")
-        return GridPath(self.times[: k + 1], self.values[: k + 1])
-
     def decimate(self, factor: int) -> "GridPath":
         """Keep every ``factor``-th node; factor must divide n."""
         if factor < 1 or self.n_steps % factor != 0:

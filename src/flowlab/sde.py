@@ -27,26 +27,22 @@ the moments campaign) reduce each block on the fly without storing it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
 from .coefficients import CoefficientField
 from .errors import BlowUpError
-from .paths import GridPath, _holder_value, holder_seminorm
+from .paths import GridPath
 
 __all__ = [
     "alpha0",
     "SolverConfig",
     "check_order_window",
     "solve_forward",
-    "solve_backward",
     "solve_forward_batch",
     "solve_backward_batch",
-    "sup_estimate_check",
-    "SupEstimateReport",
 ]
 
 DEFAULT_BLOWUP_FACTOR = 1e12
@@ -240,20 +236,6 @@ def solve_backward_batch(
     return _flow_marks(x0s, k1, range(k1 + 1), c, driver, cfg, backward=True, scheme=scheme).swapaxes(0, 1)
 
 
-def solve_backward(
-    x0,
-    t_end: float,
-    c: CoefficientField,
-    driver: GridPath,
-    cfg: SolverConfig,
-    scheme: str = "euler",
-) -> GridPath:
-    """Backward flow Y_{., t_end}(x0) on the grid from the driver start up to t_end."""
-    values = solve_backward_batch(x0, t_end, c, driver, cfg, scheme)[0]
-    k1 = driver.index_of(t_end)
-    return GridPath(driver.times[: k1 + 1], values)
-
-
 def _flow_marks(x0s, starts, marks, c: CoefficientField, driver: Union[GridPath, list], cfg: SolverConfig,
                 backward: bool = False, scheme: str = "euler") -> np.ndarray:
     """Euler states of members started at grid indices ``starts``, at grid indices ``marks``.
@@ -277,54 +259,3 @@ def _flow_marks(x0s, starts, marks, c: CoefficientField, driver: Union[GridPath,
     for reached, states in _march(x0s, starts, c, grid.times, values, grid.step, scheme, backward):
         out[slot[reached]] = states
     return out[:-1]
-
-
-@dataclass(frozen=True)
-class SupEstimateReport:
-    """Implied growth constants from the sup-norm estimates for time-independent sigma."""
-
-    sup_solution: float
-    holder_driver: float
-    implied_k: float
-    implied_k_bounded: Optional[float]
-
-
-def sup_estimate_check(
-    solution: GridPath,
-    driver: GridPath,
-    c: CoefficientField,
-    theta: float,
-) -> SupEstimateReport:
-    """Back out the unspecified constant in sup_t |X_t| <= 2^{1 + k T a ||B||^(1/theta)} (|X_0| + 1).
-
-    ``a`` is max(Lipschitz constant of sigma, |sigma(0)|).  Only stability
-    of the implied constant across seeds and grids is meaningful; the
-    bound's own constant is not published.  The bounded-sigma refinement
-    is reported too when the field declares a sup bound.
-    """
-    th = _holder_value(theta)
-    if th <= 0.5:
-        raise ValueError(f"theta must exceed 1/2, got {th}")
-    sup_x = solution.sup_norm()
-    x0 = float(np.linalg.norm(solution.values[0]))
-    span = driver.end - driver.start
-    holder_b = holder_seminorm(driver, th)
-    sigma_at_zero = float(np.linalg.norm(c.sigma(0.0, np.zeros(c.dim))))
-    scale = max(c.sigma_lipschitz, sigma_at_zero)
-    denom = span * scale * holder_b ** (1.0 / th)
-    numer = math.log2(sup_x / (x0 + 1.0)) - 1.0
-    implied = numer / denom if denom > 0.0 else 0.0
-    implied_bounded = None
-    if c.sigma_bound is not None and c.sigma_bound > 0.0:
-        alt = max(
-            span**th * holder_b ** (1.0 / th),
-            span * c.sigma_lipschitz ** ((1.0 - th) / th) * holder_b ** (1.0 / th),
-        )
-        if alt > 0.0:
-            implied_bounded = max(sup_x - x0, 0.0) / (c.sigma_bound * alt)
-    return SupEstimateReport(
-        sup_solution=sup_x,
-        holder_driver=holder_b,
-        implied_k=implied,
-        implied_k_bounded=implied_bounded,
-    )

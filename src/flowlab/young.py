@@ -22,7 +22,6 @@ from .quadrature import cell_weights
 __all__ = [
     "rs_integral",
     "zahle_integral",
-    "indefinite_integral",
     "young_bound_check",
     "YoungBoundReport",
 ]
@@ -61,19 +60,6 @@ def rs_integral(f: GridPath, g: GridPath) -> np.ndarray:
     weights = f.values[:-1].reshape(n, d, m)
     dg = np.diff(g.values, axis=0)
     return np.einsum("kdm,km->d", weights, dg)
-
-
-def indefinite_integral(f: GridPath, g: GridPath) -> GridPath:
-    """Running integral t -> integral_0^t f dg as prefix sums of the left-tag increments."""
-    d = _integrand_shape(f, g)
-    _warn_if_orders_too_low(f, g)
-    n, m = f.n_steps, g.dimension
-    weights = f.values[:-1].reshape(n, d, m)
-    dg = np.diff(g.values, axis=0)
-    increments = np.einsum("kdm,km->kd", weights, dg)
-    values = np.zeros((n + 1, d))
-    np.cumsum(increments, axis=0, out=values[1:])
-    return GridPath(f.times, values)
 
 
 def default_bridge_order(f: GridPath, g: GridPath) -> float:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import flowlab
+from flowlab import fbm
 from flowlab.cli import main
 from flowlab.paths import GridPath
 
@@ -142,6 +145,13 @@ class TestSdeCommand:
         assert code == 0
         assert GridPath.read_csv(out).n_steps == 128
 
+    def test_non_finite_field_exits_2_before_sampling(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(fbm, "sample_circulant", lambda spec: pytest.fail("sampled a driver"))
+        out = tmp_path / "x.csv"
+        assert run_cli("sde", "solve", "--coeffs", "builtin:geometric:nan", "--out", str(out)) == 2
+        assert "finite parameters" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_blow_up_is_runtime_error(self, tmp_path, capsys):
         code = run_cli("sde", "solve", "--coeffs", "builtin:geometric:200", "--n", "256", "--seed", "1",
                        "--out", str(tmp_path / "x.csv"))
@@ -208,6 +218,12 @@ class TestExperimentCommands:
         summary = outdir / "summary.json"
         summary.write_text(summary.read_text().replace('"tol_flow_amplitude":', '"tol_flow_amplitude": 1e9, "_":'))
         assert run_cli("verify", "--result", str(outdir)) == 1
+
+
+@pytest.mark.parametrize("module", ["flowlab"] + [f"flowlab.{m.name}" for m in pkgutil.iter_modules(flowlab.__path__)])
+def test_every_exported_name_resolves(module):
+    # a star import raises AttributeError on a name left in __all__ after its definition is deleted
+    exec(f"from {module} import *", {})
 
 
 def test_cli_import_defers_scipy_signal_and_sympy():

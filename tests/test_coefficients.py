@@ -1,5 +1,6 @@
 """Builtin fields, declarative expression files, constant validation."""
 
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from flowlab.coefficients import (
+    _CONSTANTS,
     builtin_field,
     load_expression_field,
     parse_field,
@@ -97,6 +99,28 @@ class TestParseField:
         with pytest.raises(ValueError, match="sigma0"):
             parse_field(spec, sigma0=2.0)
 
+    @pytest.mark.parametrize("spec, sigma0", [
+        ("builtin:geometric:nan", None), ("builtin:geometric:inf", None), ("builtin:additive:nan", None),
+        ("builtin:linear-drift:1,-inf", None), ("builtin:geometric", math.nan), ("builtin:additive", -math.inf),
+    ])
+    def test_rejects_a_non_finite_parameter(self, spec, sigma0):
+        # geometric:nan used to run until the blow-up guard blamed the hypotheses or the grid
+        with pytest.raises(ValueError, match="finite parameters"):
+            parse_field(spec, sigma0=sigma0)
+
+
+class TestDeclaredConstants:
+    @pytest.mark.parametrize("label", _CONSTANTS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -0.5])
+    def test_rejects_a_non_finite_or_negative_constant(self, label, value):
+        with pytest.raises(ValueError, match=f"{label} must be a finite number >= 0"):
+            dataclasses.replace(builtin_field("sin"), **{label: value})
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -1.0, "big", True])
+    def test_rejects_a_sigma_bound_that_is_not_a_finite_number_at_least_0(self, bound):
+        with pytest.raises(ValueError, match="sigma_bound must be None or a finite number >= 0"):
+            dataclasses.replace(builtin_field("sin"), sigma_bound=bound)
+
 
 class TestExpressionField:
     def make_file(self, tmp_path, doc):
@@ -141,6 +165,18 @@ class TestExpressionField:
     def test_rejects_wrong_shape(self, tmp_path):
         doc = {"dim": 2, "noise_dim": 1, "sigma": [["x1"]], "drift": ["0", "0"]}
         with pytest.raises(ValueError, match="rows"):
+            load_expression_field(self.make_file(tmp_path, doc))
+
+    # each used to load: drfit ran with zero drift, sigma_lipshitz kept 1.0 and "big" was the bound
+    @pytest.mark.parametrize("extra, match", [
+        ({"drfit": ["-x1"]}, r"unknown keys \['drfit'\]"),
+        ({"constants": {"sigma_lipshitz": 0.5}}, r"unknown keys \['sigma_lipshitz'\]"),
+        ({"constants": {"sigma_bound": "big"}}, "sigma_bound must be None or a finite number"),
+        ({"constants": ["sigma_lipschitz"]}, "must map names to numbers"),  # was an AttributeError
+    ], ids=["drfit", "sigma_lipshitz", "sigma_bound", "constants_list"])
+    def test_rejects_unknown_keys_and_a_bound_that_is_not_a_number(self, tmp_path, extra, match):
+        doc = {"dim": 1, "noise_dim": 1, "sigma": [["x1"]], **extra}
+        with pytest.raises(ValueError, match=match):
             load_expression_field(self.make_file(tmp_path, doc))
 
     def test_parse_field_file_form(self, tmp_path):

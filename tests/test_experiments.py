@@ -211,6 +211,10 @@ INF = float("inf")
     ("moments", dict(sample_counts=(400, 800.5)), "sample_counts"),
     ("moments", dict(moment_orders=(2.5,)), "moment_orders"),
     ("rate", dict(seeds=(NAN,)), "seeds"),
+    # a non-finite coefficient parameter passed construction; the solve then blamed the hypotheses or the grid
+    ("flow", dict(coefficients="builtin:geometric:nan"), "'geometric' needs finite parameters"),
+    ("inverse", dict(coefficients="builtin:geometric:inf"), "'geometric' needs finite parameters"),
+    ("moments", dict(coefficients="builtin:additive:nan"), "'additive' needs finite parameters"),
 ])
 def test_bad_configs_are_rejected_naming_the_field(kind, overrides, field):
     with pytest.raises(ValueError, match=field):

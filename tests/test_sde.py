@@ -1,4 +1,4 @@
-"""Solver exactness, convergence, flow and inverse structure, sup estimates."""
+"""Solver exactness, convergence, and flow and inverse structure."""
 
 import warnings
 
@@ -17,11 +17,9 @@ from flowlab.sde import (
     _march,
     alpha0,
     check_order_window,
-    solve_backward,
     solve_backward_batch,
     solve_forward,
     solve_forward_batch,
-    sup_estimate_check,
 )
 
 
@@ -153,15 +151,15 @@ class TestForwardSolver:
 class TestBackwardSolver:
     def test_terminal_condition_exact(self, driver, cfg):
         f = builtin_field("geometric", sigma0=0.5)
-        sol = solve_backward([2.0], 1.0, f, driver, cfg)
-        assert sol.values[-1, 0] == 2.0
+        sol = solve_backward_batch([2.0], 1.0, f, driver, cfg)[0]
+        assert sol[-1, 0] == 2.0
 
     def test_additive_exact_inverse(self, driver, cfg):
         f = builtin_field("additive", matrix=np.array([[0.8]]))
-        y = solve_backward([1.5], 1.0, f, driver, cfg)
+        y = solve_backward_batch([1.5], 1.0, f, driver, cfg)[0]
         expected = 1.5 - 0.8 * (driver.values[-1, 0] - driver.values[:, 0])
-        assert np.abs(y.values[:, 0] - expected).max() < 1e-12
-        assert abs(solve_forward_batch(y.values[:1], 0.0, f, driver, cfg)[0, -1, 0] - 1.5) < 1e-12
+        assert np.abs(y[:, 0] - expected).max() < 1e-12
+        assert abs(solve_forward_batch(y[:1], 0.0, f, driver, cfg)[0, -1, 0] - 1.5) < 1e-12
 
     def test_geometric_inverse_converges(self):
         f = builtin_field("geometric", sigma0=0.5)
@@ -209,49 +207,6 @@ class TestFlowMap:
         f = builtin_field("additive", matrix=np.array([[1.2]]))
         composed, direct = compose(f, driver, cfg, 0.0, 0.25, 0.75, 0.3)
         assert np.array_equal(composed, direct)
-
-
-class TestSupEstimate:
-    def test_zero_sigma(self, driver, cfg):
-        f = builtin_field("zero")
-        sol = solve_forward([2.0], 0.0, f, driver, cfg)
-        rep = sup_estimate_check(sol, driver, f, 0.6)
-        assert rep.sup_solution == 2.0
-        assert rep.implied_k == 0.0
-
-    def test_geometric_finite_k(self, driver, cfg):
-        f = builtin_field("geometric", sigma0=0.5)
-        sol = solve_forward([1.0], 0.0, f, driver, cfg)
-        rep = sup_estimate_check(sol, driver, f, 0.6)
-        assert np.isfinite(rep.implied_k)
-        assert rep.implied_k_bounded is None
-
-    def test_bounded_sigma_reports_second_constant(self, driver, cfg):
-        f = builtin_field("sin")
-        sol = solve_forward([0.5], 0.0, f, driver, cfg)
-        rep = sup_estimate_check(sol, driver, f, 0.6)
-        assert rep.implied_k_bounded is not None
-        assert rep.implied_k_bounded >= 0.0
-
-    def test_theta_domain(self, driver, cfg):
-        f = builtin_field("sin")
-        sol = solve_forward([0.5], 0.0, f, driver, cfg)
-        with pytest.raises(ValueError):
-            sup_estimate_check(sol, driver, f, 0.4)
-
-    def test_implied_k_stable_across_seeds_and_grids(self):
-        f = builtin_field("geometric", sigma0=0.5)
-        maxima = {}
-        for n in (2**8, 2**9):
-            ks = []
-            for seed in range(200):
-                d = driver_of(seed=seed, n=n)
-                sol = solve_forward([1.0], 0.0, f, d, SolverConfig(0.3, n, 0.75))
-                ks.append(sup_estimate_check(sol, d, f, 0.6).implied_k)
-            maxima[n] = max(ks)
-        assert all(np.isfinite(v) for v in maxima.values())
-        ratio = abs(maxima[2**9]) / abs(maxima[2**8])
-        assert 0.5 < ratio < 2.0
 
 
 def test_driver_continuity_of_solutions():

@@ -12,7 +12,6 @@ from flowlab.paths import GridPath
 from flowlab.quadrature import cell_weights, increment_profile
 from flowlab.young import (
     default_bridge_order,
-    indefinite_integral,
     rs_integral,
     young_bound_check,
     zahle_integral,
@@ -25,6 +24,11 @@ def path_of(fn, n=4096):
 
 def fbm_path(seed=3, n=4096, hurst=0.75):
     return fbm.sample_circulant(fbm.FbmSpec(hurst=hurst, grid_size=n, seed=seed)).path
+
+
+def head(p, k):
+    """The path on its first k steps."""
+    return GridPath(p.times[: k + 1], p.values[: k + 1])
 
 
 class TestRsIntegral:
@@ -92,32 +96,28 @@ class TestRsIntegral:
 
 
 class TestIndefiniteIntegral:
+    """The running integral t_k -> integral_0^{t_k} f dg, as rs_integral on grid prefixes."""
+
     def test_constant_integrand_reproduces_g(self):
         g = fbm_path(seed=4, n=256)
         ones = GridPath(g.times, np.ones((257, 1)))
-        run = indefinite_integral(ones, g)
-        assert np.allclose(run.values[:, 0], g.values[:, 0] - g.values[0, 0], atol=1e-13)
+        run = [rs_integral(head(ones, k), head(g, k))[0] for k in range(1, 257)]
+        assert np.allclose(run, g.values[1:, 0] - g.values[0, 0], atol=1e-13)
 
     def test_additivity_over_subintervals(self):
         g = fbm_path(seed=6, n=256)
         f = GridPath(g.times, np.sin(g.times)[:, None])
-        run = indefinite_integral(f, g)
         total = rs_integral(f, g)[0]
         for tau_idx in (64, 128, 192):
-            head = run.values[tau_idx, 0]
+            run = rs_integral(head(f, tau_idx), head(g, tau_idx))[0]
             tail_f = GridPath(g.times[tau_idx:], f.values[tau_idx:])
             tail_g = GridPath(g.times[tau_idx:], g.values[tau_idx:])
-            assert head + rs_integral(tail_f, tail_g)[0] == pytest.approx(total, abs=1e-12)
-
-    def test_starts_at_zero(self):
-        g = fbm_path(seed=4, n=128)
-        run = indefinite_integral(GridPath(g.times, np.ones((129, 1))), g)
-        assert run.values[0, 0] == 0.0
+            assert run + rs_integral(tail_f, tail_g)[0] == pytest.approx(total, abs=1e-12)
 
 
 class TestChainRule:
     def test_solver_replay(self):
-        """The running integral of sigma(X) against the driver reproduces Euler exactly."""
+        """The integral of sigma(X) against the driver up to t_k reproduces Euler's X(t_k) exactly."""
         from flowlab.coefficients import builtin_field
         from flowlab.sde import SolverConfig, solve_forward
 
@@ -127,8 +127,9 @@ class TestChainRule:
         integrand = GridPath(g.times, 0.5 * sol.values)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the crude order estimator sits near the 1.0 boundary here
-            replay = indefinite_integral(integrand, g)
-        assert np.allclose(1.0 + replay.values, sol.values, atol=1e-13)
+            for k in (1, 2, 100, 256, 511, 512):
+                replay = rs_integral(head(integrand, k), head(g, k))
+                assert np.allclose(1.0 + replay, sol.values[k], atol=1e-13)
 
     def test_smooth_composition_under_refinement(self):
         """integral of phi'(g) dg approaches phi(g(T)) - phi(g(0)) as the grid refines."""
