@@ -48,7 +48,7 @@ class CoefficientField:
     dsigma_holder: float = 1.0          # Holder constant of the x-derivatives of sigma
     time_holder: float = 1.0            # Holder-in-time constant of sigma and its derivatives
     drift_lipschitz: float = 1.0
-    drift_growth: float = 1.0
+    drift_growth: float = 1.0           # |b(x)| <= drift_growth (1 + |x|); 0 means b = 0, and the solver skips drift
     dsigma_holder_order: float = 1.0    # delta in (0, 1]
     time_holder_order: float = 1.0      # beta in (0, 1]
     name: str = "custom"                 # a label for messages only
@@ -185,20 +185,20 @@ def parse_field(spec: str, sigma0: Optional[float] = None) -> CoefficientField:
     raise ValueError(f"cannot parse coefficient field {spec!r}")
 
 
-def _compile_expressions(rows, symbols, allowed, label):
+def _parse_expressions(rows, symbols, allowed, label):
     import sympy
 
-    compiled = []
+    parsed = []
     for row in rows:
-        compiled_row = []
+        parsed_row = []
         for text in row:
             expr = sympy.parse_expr(str(text), local_dict={**{str(s): s for s in symbols}, **allowed})
             extra = expr.free_symbols - set(symbols)
             if extra:
                 raise ValueError(f"{label} expression {text!r} uses unknown symbols {sorted(map(str, extra))}")
-            compiled_row.append(sympy.lambdify(symbols, expr, modules="numpy"))
-        compiled.append(compiled_row)
-    return compiled
+            parsed_row.append(expr)
+        parsed.append(parsed_row)
+    return parsed
 
 
 def load_expression_field(path: Union[str, Path]) -> CoefficientField:
@@ -230,8 +230,17 @@ def load_expression_field(path: Union[str, Path]) -> CoefficientField:
         raise ValueError(f"sigma must be {d} rows of {m} expressions")
     if len(drift_row) != d:
         raise ValueError(f"drift must have {d} expressions")
-    sig_fns = _compile_expressions(sigma_rows, symbols, allowed, "sigma")
-    dri_fns = _compile_expressions([drift_row], symbols, allowed, "drift")[0]
+    sig_exprs = _parse_expressions(sigma_rows, symbols, allowed, "sigma")
+    dri_exprs = _parse_expressions([drift_row], symbols, allowed, "drift")[0]
+    declared = {label: float(constants.get(label, 1.0)) for label in _CONSTANTS}
+    # the solver reads a declared drift_growth of 0 as b = 0 and never evaluates the drift;
+    # the check is sympy's parse-time reduction, so an identity it does not apply is rejected too
+    nonzero = [str(e) for e in dri_exprs if e != 0]
+    if declared["drift_growth"] == 0.0 and nonzero:
+        raise ValueError(f"{path} declares drift_growth = 0, but its drift {nonzero} does not reduce to 0; "
+                         "write the drift as 0 or declare drift_growth > 0")
+    sig_fns = [[sympy.lambdify(symbols, e, modules="numpy") for e in row] for row in sig_exprs]
+    dri_fns = [sympy.lambdify(symbols, e, modules="numpy") for e in dri_exprs]
 
     def _eval_layer(fns_grid, t, x, out_shape):
         x = _as_batch(x, d)
@@ -251,7 +260,7 @@ def load_expression_field(path: Union[str, Path]) -> CoefficientField:
 
     return CoefficientField(
         sigma, drift, d, m,
-        **{label: float(constants.get(label, 1.0)) for label in _CONSTANTS},
+        **declared,
         dsigma_holder_order=float(doc.get("delta", 1.0)),
         time_holder_order=float(doc.get("beta", 1.0)),
         name=doc.get("name", f"file:{path}"),

@@ -179,7 +179,8 @@ def _circulant_values(spec: FbmSpec, count: int) -> np.ndarray:
     else:
         raise EmbeddingError(
             f"circulant embedding of size {m_embed // 2} still has eigenvalues below "
-            f"{floor:.3e} after {_MAX_EMBED_DOUBLINGS} doublings; double the embedding size again"
+            f"{floor:.3e} after {_MAX_EMBED_DOUBLINGS} doublings; draw with the Cholesky sampler instead "
+            "(sample_cholesky, or fbm sample --method cholesky)"
         )
     lam = np.clip(eig, 0.0, None)
     two_m = 2 * m_embed

@@ -17,7 +17,8 @@ first crossing in stepping order, which raises the same error, with the
 same time and magnitude, as a check after every step would.  The guard
 bound is ``DEFAULT_BLOWUP_FACTOR`` times (1 + |x0|), read at each call;
 a non-finite state (say from a field that returns NaN) counts as a
-crossing.
+crossing.  A field that declares ``drift_growth == 0`` has b = 0, and
+its steps never call ``drift``.
 Blocks are handed back one at a time.  ``_flow_marks`` is the one place
 that stores states: it keeps them at chosen grid indices, and a full
 solve (``solve_*_batch``) is ``_flow_marks`` over every grid index on the
@@ -102,6 +103,9 @@ def _prepare(x0, c: CoefficientField, driver: GridPath, cfg: SolverConfig):
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     if x0.shape[-1] != c.dim:
         raise ValueError(f"initial point has dimension {x0.shape[-1]}, field expects {c.dim}")
+    finite = np.isfinite(x0).all(axis=-1)
+    if not finite.all():
+        raise ValueError(f"initial points must be finite, got {x0[~finite][0].tolist()}")
     return x0
 
 
@@ -163,8 +167,13 @@ def _march(x0s, starts, c, times, values, h, scheme="euler", backward=False):
     contract = "b...dm,bm->b...d" if per_member else "...dm,m->...d"
     shared_db = None if per_member else np.diff(values, axis=0)
 
-    def increment(t, s, db):
-        return np.einsum(contract, c.sigma(t, s), db) + c.drift(t, s) * h
+    if c.drift_growth == 0.0:
+        # |b(x)| <= drift_growth (1 + |x|), so the field declares b = 0
+        def increment(t, s, db):
+            return np.einsum(contract, c.sigma(t, s), db)
+    else:
+        def increment(t, s, db):
+            return np.einsum(contract, c.sigma(t, s), db) + c.drift(t, s) * h
 
     prev = x0s
     for lo in range(0, steps.size, _GUARD_BLOCK):

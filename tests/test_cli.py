@@ -152,6 +152,15 @@ class TestSdeCommand:
         assert "finite parameters" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("x0", ["nan", "inf", "0.5,-inf"])
+    def test_non_finite_initial_point_is_config_error(self, tmp_path, capsys, x0):
+        coeffs = "builtin:additive:1,0;0,1" if "," in x0 else "builtin:geometric"
+        out = tmp_path / "x.csv"
+        assert run_cli("sde", "solve", "--coeffs", coeffs, "--x0", x0, "--n", "64", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "initial points must be finite" in err and "blow-up guard" not in err
+        assert not out.exists()
+
     def test_blow_up_is_runtime_error(self, tmp_path, capsys):
         code = run_cli("sde", "solve", "--coeffs", "builtin:geometric:200", "--n", "256", "--seed", "1",
                        "--out", str(tmp_path / "x.csv"))

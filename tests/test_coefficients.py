@@ -179,6 +179,23 @@ class TestExpressionField:
         with pytest.raises(ValueError, match=match):
             load_expression_field(self.make_file(tmp_path, doc))
 
+    # the solver skips the drift of a field that declares drift_growth = 0, so a file may not declare it falsely
+    @pytest.mark.parametrize("drift, loads", [
+        (None, True), (["0"], True), (["x1 - x1"], True), (["0 * sin(x1)"], True),
+        (["-x1"], False), (["1e-9"], False),
+        (["sin(x1)**2 + cos(x1)**2 - 1"], False),  # zero, but not reduced at parse time: rejected to be safe
+    ], ids=["omitted", "0", "x1-x1", "0*sin", "-x1", "tiny", "pythagoras"])
+    def test_declared_zero_drift_growth_needs_a_zero_drift(self, tmp_path, drift, loads):
+        doc = {"dim": 1, "noise_dim": 1, "sigma": [["sin(x1)"]], "constants": {"drift_growth": 0}}
+        if drift is not None:
+            doc["drift"] = drift
+        target = self.make_file(tmp_path, doc)
+        if loads:
+            assert load_expression_field(target).drift_growth == 0.0
+        else:
+            with pytest.raises(ValueError, match="declares drift_growth = 0, but its drift"):
+                load_expression_field(target)
+
     def test_parse_field_file_form(self, tmp_path):
         doc = {"dim": 1, "noise_dim": 1, "sigma": [["0.5 * x1"]], "drift": ["0"]}
         f = parse_field(f"file:{self.make_file(tmp_path, doc)}")

@@ -254,7 +254,7 @@ def test_embedding_error_after_doublings(monkeypatch):
         return np.array([1.0, -1.0, 1.0, -1.0])
 
     monkeypatch.setattr(fbm, "_fgn_eigenvalues", always_negative)
-    with pytest.raises(fbm.EmbeddingError, match="double the embedding size"):
+    with pytest.raises(fbm.EmbeddingError, match=r"Cholesky sampler instead \(sample_cholesky, or fbm sample --method cholesky\)"):
         fbm.sample_circulant(spec(n=16))
     assert calls == [16, 32, 64, 128]  # three internal doublings before giving up
 

@@ -1,5 +1,6 @@
 """Solver exactness, convergence, and flow and inverse structure."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -118,6 +119,13 @@ class TestForwardSolver:
         wide = driver_of(seed=1, n=1024, m=2)
         with pytest.raises(ValueError):
             solve_forward([1.0], 0.0, f, wide, cfg)  # wrong driver width
+
+    @pytest.mark.parametrize("solve", [solve_forward_batch, solve_backward_batch], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_initial_point_is_rejected(self, driver, cfg, solve, bad):
+        # it used to step and fail at the blow-up guard, which blames the field or the grid
+        with pytest.raises(ValueError, match=r"initial points must be finite, got \[(nan|inf|-inf)\]"):
+            solve(np.array([[0.5], [bad]]), 1.0, builtin_field("geometric"), driver, cfg)
 
     def test_blowup_guard_fires(self, driver, cfg, monkeypatch):
         # the solution for this driver peaks near 1.06; a guard at 2 * 0.51 = 1.02 binds
@@ -351,6 +359,48 @@ def spiked_driver(n, step, height=1e13):
     return GridPath(np.linspace(0.0, 1.0, n + 1), vals)
 
 
+def drift_march(x0s, starts, c, times, values, h, scheme, backward):
+    """``_march`` with the drift term on every step, whatever the field declares: (B, n+1, d) states.
+
+    Same member order, einsum layout and state updates as ``_march``, with
+    ``c.drift(t, s) * h`` always added and no blow-up guard.
+    """
+    n = times.shape[0] - 1
+    starts = np.broadcast_to(np.asarray(starts, dtype=np.intp), x0s.shape[:1])
+    order = np.argsort(-starts if backward else starts, kind="stable")
+    x0s, starts = x0s[order], starts[order]
+    per_member = values.ndim == 3
+    if per_member:
+        values = values[order]
+    if backward:
+        steps = np.arange(starts[0] - 1, -1, -1)
+        active = np.searchsorted(-starts, -(steps + 1), side="right")
+    else:
+        steps = np.arange(starts[0], n)
+        active = np.searchsorted(starts, steps, side="right")
+    apply = np.subtract if backward else np.add
+    contract = "b...dm,bm->b...d" if per_member else "...dm,m->...d"
+    shared_db = None if per_member else np.diff(values, axis=0)
+
+    def increment(t, s, db):
+        return np.einsum(contract, c.sigma(t, s), db) + c.drift(t, s) * h
+
+    out = np.full((n + 1,) + x0s.shape, np.nan)
+    prev = x0s
+    for k, a in zip(steps.tolist(), active.tolist()):
+        t_from, t_to = (times[k + 1], times[k]) if backward else (times[k], times[k + 1])
+        s = prev[:a]
+        db = values[:a, k + 1] - values[:a, k] if per_member else shared_db[k]
+        inc = increment(t_from, s, db)
+        if scheme == "heun":
+            inc = 0.5 * (inc + increment(t_to, apply(s, inc), db))
+        row = np.empty_like(prev)
+        apply(s, inc, out=row[:a])
+        row[a:] = prev[a:]
+        out[k if backward else k + 1] = prev = row
+    return out[:, np.argsort(order)].swapaxes(0, 1)
+
+
 class TestSteppingKernel:
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("scheme", ["euler", "heun"])
@@ -502,6 +552,54 @@ class TestSteppingKernel:
             solve_forward_batch(np.array([[1.0], [0.0]]), 0.0, spotty, driver, cfg)
         with pytest.raises(BlowUpError, match=r"\|X\| = nan at t = "):
             solve_forward([1.0], 0.0, spotty, driver, cfg)
+
+    @pytest.mark.parametrize("spec", ["builtin:geometric:0.5", "builtin:sin", "builtin:additive:0.8",
+                                      "builtin:additive:0.5,1;0,1"])
+    @pytest.mark.parametrize("scheme", ["euler", "heun"])
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    @pytest.mark.parametrize("per_member", [False, True], ids=["shared", "per-member"])
+    def test_declared_zero_drift_matches_the_drift_kernel(self, spec, scheme, backward, per_member):
+        c = parse_field(spec)
+        assert c.drift_growth == 0.0
+        n = 150  # more than two guard blocks
+        starts = [150, 1, 65, 64, 150, 2, 130, 90] if backward else [0, 150, 64, 1, 149, 64, 87, 0]
+        x0s = np.random.default_rng(7).uniform(-1.0, 1.0, size=(len(starts), c.dim))
+        x0s[[0, 3]] = 0.0
+        x0s[[1, 5]] = -0.0  # the kernels may differ only in the sign of an exactly-zero state, which == ignores
+        grid = driver_of(seed=3, n=n, m=c.noise_dim)
+        if per_member:
+            values = np.stack([driver_of(seed=s, n=n, m=c.noise_dim).values for s in range(len(starts))])
+        else:
+            values = grid.values
+        got = np.full((len(starts), n + 1, c.dim), np.nan)
+        for reached, states in _march(x0s, starts, c, grid.times, values, grid.step, scheme, backward):
+            got[:, reached] = states.swapaxes(0, 1)
+        want = drift_march(x0s, starts, c, grid.times, values, grid.step, scheme, backward)
+        # NaN marks the start indices that no member steps to, in both
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("scheme", ["euler", "heun"])
+    def test_declared_zero_drift_is_never_called(self, driver, cfg, scheme):
+        def refuse(t, x):
+            raise AssertionError("drift called on a field that declares none")
+
+        f = builtin_field("sin")
+        silent = dataclasses.replace(f, drift=refuse)
+        x0s = np.array([[0.4], [-1.2]])
+        for solve, t in ((solve_forward_batch, 0.25), (solve_backward_batch, 0.75)):
+            assert np.array_equal(solve(x0s, t, silent, driver, cfg, scheme), solve(x0s, t, f, driver, cfg, scheme))
+
+    @pytest.mark.parametrize("scheme, per_step", [("euler", 1), ("heun", 2)])
+    def test_declared_drift_is_called_every_step(self, driver, cfg, scheme, per_step):
+        f = builtin_field("linear-drift")
+        calls = []
+
+        def counted(t, x):
+            calls.append(t)
+            return f.drift(t, x)
+
+        solve_forward_batch(np.array([[0.4], [-1.2]]), 0.0, dataclasses.replace(f, drift=counted), driver, cfg, scheme)
+        assert len(calls) == per_step * cfg.n_steps
 
     @pytest.mark.parametrize("coefficients", ["builtin:geometric:0.5", "builtin:sin", "builtin:additive:0.8"])
     def test_probe_matches_oracle(self, coefficients):
