@@ -1,10 +1,10 @@
 """Coefficient fields (diffusion matrix and drift) with their regularity constants.
 
 A field carries vectorized callables and the constants declared for the
-Lipschitz/Holder/growth hypotheses; ``validate_coefficients`` estimates
-those constants on a sampling lattice and flags declared values that the
-samples exceed.  Estimation can only certify consistency on the lattice,
-never the global hypotheses.
+Lipschitz/Holder/growth hypotheses.  The constants are declared and
+trusted, never estimated, and only their zeros are read: ``grid_exact``
+reads constant sigma and b = 0 from them, and the stepping kernel skips
+the drift of a field that declares ``drift_growth = 0``.
 """
 
 from __future__ import annotations
@@ -20,11 +20,9 @@ import numpy as np
 
 __all__ = [
     "CoefficientField",
-    "CoefficientReport",
     "builtin_field",
     "parse_field",
     "load_expression_field",
-    "validate_coefficients",
 ]
 
 # the declared hypothesis constants, each a finite number >= 0
@@ -63,10 +61,10 @@ class CoefficientField:
     def __post_init__(self):
         if self.dim < 1 or self.noise_dim < 1:
             raise ValueError("state and noise dimensions must be positive")
-        for label in ("dsigma_holder_order", "time_holder_order"):
+        for label, key in (("dsigma_holder_order", "delta"), ("time_holder_order", "beta")):
             v = getattr(self, label)
-            if not (0.0 < v <= 1.0):
-                raise ValueError(f"{label} must lie in (0, 1], got {v}")
+            if not (isinstance(v, numbers.Real) and 0.0 < v <= 1.0):
+                raise ValueError(f"{label} ({key}) must lie in (0, 1], got {v!r}")
         for label in _CONSTANTS:
             if not _is_constant(getattr(self, label)):
                 raise ValueError(f"{label} must be a finite number >= 0, got {getattr(self, label)!r}")
@@ -193,6 +191,8 @@ def _parse_expressions(rows, symbols, allowed, label):
         parsed_row = []
         for text in row:
             expr = sympy.parse_expr(str(text), local_dict={**{str(s): s for s in symbols}, **allowed})
+            if not isinstance(expr, sympy.Expr):  # null, a list or a comparison parses, but is no value
+                raise ValueError(f"{label} entry {text!r} is not an expression")
             extra = expr.free_symbols - set(symbols)
             if extra:
                 raise ValueError(f"{label} expression {text!r} uses unknown symbols {sorted(map(str, extra))}")
@@ -209,6 +209,8 @@ def load_expression_field(path: Union[str, Path]) -> CoefficientField:
     """
     import sympy  # deferred: only expression fields need it, and it is slow to import
 
+    from .fbm import _integral
+
     allowed = {name: getattr(sympy, name) for name in ("sin", "cos", "exp", "tanh", "cosh", "sinh", "sqrt", "Abs")}
     with open(path) as fh:
         doc = json.load(fh)
@@ -219,20 +221,21 @@ def load_expression_field(path: Union[str, Path]) -> CoefficientField:
     if unknown:
         raise ValueError(f"unknown keys {unknown} in {path}; expected {sorted(_FILE_KEYS)} and "
                          f"constants named {[*_CONSTANTS, 'sigma_bound']}")
-    d = int(doc["dim"])
-    m = int(doc["noise_dim"])
+    d = _integral("dim", doc["dim"])
+    m = _integral("noise_dim", doc["noise_dim"])
     t_sym = sympy.Symbol("t")
     x_syms = [sympy.Symbol(f"x{i + 1}") for i in range(d)]
     symbols = [t_sym, *x_syms]
     sigma_rows = doc["sigma"]
     drift_row = doc.get("drift", ["0"] * d)
-    if len(sigma_rows) != d or any(len(r) != m for r in sigma_rows):
+    if not isinstance(sigma_rows, list) or len(sigma_rows) != d or any(
+            not isinstance(r, list) or len(r) != m for r in sigma_rows):
         raise ValueError(f"sigma must be {d} rows of {m} expressions")
-    if len(drift_row) != d:
+    if not isinstance(drift_row, list) or len(drift_row) != d:
         raise ValueError(f"drift must have {d} expressions")
     sig_exprs = _parse_expressions(sigma_rows, symbols, allowed, "sigma")
     dri_exprs = _parse_expressions([drift_row], symbols, allowed, "drift")[0]
-    declared = {label: float(constants.get(label, 1.0)) for label in _CONSTANTS}
+    declared = {label: constants.get(label, 1.0) for label in _CONSTANTS}  # CoefficientField checks each
     # the solver reads a declared drift_growth of 0 as b = 0 and never evaluates the drift;
     # the check is sympy's parse-time reduction, so an identity it does not apply is rejected too
     nonzero = [str(e) for e in dri_exprs if e != 0]
@@ -261,99 +264,8 @@ def load_expression_field(path: Union[str, Path]) -> CoefficientField:
     return CoefficientField(
         sigma, drift, d, m,
         **declared,
-        dsigma_holder_order=float(doc.get("delta", 1.0)),
-        time_holder_order=float(doc.get("beta", 1.0)),
+        dsigma_holder_order=doc.get("delta", 1.0),
+        time_holder_order=doc.get("beta", 1.0),
         name=doc.get("name", f"file:{path}"),
         sigma_bound=constants.get("sigma_bound"),
     )
-
-
-@dataclass(frozen=True)
-class CoefficientReport:
-    """Empirical constants maximized over a lattice, against the declared ones.
-
-    ``consistent`` means no declared constant was exceeded on the lattice;
-    it does not certify the hypotheses globally.
-    """
-
-    empirical: dict
-    declared: dict
-    exceeded: dict
-    consistent: bool
-
-
-def _dsigma(field: CoefficientField, t: float, x: np.ndarray, step: float) -> np.ndarray:
-    """Central finite differences of sigma in x: shape (..., d_coord, d, m)."""
-    cols = []
-    for i in range(field.dim):
-        e = np.zeros(field.dim)
-        e[i] = step
-        cols.append((field.sigma(t, x + e) - field.sigma(t, x - e)) / (2.0 * step))
-    return np.stack(cols, axis=-3)
-
-
-def validate_coefficients(
-    c: CoefficientField,
-    samples: int = 64,
-    radius: float = 2.0,
-    horizon: float = 1.0,
-    time_points: int = 9,
-    rng_seed: int = 0,
-    fd_step: float = 1e-5,
-    lattice: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
-) -> CoefficientReport:
-    """Estimate the hypothesis constants by maximizing ratios over a lattice.
-
-    ``lattice`` may supply (times, x_points, y_points) directly; otherwise
-    points are drawn uniformly from the centered box of the given radius.
-    """
-    if lattice is not None:
-        times, xs, ys = lattice
-        times = np.asarray(times, dtype=float)
-        xs = _as_batch(np.asarray(xs, dtype=float), c.dim)
-        ys = _as_batch(np.asarray(ys, dtype=float), c.dim)
-    else:
-        rng = np.random.default_rng(rng_seed)
-        times = np.linspace(0.0, horizon, time_points)
-        xs = rng.uniform(-radius, radius, size=(samples, c.dim))
-        ys = rng.uniform(-radius, radius, size=(samples, c.dim))
-
-    gap = np.linalg.norm(xs - ys, axis=-1)
-    keep = gap > 1e-12
-    m1 = m2 = m3 = l1 = l2 = 0.0
-    frob = lambda a: np.linalg.norm(a.reshape(a.shape[0], -1), axis=-1)
-    sig_x, dsig_x = {}, {}
-    for t in times:
-        sx, sy = c.sigma(t, xs), c.sigma(t, ys)
-        bx, by = c.drift(t, xs), c.drift(t, ys)
-        if not (np.isfinite(sx).all() and np.isfinite(bx).all()):
-            raise ValueError(f"coefficients returned non-finite values at t = {t}")
-        dx = _dsigma(c, t, xs, fd_step)
-        sig_x[t], dsig_x[t] = sx, dx
-        dy = _dsigma(c, t, ys, fd_step)
-        if keep.any():
-            m1 = max(m1, float((frob(sx - sy)[keep] / gap[keep]).max()))
-            per_i = np.linalg.norm((dx - dy).reshape(xs.shape[0], c.dim, -1), axis=-1).max(axis=-1)
-            m2 = max(m2, float((per_i[keep] / gap[keep] ** c.dsigma_holder_order).max()))
-            l1 = max(l1, float((np.linalg.norm(bx - by, axis=-1)[keep] / gap[keep]).max()))
-        l2 = max(l2, float((np.linalg.norm(bx, axis=-1) / (1.0 + np.linalg.norm(xs, axis=-1))).max()))
-    t_list = list(times)
-    for a in range(len(t_list)):
-        for b in range(a + 1, len(t_list)):
-            ta, tb = t_list[a], t_list[b]
-            dt = abs(tb - ta) ** c.time_holder_order
-            step_sigma = frob(sig_x[ta] - sig_x[tb])
-            step_dsig = np.linalg.norm((dsig_x[ta] - dsig_x[tb]).reshape(xs.shape[0], c.dim, -1), axis=-1).max(axis=-1)
-            m3 = max(m3, float(((step_sigma + step_dsig) / dt).max()))
-
-    empirical = {"m1": m1, "m2": m2, "m3": m3, "l1": l1, "l2": l2}
-    declared = {
-        "m1": c.sigma_lipschitz,
-        "m2": c.dsigma_holder,
-        "m3": c.time_holder,
-        "l1": c.drift_lipschitz,
-        "l2": c.drift_growth,
-    }
-    # the finite-difference step makes empirical values fuzzy at the 1e-8 scale
-    exceeded = {k: empirical[k] > declared[k] * (1.0 + 1e-6) + 1e-6 for k in empirical}
-    return CoefficientReport(empirical, declared, exceeded, consistent=not any(exceeded.values()))

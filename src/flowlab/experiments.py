@@ -11,8 +11,9 @@ statistic is recomputable from the records alone.
 from __future__ import annotations
 
 import math
+import numbers
 import time
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, fields
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -46,6 +47,17 @@ DEFAULT_TOLERANCES = {
     "stderr_multiple": 3.0,         # moment stability: |delta| < multiple x stderr
 }
 
+# the JSON type of each config field, by its annotation; fbm._integral checks the int fields
+_JSON_TYPES = {"str": (str, "a string"), "Optional[str]": ((str, type(None)), "a string or null"),
+               "float": (numbers.Real, "a number"), "Optional[float]": ((numbers.Real, type(None)), "a number or null"),
+               "tuple": ((list, tuple), "a list"), "dict": (dict, "an object")}
+
+
+def _number(name: str, v) -> float:
+    if not isinstance(v, numbers.Real):
+        raise ValueError(f"{name} must hold numbers, got {v!r}")
+    return float(v)
+
 
 @dataclass
 class ExperimentConfig:
@@ -77,6 +89,10 @@ class ExperimentConfig:
     outdir: Optional[str] = None
 
     def __post_init__(self):
+        for f in fields(self):
+            types, label = _JSON_TYPES.get(f.type, (object, ""))
+            if not isinstance(getattr(self, f.name), types):
+                raise ValueError(f"{f.name} must be {label}, got {getattr(self, f.name)!r}")
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; expected one of {EXPERIMENT_KINDS}")
         kind = _KINDS[self.kind]
@@ -84,8 +100,9 @@ class ExperimentConfig:
             setattr(self, name, fbm._integral(name, getattr(self, name)))
         for name in ("ladder", "seeds", "sample_counts", "moment_orders"):
             setattr(self, name, tuple(fbm._integral(name, v) for v in getattr(self, name)))
-        self.initial_points = tuple(tuple(float(c) for c in np.atleast_1d(p)) for p in self.initial_points)
-        self.probe_fan = tuple(float(v) for v in self.probe_fan)
+        self.initial_points = tuple(tuple(_number("initial_points", c) for c in np.atleast_1d(p))
+                                    for p in self.initial_points)
+        self.probe_fan = tuple(_number("probe_fan", v) for v in self.probe_fan)
         if not self.seeds:
             raise ValueError("seed list must be nonempty")
         if len(set(self.seeds)) < len(self.seeds):
@@ -124,7 +141,7 @@ class ExperimentConfig:
         unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
         if unknown:
             raise ValueError(f"unknown tolerances {unknown}; expected names from {sorted(DEFAULT_TOLERANCES)}")
-        nan = sorted(name for name, v in self.tolerances.items() if math.isnan(float(v)))
+        nan = sorted(name for name, v in self.tolerances.items() if math.isnan(_number("tolerances", v)))
         if nan:
             raise ValueError(f"tolerances {nan} must not be NaN")
         if kind.points and not self.initial_points:
@@ -177,8 +194,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        names = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - names
+        if not isinstance(doc, dict):
+            raise ValueError(f"config is not an object: {doc!r}")
+        unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return cls(**doc)

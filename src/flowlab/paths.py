@@ -63,8 +63,8 @@ class GridPath:
         values = np.asarray(self.values, dtype=float)
         if values.ndim == 1:
             values = values[:, None]
-        if times.ndim != 1 or values.ndim != 2 or values.shape[0] != times.shape[0]:
-            raise ValueError("times must be (n+1,) and values (n+1, d)")
+        if times.ndim != 1 or values.ndim != 2 or values.shape[0] != times.shape[0] or values.shape[1] == 0:
+            raise ValueError("times must be (n+1,) and values (n+1, d) with d >= 1")
         n = times.shape[0] - 1
         if n < 1:
             raise ValueError("a GridPath needs at least two grid points")

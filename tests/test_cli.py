@@ -229,6 +229,46 @@ class TestExperimentCommands:
         assert run_cli("verify", "--result", str(outdir)) == 1
 
 
+_FIELD = {"dim": 1, "noise_dim": 1, "sigma": [["x1"]]}
+_RATE = {"kind": "rate", "fine_n": 64, "ladder": [16, 32], "seeds": [0]}
+# each used to end in a TypeError, AttributeError, IndexError or ZeroDivisionError traceback and exit 1,
+# except dim 1.5, which loaded as a 1-D field
+_MALFORMED = {
+    "ladder-16": ("run", {**_RATE, "ladder": 16}, "ladder must be a list"),
+    "seeds-null": ("run", {**_RATE, "seeds": None}, "seeds must be a list"),
+    "hurst-string": ("run", {**_RATE, "hurst": "0.7"}, "hurst must be a number"),
+    "alpha-null": ("run", {**_RATE, "alpha": None}, "alpha must be a number"),
+    "tolerances-5": ("run", {**_RATE, "tolerances": 5}, "tolerances must be an object"),
+    "initial_points-5": ("run", {**_RATE, "kind": "flow", "initial_points": 5}, "initial_points must be a list"),
+    "probe_fan-null": ("run", {**_RATE, "kind": "inverse", "probe_fan": None}, "probe_fan must be a list"),
+    "config-list": ("run", [1, 2], "config is not an object"),
+    "sigma-5": ("sde", {**_FIELD, "sigma": 5}, "sigma must be 1 rows of 1 expressions"),
+    "sigma-null-entry": ("sde", {**_FIELD, "sigma": [[None]]}, "sigma entry None is not an expression"),
+    "dim-null": ("sde", {**_FIELD, "dim": None}, "dim must be integral"),
+    "dim-1.5": ("sde", {**_FIELD, "dim": 1.5}, "dim must be integral"),
+    "delta-null": ("sde", {**_FIELD, "delta": None}, "(delta) must lie in (0, 1]"),
+    "lambda-no-components": ("lambda", "t\n0\n0.5\n1\n", "with d >= 1"),
+    "integrate-no-components": ("integrate", "t\n0\n0.5\n1\n", "with d >= 1"),
+}
+
+
+@pytest.mark.parametrize("command, content, message", list(_MALFORMED.values()), ids=list(_MALFORMED))
+def test_malformed_input_is_a_config_error(tmp_path, capsys, command, content, message):
+    target = tmp_path / "input"
+    target.write_text(content if isinstance(content, str) else json.dumps(content))
+    good = tmp_path / "g.csv"
+    good.write_text("t,x1\n0,0\n0.5,1\n1,0.5\n")
+    argv = {
+        "run": ["run", "--config", str(target)],
+        "sde": ["sde", "solve", "--coeffs", f"file:{target}", "--n", "64", "--out", str(tmp_path / "x.csv")],
+        "lambda": ["fraccalc", "lambda", "--alpha", "0.3", "--in", str(target)],
+        "integrate": ["young", "integrate", "--f", str(good), "--g", str(target)],
+    }[command]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("module", ["flowlab"] + [f"flowlab.{m.name}" for m in pkgutil.iter_modules(flowlab.__path__)])
 def test_every_exported_name_resolves(module):
     # a star import raises AttributeError on a name left in __all__ after its definition is deleted

@@ -1,4 +1,4 @@
-"""Builtin fields, declarative expression files, constant validation."""
+"""Builtin fields, declarative expression files, declared constants."""
 
 import dataclasses
 import json
@@ -12,7 +12,6 @@ from flowlab.coefficients import (
     builtin_field,
     load_expression_field,
     parse_field,
-    validate_coefficients,
 )
 from flowlab.paths import GridPath
 
@@ -202,50 +201,28 @@ class TestExpressionField:
         assert f.sigma(0.0, np.array([[2.0]]))[0, 0, 0] == pytest.approx(1.0)
 
 
-class TestValidateCoefficients:
-    def test_constant_sigma_all_zero(self):
-        rep = validate_coefficients(builtin_field("additive", matrix=np.array([[2.0]])))
-        assert rep.empirical["m1"] == 0.0
-        assert rep.empirical["m3"] == 0.0
-        assert rep.consistent
-
-    def test_sin_estimates_approach_declared(self):
-        rep = validate_coefficients(builtin_field("sin"), samples=400, rng_seed=3)
-        assert 0.9 < rep.empirical["m1"] <= 1.0 + 1e-6
-        assert 0.9 < rep.empirical["m2"] <= 1.0 + 1e-4
-        assert rep.consistent
-
-    def test_linear_drift_constants(self):
-        rep = validate_coefficients(builtin_field("linear-drift"))
-        assert rep.empirical["l1"] == pytest.approx(1.0)
-        assert rep.empirical["l2"] <= 1.0
-        assert rep.consistent
-
-    def test_flags_understated_constants(self):
-        from dataclasses import replace
-
-        field = replace(builtin_field("sin"), sigma_lipschitz=0.5)
-        rep = validate_coefficients(field, samples=400, rng_seed=3)
-        assert rep.exceeded["m1"]
-        assert not rep.consistent
-
-    def test_nonfinite_coefficients_rejected(self):
-        from dataclasses import replace
-
-        bad = replace(
-            builtin_field("sin"),
-            sigma=lambda t, x: np.full(x.shape[:-1] + (1, 1), np.nan),
-        )
-        with pytest.raises(ValueError, match="non-finite"):
-            validate_coefficients(bad)
-
-    def test_explicit_lattice(self):
-        f = builtin_field("geometric", sigma0=1.0)
-        times = np.array([0.0, 1.0])
-        xs = np.array([[1.0], [2.0]])
-        ys = np.array([[0.5], [-1.0]])
-        rep = validate_coefficients(f, lattice=(times, xs, ys))
-        assert rep.empirical["m1"] == pytest.approx(1.0)
+class TestDeclaredZeros:
+    @pytest.mark.parametrize("spec, constant_sigma, no_drift", [
+        ("builtin:zero", True, True),
+        ("builtin:additive", True, True),
+        ("builtin:additive:0.5,1;0,1", True, True),
+        ("builtin:geometric", False, True),
+        ("builtin:geometric:0", True, True),
+        ("builtin:sin", False, True),
+        ("builtin:linear-drift", True, False),
+    ])
+    def test_declared_zeros_hold_on_a_lattice(self, spec, constant_sigma, no_drift):
+        # grid_exact and the stepping kernel's drift skip trust these declarations
+        c = parse_field(spec)
+        assert (c.sigma_lipschitz == c.time_holder == 0.0) is constant_sigma
+        assert (c.drift_growth == 0.0) is no_drift
+        xs = np.random.default_rng(3).uniform(-2.0, 2.0, size=(16, c.dim))
+        sigma0 = c.sigma(0.0, xs[0])
+        for t in np.linspace(0.0, 1.0, 5):
+            if constant_sigma:
+                assert (c.sigma(t, xs) == sigma0).all()
+            if no_drift:
+                assert (c.drift(t, xs) == 0.0).all()
 
 
 def _closed_form_flows(c):
