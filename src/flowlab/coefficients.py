@@ -63,7 +63,7 @@ class CoefficientField:
             raise ValueError("state and noise dimensions must be positive")
         for label, key in (("dsigma_holder_order", "delta"), ("time_holder_order", "beta")):
             v = getattr(self, label)
-            if not (isinstance(v, numbers.Real) and 0.0 < v <= 1.0):
+            if not (isinstance(v, numbers.Real) and not isinstance(v, bool) and 0.0 < v <= 1.0):
                 raise ValueError(f"{label} ({key}) must lie in (0, 1], got {v!r}")
         for label in _CONSTANTS:
             if not _is_constant(getattr(self, label)):

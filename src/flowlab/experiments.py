@@ -47,14 +47,15 @@ DEFAULT_TOLERANCES = {
     "stderr_multiple": 3.0,         # moment stability: |delta| < multiple x stderr
 }
 
-# the JSON type of each config field, by its annotation; fbm._integral checks the int fields
+# the JSON type of each config field, by its annotation; fbm._integral checks the int fields.
+# No field takes JSON true or false: they load as bools, which isinstance counts as numbers.
 _JSON_TYPES = {"str": (str, "a string"), "Optional[str]": ((str, type(None)), "a string or null"),
                "float": (numbers.Real, "a number"), "Optional[float]": ((numbers.Real, type(None)), "a number or null"),
                "tuple": ((list, tuple), "a list"), "dict": (dict, "an object")}
 
 
 def _number(name: str, v) -> float:
-    if not isinstance(v, numbers.Real):
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise ValueError(f"{name} must hold numbers, got {v!r}")
     return float(v)
 
@@ -89,10 +90,11 @@ class ExperimentConfig:
     outdir: Optional[str] = None
 
     def __post_init__(self):
-        for f in fields(self):
-            types, label = _JSON_TYPES.get(f.type, (object, ""))
-            if not isinstance(getattr(self, f.name), types):
-                raise ValueError(f"{f.name} must be {label}, got {getattr(self, f.name)!r}")
+        for f in (f for f in fields(self) if f.type in _JSON_TYPES):
+            types, label = _JSON_TYPES[f.type]
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValueError(f"{f.name} must be {label}, got {value!r}")
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; expected one of {EXPERIMENT_KINDS}")
         kind = _KINDS[self.kind]
@@ -100,8 +102,8 @@ class ExperimentConfig:
             setattr(self, name, fbm._integral(name, getattr(self, name)))
         for name in ("ladder", "seeds", "sample_counts", "moment_orders"):
             setattr(self, name, tuple(fbm._integral(name, v) for v in getattr(self, name)))
-        self.initial_points = tuple(tuple(_number("initial_points", c) for c in np.atleast_1d(p))
-                                    for p in self.initial_points)
+        points = (p if isinstance(p, (list, tuple, np.ndarray)) else [p] for p in self.initial_points)
+        self.initial_points = tuple(tuple(_number("initial_points", c) for c in p) for p in points)
         self.probe_fan = tuple(_number("probe_fan", v) for v in self.probe_fan)
         if not self.seeds:
             raise ValueError("seed list must be nonempty")
@@ -169,6 +171,11 @@ class ExperimentConfig:
             c = self.field()
             probe_n = self.ladder[0] if self.ladder else self.solver_n
             check_order_window(SolverConfig(self.alpha, probe_n, self.hurst), c)
+            # a rung at fine_n is its own reference: the fine-grid Euler flow, or for driver-continuity g itself
+            self_reference = self.kind == "driver-continuity" or (self.kind == "flow" and c.flow is None)
+            if self_reference and self.fine_n in self.ladder:
+                raise ValueError(f"{self.kind} ladder rung {self.fine_n} is its own reference; "
+                                 f"rungs must lie below fine_n = {self.fine_n}")
             if kind.points and any(len(p) != c.dim for p in self.initial_points):
                 raise ValueError(f"initial points {list(self.initial_points)} must have the field's dimension {c.dim}")
             if self.kind == "inverse" and c.dim == 1:  # the sortedness probe runs on 1-D fields only
@@ -340,60 +347,36 @@ def _replayed(run, count: int) -> tuple:
     return out, errors
 
 
-def _stack_pass(inits, starts, marks, c: CoefficientField, drivers: list, cfg: SolverConfig,
+def _stack_pass(config: ExperimentConfig, inits, starts, marks, c: CoefficientField, drivers: list,
                 backward: bool = False) -> np.ndarray:
     """One Euler pass over every block, driver and point, with the states at grid indices ``marks``.
 
     ``inits`` broadcasts to (len(starts), len(drivers), npts, d): the
     members of block j start at grid index starts[j] (end there when
     ``backward``), member [j, q, i] under drivers[q].  Returns the states
-    (len(marks), len(starts), len(drivers), npts, d).  With the points
-    (npts, d) as ``inits`` and starts = marks = idx, entry [b, a, q, i] is
-    X_{r_a t_b}(x_i); backward with starts = idx[1:], entry [a, b - 1, q, i]
-    is Y_{r_a t_b}(x_i), for a <= b.
+    (len(starts), len(marks), len(drivers), npts, d): entry [j, k, q, i] is
+    member [j, q, i] at grid index marks[k].
     """
     npts, d = np.shape(inits)[-2:]
     inits = np.broadcast_to(inits, (len(starts), len(drivers), npts, d))
     members = [p for p in drivers for _ in range(npts)] * len(starts)
+    cfg = SolverConfig(config.alpha, drivers[0].n_steps, config.hurst)
     out = _flow_marks(inits.reshape(-1, d), np.repeat(starts, len(drivers) * npts), marks, c, members, cfg,
                       backward=backward)
-    return out.reshape(len(marks), len(starts), len(drivers), npts, d)
+    return out.reshape(len(marks), len(starts), len(drivers), npts, d).swapaxes(0, 1)
 
 
-def _reference_maps(config: ExperimentConfig, c: CoefficientField, fines: list, marks: list,
-                    x0s: np.ndarray):
-    """Reference maps (q, a, b, i) -> X_{r_a t_b}(x_i) and Y_{r_a t_b}(x_i) under fines[q], for marks a <= b.
+def _mark_maps(config: ExperimentConfig, x0s: np.ndarray, marks: list, c: CoefficientField,
+               drivers: list) -> np.ndarray:
+    """X_{r_a t_b}(x_i) and Y_{r_a t_b}(x_i) under drivers[q], at [0, a, b, q, i] and [1, a, b, q, i], for a <= b.
 
-    The field's closed-form flow where it declares one, at -(B_t - B_r) for
-    Y.  Otherwise the fine-grid Euler flow: one forward pass started at
-    every mark and one backward pass ended at every mark after the first,
-    each over every seed and point, shared by all rungs.  A seed whose pass
-    raises on its own raises that error again at each reference asked of
-    it, so each rung records the failure.  The ladder must stay well below
-    fine_n.
+    One forward pass starts a member at every mark; one backward pass ends
+    a member at every mark, t = 0 included, where it never steps.
     """
-    if c.flow is not None:
-        at = [[fine.values[fine.index_of(m)] for m in marks] for fine in fines]
-        return (lambda q, a, b, i: c.flow(x0s[i], at[q][b] - at[q][a]),
-                lambda q, a, b, i: c.flow(x0s[i], -(at[q][b] - at[q][a])))
-    cfg = SolverConfig(config.alpha, fines[0].n_steps, config.hurst)
-    idx = [fines[0].index_of(m) for m in marks]
-
-    def reference(backward: bool):
-        def run(sel, out):
-            states = _stack_pass(x0s, idx[1:] if backward else idx, idx, c, [fines[q] for q in sel], cfg, backward)
-            out.update(zip(sel, np.moveaxis(states, 2, 0)))
-
-        states, errors = _replayed(run, len(fines))
-
-        def ref(q, a, b, i):
-            if errors[q] is not None:
-                raise errors[q]
-            return states[q][a, b - 1, i] if backward else states[q][b, a, i]
-
-        return ref
-
-    return reference(False), reference(True)
+    idx = [drivers[0].index_of(m) for m in marks]
+    fwd = _stack_pass(config, x0s, idx, idx, c, drivers)
+    bwd = _stack_pass(config, x0s, idx, idx, c, drivers, backward=True)
+    return np.stack([fwd, bwd.swapaxes(0, 1)])
 
 
 def _run_flow(config: ExperimentConfig) -> list:
@@ -403,9 +386,11 @@ def _run_flow(config: ExperimentConfig) -> list:
     from the reached state performs bit-for-bit the same operations as
     solving r -> t in one leg (exercised directly in the unit tests).  The
     discrepancy |X^n_{tau t}(X^n_{r tau}(x)) - X_{rt}(x)| therefore equals
-    |X^n_{rt}(x) - X_{rt}(x)|, which is what each triple records.  Per rung,
-    one forward pass over every seed starts a member at every mark; one
-    backward pass ends one at every mark after the first grid point.
+    |X^n_{rt}(x) - X_{rt}(x)|, which is what each triple records.  Each
+    rung's maps come from one ``_mark_maps`` over every seed.  The reference
+    is the field's closed-form flow where it declares one, at -(B_t - B_r)
+    for Y; otherwise it is ``_mark_maps`` at fine_n.  A seed whose reference
+    pass raises on its own records that error at every rung.
     """
     c = config.field()
     triples = _time_triples(config.horizon)
@@ -413,39 +398,40 @@ def _run_flow(config: ExperimentConfig) -> list:
     x0s = np.asarray(config.initial_points, dtype=float)
     npts = x0s.shape[0]
     fines = [_fine_driver(config, seed, components=c.noise_dim) for seed in config.seeds]
-    ref_fwd, ref_bwd = _reference_maps(config, c, fines, marks, x0s)
+
+    def reference(sel, out):  # out[q]: the (2, a, b, i, d) reference maps of seed q
+        if c.flow is None:
+            out.update(zip(sel, np.moveaxis(_mark_maps(config, x0s, marks, c, [fines[q] for q in sel]), 3, 0)))
+            return
+        for q in sel:
+            at = [fines[q].values[fines[q].index_of(m)] for m in marks]
+            out[q] = np.array([[[[c.flow(x, sign * (bt - br)) for x in x0s] for bt in at] for br in at]
+                               for sign in (1.0, -1.0)])
+
+    refs, ref_errors = _replayed(reference, len(fines))
     records = []
     for n in config.ladder:
         drivers = [fine.decimate(config.fine_n // n) for fine in fines]
-        cfg = SolverConfig(config.alpha, n, config.hurst)
-        idx = [drivers[0].index_of(m) for m in marks]
 
-        def run(sel, out):  # out[q, direction, r, t, i]: the discrepancy of seed q
-            stack = [drivers[q] for q in sel]
-            fwd = _stack_pass(x0s, idx, idx, c, stack, cfg)
+        def run(sel, out):  # out[q, r, t, i]: (disc_forward, disc_backward) of seed q
+            maps = _mark_maps(config, x0s, marks, c, [drivers[q] for q in sel])
             for p, q in enumerate(sel):
+                if ref_errors[q] is not None:
+                    raise ref_errors[q]
+                gap = maps[:, :, :, p] - refs[q]
                 for a, r in enumerate(marks):
                     for b in range(a, len(marks)):
                         for i in range(npts):
-                            out[q, "f", r, marks[b], i] = float(np.linalg.norm(fwd[b, a, p, i] - ref_fwd(q, a, b, i)))
-            bwd = _stack_pass(x0s, idx[1:], idx, c, stack, cfg, backward=True)
-            for p, q in enumerate(sel):
-                # the first mark is t = 0, where no backward member ends
-                out.update({(q, "b", marks[0], marks[0], i): 0.0 for i in range(npts)})
-                for b in range(1, len(marks)):
-                    for a in range(b + 1):
-                        for i in range(npts):
-                            out[q, "b", marks[a], marks[b], i] = float(
-                                np.linalg.norm(bwd[a, b - 1, p, i] - ref_bwd(q, a, b, i)))
+                            out[q, r, marks[b], i] = (float(np.linalg.norm(gap[0, a, b, i])),
+                                                      float(np.linalg.norm(gap[1, a, b, i])))
 
         disc, errors = _replayed(run, len(fines))
         for q, seed in enumerate(config.seeds):
             for i in range(npts):
                 for r, tau, t in triples:
+                    fwd, bwd = disc.get((q, r, t, i), (np.nan, np.nan))
                     records.append({"seed": seed, "n": n, "r": r, "tau": tau, "t": t, "point": i,
-                                    "status": _status(errors[q]),
-                                    "disc_forward": disc.get((q, "f", r, t, i), np.nan),
-                                    "disc_backward": disc.get((q, "b", r, t, i), np.nan)})
+                                    "status": _status(errors[q]), "disc_forward": fwd, "disc_backward": bwd})
     return records
 
 
@@ -461,24 +447,23 @@ def _run_inverse(config: ExperimentConfig) -> list:
     records = []
     for n in config.ladder:
         drivers = [fine.decimate(config.fine_n // n) for fine in fines]
-        cfg = SolverConfig(config.alpha, n, config.hurst)
         idx = [drivers[0].index_of(m) for m in marks]
 
         def run(sel, out):  # out[q, r, t, i]: (disc_xy, disc_yx) of seed q
             stack = [drivers[q] for q in sel]
-            # (1) Y_{r_a t_b}(x) = ys[a, b - 1]: one backward pass from every t > 0
-            ys = _stack_pass(x0s, idx[1:], idx, c, stack, cfg, backward=True)
+            # (1) Y_{r_a t_b}(x) = ys[b - 1, a]: one backward pass from every t > 0
+            ys = _stack_pass(config, x0s, idx[1:], idx, c, stack, backward=True)
             # (2) from every r: X_rt(Y_rt(x)) for each later t, then X_{r.}(x) itself
-            inits = [ys[a, b - 1] for a, b in later] + [np.broadcast_to(x0s, ys.shape[2:])] * len(marks)
-            xs = _stack_pass(np.stack(inits), [idx[a] for a, _ in later] + idx, idx, c, stack, cfg)
+            inits = [ys[b - 1, a] for a, b in later] + [np.broadcast_to(x0s, ys.shape[2:])] * len(marks)
+            xs = _stack_pass(config, np.stack(inits), [idx[a] for a, _ in later] + idx, idx, c, stack)
             # (3) Y_rt(X_rt(x)) for every pair r < t
-            inits = [xs[b, len(later) + a] for a, b in later]
-            yx = _stack_pass(np.stack(inits), [idx[b] for _, b in later], idx, c, stack, cfg, backward=True)
+            inits = [xs[len(later) + a, b] for a, b in later]
+            yx = _stack_pass(config, np.stack(inits), [idx[b] for _, b in later], idx, c, stack, backward=True)
             for p, q in enumerate(sel):
                 for j, (a, b) in enumerate(later):
                     for i in range(npts):
-                        out[q, marks[a], marks[b], i] = (float(np.linalg.norm(xs[b, j, p, i] - x0s[i])),
-                                                          float(np.linalg.norm(yx[a, j, p, i] - x0s[i])))
+                        out[q, marks[a], marks[b], i] = (float(np.linalg.norm(xs[j, b, p, i] - x0s[i])),
+                                                          float(np.linalg.norm(yx[j, a, p, i] - x0s[i])))
                 out.update({(q, r, r, i): (0.0, 0.0) for r in marks for i in range(npts)})
 
         disc, errors = _replayed(run, len(fines))
@@ -762,7 +747,6 @@ def _run_driver_continuity(config: ExperimentConfig) -> list:
     seed, a failed h its own rung.
     """
     c = config.field()
-    cfg = SolverConfig(config.alpha, config.fine_n, config.hurst)
     x = np.asarray(config.initial_points[:1], dtype=float)
     gs = [_fine_driver(config, seed, components=c.noise_dim) for seed in config.seeds]
     # member q * width is seed q's g, member q * width + l its polygonal h at rung l
@@ -770,8 +754,8 @@ def _run_driver_continuity(config: ExperimentConfig) -> list:
     drivers = [path for g in gs for path in [g] + [fbm.polygonal(g, n) for n in config.ladder]]
 
     def run(sel, out):
-        states = _stack_pass(x, [0], range(config.fine_n + 1), c, [drivers[k] for k in sel], cfg)
-        out.update(zip(sel, np.moveaxis(states[:, 0, :, 0], 1, 0)))
+        states = _stack_pass(config, x, [0], range(config.fine_n + 1), c, [drivers[k] for k in sel])
+        out.update(zip(sel, np.moveaxis(states[0, :, :, 0], 1, 0)))
 
     sols, errors = _replayed(run, len(drivers))
     records = []

@@ -44,8 +44,9 @@ _eig_lock = threading.Lock()
 
 
 def _integral(name: str, v) -> int:
-    """``v`` as an int: 64 and 64.0 are kept as 64, and 16.5 is rejected, naming the field."""
-    if isinstance(v, numbers.Integral) or (isinstance(v, numbers.Real) and float(v).is_integer()):
+    """``v`` as an int: 64 and 64.0 are kept as 64; 16.5 and the bool True are rejected, naming the field."""
+    integral = isinstance(v, numbers.Integral) or (isinstance(v, numbers.Real) and float(v).is_integer())
+    if integral and not isinstance(v, bool):  # JSON true loads as a bool, which is an int
         return int(v)
     raise ValueError(f"{name} must be integral, got {v!r}")
 

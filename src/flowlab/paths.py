@@ -185,8 +185,20 @@ class GridPath:
 
     @classmethod
     def read_csv(cls, source: Union[str, Path, io.IOBase]) -> "GridPath":
-        data = np.loadtxt(source, delimiter=",", skiprows=1, ndmin=2)
+        """Read what ``to_csv`` writes: a ``t,x1,...,xd`` header row, then one row per grid point."""
+        lines = (source.read() if isinstance(source, io.IOBase) else Path(source).read_text()).splitlines()
+        if lines and _parses_as_float(lines[0].split(",")[0]):  # a header row starts with the name t
+            raise ValueError(f"a path CSV starts with a t,x1,...,xd header row; its first row {lines[0]!r} is a sample")
+        data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
         return cls(data[:, 0], data[:, 1:])
+
+
+def _parses_as_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 # -- norms ---------------------------------------------------------------

@@ -248,6 +248,15 @@ _MALFORMED = {
     "dim-1.5": ("sde", {**_FIELD, "dim": 1.5}, "dim must be integral"),
     "delta-null": ("sde", {**_FIELD, "delta": None}, "(delta) must lie in (0, 1]"),
     "lambda-no-components": ("lambda", "t\n0\n0.5\n1\n", "with d >= 1"),
+    # JSON true is a Python bool, and so an int: each of these ran, and exited 0
+    "seeds-true": ("run", {**_RATE, "seeds": [True]}, "seeds must be integral"),
+    "horizon-true": ("run", {**_RATE, "horizon": True}, "horizon must be a number"),
+    "slope_band-true": ("run", {**_RATE, "tolerances": {"slope_band": True}}, "tolerances must hold numbers"),
+    "dim-true": ("sde", {**_FIELD, "dim": True}, "dim must be integral"),
+    "delta-true": ("sde", {**_FIELD, "delta": True}, "(delta) must lie in (0, 1]"),
+    "beta-true": ("sde", {**_FIELD, "beta": True}, "(beta) must lie in (0, 1]"),
+    # the first row was skipped as the header, so the path lost its first sample and started at t = 0.25
+    "lambda-no-header": ("lambda", "0,0\n0.25,1\n0.5,0.5\n0.75,1\n1,0\n", "t,x1,...,xd header row"),
     "integrate-no-components": ("integrate", "t\n0\n0.5\n1\n", "with d >= 1"),
 }
 

@@ -215,6 +215,15 @@ INF = float("inf")
     ("flow", dict(coefficients="builtin:geometric:nan"), "'geometric' needs finite parameters"),
     ("inverse", dict(coefficients="builtin:geometric:inf"), "'geometric' needs finite parameters"),
     ("moments", dict(coefficients="builtin:additive:nan"), "'additive' needs finite parameters"),
+    # a rung at fine_n was compared with itself: disc 0 and an inf doubling ratio, or a gap 0 that counted as a decrease
+    ("flow", dict(coefficients="builtin:sin", ladder=(256, 512, 1024), fine_n=1024), "ladder"),
+    ("driver-continuity", dict(ladder=(16, 2048), fine_n=2048), "ladder"),
+    # a bool is an int to isinstance: JSON true was read as 1, or a point (0.5, true) as (0.5, 1.0)
+    ("rate", dict(horizon=True), "horizon"),
+    ("rate", dict(seeds=(True,)), "seeds"),
+    ("init-continuity", dict(pair_count=True), "pair_count"),
+    ("flow", dict(coefficients="builtin:additive:0.5,1;0,1", initial_points=((0.5, True),)), "initial_points"),
+    ("flow", dict(lambda_weight=False), "lambda_weight"),
 ])
 def test_bad_configs_are_rejected_naming_the_field(kind, overrides, field):
     with pytest.raises(ValueError, match=field):
@@ -238,6 +247,9 @@ def test_bad_configs_are_rejected_naming_the_field(kind, overrides, field):
                      probe_seeds=0, probe_n=1, probe_fan=())),
     ("moments", dict(solver_n=2)),
     ("moments", dict(moment_orders=(1,), exp_moment_gamma=1e-300)),
+    # a closed-form flow is the reference of a rung at fine_n; inverse has no reference
+    ("flow", dict(ladder=(512, 1024), fine_n=1024)),
+    ("inverse", dict(ladder=(512, 1024), fine_n=1024)),
 ])
 def test_configs_at_the_edge_of_each_rejection_are_accepted(kind, overrides):
     small(kind, **overrides)
@@ -322,14 +334,13 @@ class TestFlowReference:
         fines = [experiments._fine_driver(cfg, seed, components=c.noise_dim) for seed in (3, 4)]
         marks = [0.0, 0.25, 0.5, 0.75, 1.0]
         x0s = np.asarray(points, dtype=float)
-        ref_fwd, ref_bwd = experiments._reference_maps(cfg, c, fines, marks, x0s)
-        for q, fine in enumerate(fines):  # two seeds share each reference pass
+        maps = experiments._mark_maps(cfg, x0s, marks, c, fines)
+        for q, fine in enumerate(fines):  # two seeds share each pass
             for a in range(len(marks)):
                 for b in range(a, len(marks)):
                     for i, x in enumerate(x0s):
                         want_fwd, want_bwd = _per_cell_reference(cfg, c, fine, marks[a], marks[b], x)
-                        got_fwd = ref_fwd(q, a, b, i)
-                        got_bwd = ref_bwd(q, a, b, i) if b > 0 else x  # no backward member ends at t = 0
+                        got_fwd, got_bwd = maps[:, a, b, q, i]
                         if bitwise:
                             assert np.array_equal(got_fwd, want_fwd)
                             assert np.array_equal(got_bwd, want_bwd)

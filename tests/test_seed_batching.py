@@ -205,8 +205,9 @@ def test_every_rung_is_one_pass_over_all_seeds(monkeypatch):
     monkeypatch.setattr(experiments, "_flow_marks", counting)
     cfg = config_for("flow", "builtin:sin", ((0.5,),))
     experiments._run_flow(cfg)
-    # the fine reference forward and backward, then forward and backward per rung, each over 3 seeds
-    assert calls == [(512, 15), (512, 12), (32, 15), (32, 12), (64, 15), (64, 12)]
+    # the fine reference forward and backward, then forward and backward per rung, each over 3 seeds;
+    # a backward member ends at each of the 5 marks, t = 0 included
+    assert calls == [(512, 15), (512, 15), (32, 15), (32, 15), (64, 15), (64, 15)]
     calls.clear()
     experiments._run_driver_continuity(config_for("driver-continuity", "builtin:sin", ((0.5,),)))
     assert calls == [(512, 3 * 4)]  # g and its three polygonal drivers, for each seed
@@ -342,6 +343,48 @@ def test_a_blown_seed_leaves_the_other_seeds_unchanged(kind, closed_form, reques
     with pytest.raises(BlowUpError) as alone:
         solve_forward_batch(np.array([[1.0]]), 0.0, c, g, SolverConfig(cfg.alpha, cfg.fine_n, cfg.hurst))
     assert {r["status"] for r in blown} == {f"error: {alone.value}"}
+
+
+def test_a_seed_whose_fine_reference_alone_fails_errors_at_every_rung(monkeypatch):
+    cfg = config_for("flow", "builtin:sin", ((0.5,), (-1.0,)))
+    clean = experiments._run_flow(cfg)
+    blown = experiments._fine_driver(cfg, BLOWN_SEED).values
+    real = experiments._flow_marks
+
+    def failing(x0s, starts, marks, c, driver, cfg, backward=False):  # the rung passes of every seed stand
+        if any(np.array_equal(p.values, blown) for p in driver):
+            raise BlowUpError("injected reference failure")
+        return real(x0s, starts, marks, c, driver, cfg, backward=backward)
+
+    monkeypatch.setattr(experiments, "_flow_marks", failing)
+    batched = experiments._run_flow(cfg)
+    failed = [r for r in batched if r["seed"] == BLOWN_SEED]
+    assert {r["n"] for r in failed} == set(cfg.ladder)
+    assert {r["status"] for r in failed} == {"error: injected reference failure"}
+    assert all(np.isnan(r["disc_forward"]) and np.isnan(r["disc_backward"]) for r in failed)
+    keep = lambda records: bits(r for r in records if r["seed"] != BLOWN_SEED)
+    assert keep(batched) == keep(clean)
+
+
+@pytest.mark.parametrize("name", ["w_alpha_lambda_norm", "lambda_alpha"])
+def test_a_failed_driver_continuity_norm_errors_its_cell_alone(monkeypatch, name):
+    cfg = config_for("driver-continuity", "builtin:sin", ((0.5,),))
+    clean = experiments._run_driver_continuity(cfg)
+    real = getattr(experiments, name)
+    calls = []
+
+    def failing(*args, **kwargs):  # one call per (seed, rung), seed by seed: the fifth is seed 1 at rung 16
+        calls.append(None)
+        if len(calls) == 5:
+            raise FloatingPointError("injected norm failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, name, failing)
+    batched = experiments._run_driver_continuity(cfg)
+    assert [(r["seed"], r["coarse_n"], r["status"]) for r in batched if r["status"] != "ok"] == [
+        (1, 16, "error: injected norm failure")]
+    others = lambda records: bits(r for r in records if (r["seed"], r["coarse_n"]) != (1, 16))
+    assert others(batched) == others(clean)
 
 
 def per_call_rate(config):
