@@ -348,35 +348,52 @@ def _replayed(run, count: int) -> tuple:
 
 
 def _stack_pass(config: ExperimentConfig, inits, starts, marks, c: CoefficientField, drivers: list,
-                backward: bool = False) -> np.ndarray:
+                backward: bool = False, strides=1) -> np.ndarray:
     """One Euler pass over every block, driver and point, with the states at grid indices ``marks``.
 
     ``inits`` broadcasts to (len(starts), len(drivers), npts, d): the
     members of block j start at grid index starts[j] (end there when
-    ``backward``), member [j, q, i] under drivers[q].  Returns the states
+    ``backward``), member [j, q, i] under drivers[q] with stride
+    strides[q] (an int or one per driver).  Returns the states
     (len(starts), len(marks), len(drivers), npts, d): entry [j, k, q, i] is
     member [j, q, i] at grid index marks[k].
     """
     npts, d = np.shape(inits)[-2:]
     inits = np.broadcast_to(inits, (len(starts), len(drivers), npts, d))
     members = [p for p in drivers for _ in range(npts)] * len(starts)
+    if np.ndim(strides):
+        strides = np.tile(np.repeat(strides, npts), len(starts))
     cfg = SolverConfig(config.alpha, drivers[0].n_steps, config.hurst)
     out = _flow_marks(inits.reshape(-1, d), np.repeat(starts, len(drivers) * npts), marks, c, members, cfg,
-                      backward=backward)
+                      backward=backward, strides=strides)
     return out.reshape(len(marks), len(starts), len(drivers), npts, d).swapaxes(0, 1)
 
 
 def _mark_maps(config: ExperimentConfig, x0s: np.ndarray, marks: list, c: CoefficientField,
-               drivers: list) -> np.ndarray:
+               drivers: list, strides=1) -> np.ndarray:
     """X_{r_a t_b}(x_i) and Y_{r_a t_b}(x_i) under drivers[q], at [0, a, b, q, i] and [1, a, b, q, i], for a <= b.
 
     One forward pass starts a member at every mark; one backward pass ends
-    a member at every mark, t = 0 included, where it never steps.
+    a member at every mark, t = 0 included, where it never steps.  The
+    members under drivers[q] have stride strides[q].
     """
     idx = [drivers[0].index_of(m) for m in marks]
-    fwd = _stack_pass(config, x0s, idx, idx, c, drivers)
-    bwd = _stack_pass(config, x0s, idx, idx, c, drivers, backward=True)
+    fwd = _stack_pass(config, x0s, idx, idx, c, drivers, strides=strides)
+    bwd = _stack_pass(config, x0s, idx, idx, c, drivers, backward=True, strides=strides)
     return np.stack([fwd, bwd.swapaxes(0, 1)])
+
+
+def _cell_drivers(config: ExperimentConfig, fines: list, cells: list) -> tuple:
+    """The drivers and strides of one lockstep pass over ``cells``.
+
+    The pass marches the grid of the finest rung among the cells.  Cell
+    (n, q) runs under seed q's driver on that grid with stride top / n, so
+    it steps on rung n's own grid points; a single cell marches its own
+    rung's grid.
+    """
+    top = max(n for n, _ in cells)
+    grids = {q: fines[q].decimate(config.fine_n // top) for _, q in cells}
+    return [grids[q] for _, q in cells], [top // n for n, _ in cells]
 
 
 def _run_flow(config: ExperimentConfig) -> list:
@@ -386,11 +403,13 @@ def _run_flow(config: ExperimentConfig) -> list:
     from the reached state performs bit-for-bit the same operations as
     solving r -> t in one leg (exercised directly in the unit tests).  The
     discrepancy |X^n_{tau t}(X^n_{r tau}(x)) - X_{rt}(x)| therefore equals
-    |X^n_{rt}(x) - X_{rt}(x)|, which is what each triple records.  Each
-    rung's maps come from one ``_mark_maps`` over every seed.  The reference
-    is the field's closed-form flow where it declares one, at -(B_t - B_r)
-    for Y; otherwise it is ``_mark_maps`` at fine_n.  A seed whose reference
-    pass raises on its own records that error at every rung.
+    |X^n_{rt}(x) - X_{rt}(x)|, which is what each triple records.  One
+    ``_mark_maps`` marches every (rung, seed) cell in lockstep, each on its
+    own rung's grid points (``_cell_drivers``); a failed pass is replayed
+    cell by cell.  The reference is the field's closed-form flow where it
+    declares one, at -(B_t - B_r) for Y; otherwise it is ``_mark_maps`` at
+    fine_n.  A seed whose reference pass raises on its own records that
+    error at every rung where its own cell does not fail first.
     """
     c = config.field()
     triples = _time_triples(config.horizon)
@@ -409,34 +428,39 @@ def _run_flow(config: ExperimentConfig) -> list:
                                for sign in (1.0, -1.0)])
 
     refs, ref_errors = _replayed(reference, len(fines))
+    cells = [(n, q) for n in config.ladder for q in range(len(fines))]
+
+    def run(sel, out):  # out[k, r, t, i]: (disc_forward, disc_backward) of cell k
+        maps = _mark_maps(config, x0s, marks, c, *_cell_drivers(config, fines, [cells[k] for k in sel]))
+        for p, k in enumerate(sel):
+            q = cells[k][1]
+            if ref_errors[q] is not None:
+                raise ref_errors[q]
+            gap = maps[:, :, :, p] - refs[q]
+            for a, r in enumerate(marks):
+                for b in range(a, len(marks)):
+                    for i in range(npts):
+                        out[k, r, marks[b], i] = (float(np.linalg.norm(gap[0, a, b, i])),
+                                                  float(np.linalg.norm(gap[1, a, b, i])))
+
+    disc, errors = _replayed(run, len(cells))
     records = []
-    for n in config.ladder:
-        drivers = [fine.decimate(config.fine_n // n) for fine in fines]
-
-        def run(sel, out):  # out[q, r, t, i]: (disc_forward, disc_backward) of seed q
-            maps = _mark_maps(config, x0s, marks, c, [drivers[q] for q in sel])
-            for p, q in enumerate(sel):
-                if ref_errors[q] is not None:
-                    raise ref_errors[q]
-                gap = maps[:, :, :, p] - refs[q]
-                for a, r in enumerate(marks):
-                    for b in range(a, len(marks)):
-                        for i in range(npts):
-                            out[q, r, marks[b], i] = (float(np.linalg.norm(gap[0, a, b, i])),
-                                                      float(np.linalg.norm(gap[1, a, b, i])))
-
-        disc, errors = _replayed(run, len(fines))
-        for q, seed in enumerate(config.seeds):
-            for i in range(npts):
-                for r, tau, t in triples:
-                    fwd, bwd = disc.get((q, r, t, i), (np.nan, np.nan))
-                    records.append({"seed": seed, "n": n, "r": r, "tau": tau, "t": t, "point": i,
-                                    "status": _status(errors[q]), "disc_forward": fwd, "disc_backward": bwd})
+    for k, (n, q) in enumerate(cells):
+        for i in range(npts):
+            for r, tau, t in triples:
+                fwd, bwd = disc.get((k, r, t, i), (np.nan, np.nan))
+                records.append({"seed": config.seeds[q], "n": n, "r": r, "tau": tau, "t": t, "point": i,
+                                "status": _status(errors[k]), "disc_forward": fwd, "disc_backward": bwd})
     return records
 
 
 def _run_inverse(config: ExperimentConfig) -> list:
-    """X_rt(Y_rt(x)) and Y_rt(X_rt(x)) against x for every ordered mark pair, in three passes per rung."""
+    """X_rt(Y_rt(x)) and Y_rt(X_rt(x)) against x for every ordered mark pair.
+
+    Three passes march every (rung, seed) cell in lockstep, each on its own
+    rung's grid points (``_cell_drivers``); a failed pass is replayed cell
+    by cell.
+    """
     c = config.field()
     pairs = _time_pairs(config.horizon)
     marks = sorted({m for pair in pairs for m in pair})
@@ -444,35 +468,35 @@ def _run_inverse(config: ExperimentConfig) -> list:
     npts = x0s.shape[0]
     later = [(a, b) for a in range(len(marks)) for b in range(a + 1, len(marks))]
     fines = [_fine_driver(config, seed, components=c.noise_dim) for seed in config.seeds]
+    cells = [(n, q) for n in config.ladder for q in range(len(fines))]
+
+    def run(sel, out):  # out[k, r, t, i]: (disc_xy, disc_yx) of cell k
+        stack, strides = _cell_drivers(config, fines, [cells[k] for k in sel])
+        idx = [stack[0].index_of(m) for m in marks]
+        # (1) Y_{r_a t_b}(x) = ys[b - 1, a]: one backward pass from every t > 0
+        ys = _stack_pass(config, x0s, idx[1:], idx, c, stack, backward=True, strides=strides)
+        # (2) from every r: X_rt(Y_rt(x)) for each later t, then X_{r.}(x) itself
+        inits = [ys[b - 1, a] for a, b in later] + [np.broadcast_to(x0s, ys.shape[2:])] * len(marks)
+        xs = _stack_pass(config, np.stack(inits), [idx[a] for a, _ in later] + idx, idx, c, stack, strides=strides)
+        # (3) Y_rt(X_rt(x)) for every pair r < t
+        inits = [xs[len(later) + a, b] for a, b in later]
+        yx = _stack_pass(config, np.stack(inits), [idx[b] for _, b in later], idx, c, stack, backward=True,
+                         strides=strides)
+        for p, k in enumerate(sel):
+            for j, (a, b) in enumerate(later):
+                for i in range(npts):
+                    out[k, marks[a], marks[b], i] = (float(np.linalg.norm(xs[j, b, p, i] - x0s[i])),
+                                                      float(np.linalg.norm(yx[j, a, p, i] - x0s[i])))
+            out.update({(k, r, r, i): (0.0, 0.0) for r in marks for i in range(npts)})
+
+    disc, errors = _replayed(run, len(cells))
     records = []
-    for n in config.ladder:
-        drivers = [fine.decimate(config.fine_n // n) for fine in fines]
-        idx = [drivers[0].index_of(m) for m in marks]
-
-        def run(sel, out):  # out[q, r, t, i]: (disc_xy, disc_yx) of seed q
-            stack = [drivers[q] for q in sel]
-            # (1) Y_{r_a t_b}(x) = ys[b - 1, a]: one backward pass from every t > 0
-            ys = _stack_pass(config, x0s, idx[1:], idx, c, stack, backward=True)
-            # (2) from every r: X_rt(Y_rt(x)) for each later t, then X_{r.}(x) itself
-            inits = [ys[b - 1, a] for a, b in later] + [np.broadcast_to(x0s, ys.shape[2:])] * len(marks)
-            xs = _stack_pass(config, np.stack(inits), [idx[a] for a, _ in later] + idx, idx, c, stack)
-            # (3) Y_rt(X_rt(x)) for every pair r < t
-            inits = [xs[len(later) + a, b] for a, b in later]
-            yx = _stack_pass(config, np.stack(inits), [idx[b] for _, b in later], idx, c, stack, backward=True)
-            for p, q in enumerate(sel):
-                for j, (a, b) in enumerate(later):
-                    for i in range(npts):
-                        out[q, marks[a], marks[b], i] = (float(np.linalg.norm(xs[j, b, p, i] - x0s[i])),
-                                                          float(np.linalg.norm(yx[j, a, p, i] - x0s[i])))
-                out.update({(q, r, r, i): (0.0, 0.0) for r in marks for i in range(npts)})
-
-        disc, errors = _replayed(run, len(fines))
-        for q, seed in enumerate(config.seeds):
-            for i in range(npts):
-                for r, t in pairs:
-                    xy, yx = disc.get((q, r, t, i), (np.nan, np.nan))
-                    records.append({"seed": seed, "n": n, "r": r, "t": t, "point": i,
-                                    "status": _status(errors[q]), "disc_xy": xy, "disc_yx": yx})
+    for k, (n, q) in enumerate(cells):
+        for i in range(npts):
+            for r, t in pairs:
+                xy, yx = disc.get((k, r, t, i), (np.nan, np.nan))
+                records.append({"seed": config.seeds[q], "n": n, "r": r, "t": t, "point": i,
+                                "status": _status(errors[k]), "disc_xy": xy, "disc_yx": yx})
     records.extend(_run_sortedness_probe(config, c))
     return records
 
@@ -544,7 +568,8 @@ def _flow_style_summary(config, records, strict, value_keys, group_cols) -> dict
         "ladder": ladder,
         "medians": {k: [_median([float(r[k]) for r in rows[n]]) for n in ladder] for k in value_keys},
         "median_pooled": pooled,
-        "doubling_ratios": [a / b if b != 0 else np.inf for a, b in zip(pooled, pooled[1:])],
+        # a zero rung after a nonzero one is an infinite decay; 0/0 shows none
+        "doubling_ratios": [a / b if b != 0 else np.inf if a != 0 else np.nan for a, b in zip(pooled, pooled[1:])],
         "tol_flow_amplitude": amp,
         "tol_flow_top": amp * ladder[-1] ** decay,
         "top_rung_worst_cell_median": max((_median(v) for v in groups.values()), default=np.nan),
@@ -564,7 +589,9 @@ def _checks_flow_style(config: ExperimentConfig, summary: dict) -> dict:
     ratios = summary["doubling_ratios"]
     checks["median_decay_ratio"] = bool(ratios) and all(r >= min_ratio for r in ratios)
     worst, tol = summary["top_rung_worst_cell_median"], summary["tol_flow_top"]
-    checks["top_rung_below_tol"] = math.isfinite(worst) and math.isfinite(tol) and worst <= tol
+    # a zero tolerance comes from a coarsest rung with no discrepancy, which on a field that is not
+    # grid-exact says nothing of its accuracy
+    checks["top_rung_below_tol"] = math.isfinite(worst) and 0.0 < tol < math.inf and worst <= tol
     return checks
 
 

@@ -10,13 +10,19 @@ scheme is available for convergence cross-checks.
 
 Every solve runs through one stepping kernel, ``_march``.  It advances a
 batch of members, each from its own start index, against one shared
-driver or one driver per member; sorted by start, the members active at
-a step are a prefix of the batch.  The blow-up guard is checked once per
-block of ``_GUARD_BLOCK`` steps: the block's states are scanned for the
-first crossing in stepping order, which raises the same error, with the
-same time and magnitude, as a check after every step would.  The guard
-bound is ``DEFAULT_BLOWUP_FACTOR`` times (1 + |x0|), read at each call;
-a non-finite state (say from a field that returns NaN) counts as a
+driver or a driver per member (which members may share); sorted by
+start, the members that have started at a step are a prefix of the
+batch.  A member may march with a stride s: it steps only from the grid
+indices that s divides, over s indices at once, and does no arithmetic
+at the indices between.  That is the same solve, bit for bit, as on the
+grid decimated by s, so one march steps a whole ladder of grids in
+lockstep.  The blow-up guard is checked once per block of
+``_GUARD_BLOCK`` steps: the block's states are scanned for the first
+crossing in stepping order, which raises the same error, with the same
+time and magnitude, as a check after every step would (a strided
+member's crossing is timed at the knot it stepped to).  The guard bound
+is ``DEFAULT_BLOWUP_FACTOR`` times (1 + |x0|), read at each call; a
+non-finite state (say from a field that returns NaN) counts as a
 crossing.  A field that declares ``drift_growth == 0`` has b = 0, and
 its steps never call ``drift``.
 Blocks are handed back one at a time.  ``_flow_marks`` is the one place
@@ -116,8 +122,13 @@ def _blowup_message(worst: float, t: float) -> str:
     )
 
 
-def _check_block(block, active, bound, reached_times) -> None:
-    """Raise at the first step of the block at which a started member crossed its bound."""
+def _check_block(block, active, reached, bound, time_of) -> None:
+    """Raise at the first step of the block at which a started member crossed its bound.
+
+    The message names the worst started member's magnitude and
+    ``time_of(r, i)``, the time of member i's state in the row that
+    reached grid index r.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         mag = np.linalg.norm(block, axis=-1)
     over = ~(mag <= bound)  # NaN compares false, so a NaN state counts as a crossing
@@ -126,37 +137,59 @@ def _check_block(block, active, bound, reached_times) -> None:
     for j in np.flatnonzero(over.reshape(over.shape[0], -1).any(axis=1)):
         a = active[j]
         if over[j, :a].any():
-            raise BlowUpError(_blowup_message(float(mag[j, :a].max()), reached_times[j]))
+            worst = np.unravel_index(np.argmax(mag[j, :a]), mag[j, :a].shape)  # argmax finds a NaN, as max does
+            raise BlowUpError(_blowup_message(float(mag[j, :a][worst]), time_of(reached[j], worst[0])))
 
 
-def _march(x0s, starts, c, times, values, h, scheme="euler", backward=False):
+def _march(x0s, starts, c, times, values, h, scheme="euler", backward=False, strides=1, owner=None):
     """The stepping kernel: advance every member from its own start index.
 
     ``x0s`` is (B, ..., d); member i holds x0s[i] at grid index starts[i]
     (an int or a (B,) array) and steps forward to the end of the grid, or
     back to its first point when ``backward``.  ``values`` is one shared
-    driver (n+1, m) or one driver per member (B, n+1, m).  Yields
-    ``(reached, states)`` per checked block of at most ``_GUARD_BLOCK``
-    steps, in stepping order: ``reached`` holds the grid indices the
-    steps reach and ``states`` (len(reached), B, ..., d) the members'
-    states there, in the caller's order.  A member that has not started
-    yet holds its initial point.
+    driver (n+1, m) or a stack of drivers (D, n+1, m): member i runs under
+    values[owner[i]], or under values[i] when ``owner`` is None.  ``h`` is
+    the drift step, one for all or one per member.  A member of stride s
+    (``strides``, an int or a (B,) array; s divides n and the member's
+    start) marches the coarser grid of every s-th index: it steps only
+    from the indices k that s divides, to k + s (k - s backward), with the
+    driver increment between the two.  Between two of its knots it reads
+    its state at the knot it is stepping to.  Yields ``(reached, states)``
+    per checked block of at most ``_GUARD_BLOCK`` steps, in stepping
+    order: ``reached`` holds the grid indices the steps reach and
+    ``states`` (len(reached), B, ..., d) the members' states there, in the
+    caller's order.  A member that has not started yet holds its initial
+    point.
     """
     n = times.shape[0] - 1
-    starts = np.broadcast_to(np.asarray(starts, dtype=np.intp), x0s.shape[:1])
-    # with members sorted by start, the members active at any step form a prefix
+    size = x0s.shape[0]
+    starts = np.broadcast_to(np.asarray(starts, dtype=np.intp), (size,))
+    strides = np.broadcast_to(np.asarray(strides, dtype=np.intp), (size,))
+    strided = bool(np.any(strides != 1))
+    # with members sorted by start, the members that have started at any step form a prefix
     order = np.argsort(-starts if backward else starts, kind="stable")
+    if np.ndim(h) or strided:  # one drift step per member, broadcast over the state axes between B and d
+        h = np.broadcast_to(h, (size,))[order].reshape((size,) + (1,) * (x0s.ndim - 1))
+    if strided:  # increments are taken from the distinct drivers, member i's from values[owner[i]]
+        if values.ndim == 2:
+            values, owner = values[None], np.zeros(size, dtype=np.intp)
+        owner = np.arange(size) if owner is None else np.asarray(owner)
+    elif owner is not None:  # one driver row per member, which the steps slice
+        values = values[owner]
     inverse = None
     if np.any(order != np.arange(order.size)):
         inverse = np.argsort(order)
-        x0s, starts = x0s[order], starts[order]
-        if values.ndim == 3:
+        x0s, starts, strides = x0s[order], starts[order], strides[order]
+        if strided:
+            owner = owner[order]
+        elif values.ndim == 3:
             values = values[order]
-    per_member = values.ndim == 3
+    per_member = strided or values.ndim == 3
+    # a step is named by the grid index k it leaves
     if backward:
-        steps = np.arange(starts[0] - 1, -1, -1)
-        active = np.searchsorted(-starts, -(steps + 1), side="right")
-        reached = steps
+        steps = np.arange(starts[0], 0, -1)
+        active = np.searchsorted(-starts, -steps, side="right")
+        reached = steps - 1
     else:
         steps = np.arange(starts[0], n)
         active = np.searchsorted(starts, steps, side="right")
@@ -169,37 +202,93 @@ def _march(x0s, starts, c, times, values, h, scheme="euler", backward=False):
 
     if c.drift_growth == 0.0:
         # |b(x)| <= drift_growth (1 + |x|), so the field declares b = 0
-        def increment(t, s, db):
+        def increment(t, s, db, h):
             return np.einsum(contract, c.sigma(t, s), db)
     else:
-        def increment(t, s, db):
+        def increment(t, s, db, h):
             return np.einsum(contract, c.sigma(t, s), db) + c.drift(t, s) * h
+
+    def move(a, phase):
+        """Who steps from an index k = phase (mod every stride), with a members started.
+
+        Returns the stepping members (a slice when they are the started
+        prefix), their one stride or, for several, the positions of each,
+        and their drift steps.
+        """
+        idx = np.flatnonzero(phase % strides[:a] == 0)
+        sel = slice(0, a) if idx.size == a else idx
+        own = strides[idx]
+        kinds = set(own.tolist()) or {1}
+        hs = h if np.ndim(h) == 0 else h[sel]
+        if len(kinds) == 1:
+            return sel, kinds.pop(), None, hs
+        return sel, None, [(np.flatnonzero(own == s), s) for s in kinds], hs
+
+    # who steps from k depends on k only through the started count and k mod every stride
+    period = int(np.lcm.reduce(strides))
+    keys = active * period + steps % period
+    table = {key: move(*divmod(key, period)) for key in set(keys.tolist())}
+    moves = [table[key] for key in keys.tolist()]
+
+    def time_of(r, i):  # the time of the knot member i is at, or stepping to, at grid index r
+        s = strides[i]
+        return times[r // s * s if backward else -(-r // s) * s]
+
+    by_stride = []  # each stride's members and the drivers they run under
+    for g in set(strides.tolist()) if strided else ():
+        rows = np.flatnonzero(strides == g)
+        by_stride.append((rows, g, owner[rows]))
 
     prev = x0s
     for lo in range(0, steps.size, _GUARD_BLOCK):
         ks = steps[lo : lo + _GUARD_BLOCK]
         block = np.empty(ks.shape + x0s.shape)
+        if strided:  # every member's increment over its own stride, from each index of the block
+            first = int(ks.min())
+            span = np.empty((ks.size, size) + values.shape[2:])
+            for rows, g, under in by_stride:
+                # only from the indices whose reach stays on the grid; the others are never read
+                a, b = (max(first, g), first + ks.size) if backward else (first, min(first + ks.size, n - g + 1))
+                if a < b:
+                    lower, upper = (a - g, a) if backward else (a, a + g)
+                    reach = values[:, upper : upper + b - a] - values[:, lower : lower + b - a]
+                    span[a - first : b - first, rows] = reach[under].swapaxes(0, 1)
         done = 0
         try:
             # steps past a crossing may overflow; they are checked below and discarded
             with np.errstate(over="ignore", invalid="ignore"):
-                for j, (k, a) in enumerate(zip(ks.tolist(), active[lo : lo + ks.size].tolist())):
-                    t_from, t_to = (times[k + 1], times[k]) if backward else (times[k], times[k + 1])
-                    s = prev[:a]
-                    db = values[:a, k + 1] - values[:a, k] if per_member else shared_db[k]
-                    inc = increment(t_from, s, db)
+                for j, (k, (sel, st, groups, hs)) in enumerate(zip(ks.tolist(), moves[lo : lo + ks.size])):
+                    prefix = type(sel) is slice
+                    s = prev[sel] if prefix else prev.take(sel, axis=0)
+                    if strided:
+                        db = span[k - first, sel] if prefix else span[k - first].take(sel, axis=0)
+                    else:
+                        near = k - 1 if backward else k
+                        db = values[sel, near + 1] - values[sel, near] if per_member else shared_db[near]
+                    inc = increment(times[k], s, db, hs)
                     if scheme == "heun":
-                        inc = 0.5 * (inc + increment(t_to, apply(s, inc), db))
+                        y = apply(s, inc)
+                        if groups is None:
+                            inc = 0.5 * (inc + increment(times[k - st if backward else k + st], y, db, hs))
+                        else:  # each stride reaches its own time
+                            second = np.empty_like(inc)
+                            for pos, g in groups:
+                                second[pos] = increment(times[k - g if backward else k + g], y[pos], db[pos], hs[pos])
+                            inc = 0.5 * (inc + second)
                     row = block[j]
-                    apply(s, inc, out=row[:a])
-                    if a < len(row):
-                        row[a:] = prev[a:]
+                    if prefix:
+                        apply(s, inc, out=row[sel])
+                        if sel.stop < size:
+                            row[sel.stop :] = prev[sel.stop :]
+                    else:  # the members that do not step hold their states
+                        row[...] = prev
+                        row[sel] = apply(s, inc)
                     prev = row
                     done = j + 1
         except Exception:
-            _check_block(block[:done], active[lo:], bound, times[reached[lo:]])
+            _check_block(block[:done], active[lo:], reached[lo:], bound, time_of)
             raise
-        _check_block(block, active[lo:], bound, times[reached[lo : lo + ks.size]])
+        _check_block(block, active[lo:], reached[lo:], bound, time_of)
         yield reached[lo : lo + ks.size], (block if inverse is None else block[:, inverse])
 
 
@@ -246,7 +335,7 @@ def solve_backward_batch(
 
 
 def _flow_marks(x0s, starts, marks, c: CoefficientField, driver: Union[GridPath, list], cfg: SolverConfig,
-                backward: bool = False, scheme: str = "euler") -> np.ndarray:
+                backward: bool = False, scheme: str = "euler", strides=1) -> np.ndarray:
     """Euler states of members started at grid indices ``starts``, at grid indices ``marks``.
 
     Returns (len(marks), batch, d).  Entry [j, i] is X_{starts[i], marks[j]}(x0s[i])
@@ -254,17 +343,30 @@ def _flow_marks(x0s, starts, marks, c: CoefficientField, driver: Union[GridPath,
     on the member's side of its start; a member holds x0s[i] exactly at its
     own start and at every index it has not stepped to.  ``driver`` is one
     path shared by every member or a list of one path per member, all on
-    one grid.
+    one grid.  A member of stride s (``strides``, an int or one per member)
+    solves on that grid decimated by s, with its step: at a mark that s
+    divides it reads what a solve on the decimated grid reads there.
     """
     if scheme not in ("euler", "heun"):
         raise ValueError(f"unknown scheme {scheme!r}")
     grid = driver[0] if isinstance(driver, list) else driver
     x0s = _prepare(x0s, c, grid, cfg)
-    values = np.stack([p.values for p in driver]) if isinstance(driver, list) else driver.values
+    if isinstance(driver, list):  # each path once: the members of a lockstep pass share their seed's path
+        slots = {}
+        owner = np.array([slots.setdefault(id(p), len(slots)) for p in driver])
+        values = np.stack([p.values for p in {id(p): p for p in driver}.values()])
+        owner = None if len(slots) == len(driver) else owner
+    else:
+        values, owner = driver.values, None
+    strides = np.asarray(strides, dtype=np.intp)
+    if np.any(strides < 1) or np.any(grid.n_steps % strides) or np.any(np.asarray(starts) % strides):
+        raise ValueError(f"each stride must be positive and divide the grid's {grid.n_steps} steps "
+                         "and its member's start")
+    h = (grid.times[-1] - grid.times[0]) / (grid.n_steps // strides)  # each decimated grid's step
     marks = np.asarray(marks, dtype=np.intp)
     slot = np.full(grid.n_steps + 1, marks.size)  # an unmarked index writes to a spare last row
     slot[marks] = np.arange(marks.size)
     out = np.broadcast_to(x0s, (marks.size + 1,) + x0s.shape).copy()
-    for reached, states in _march(x0s, starts, c, grid.times, values, grid.step, scheme, backward):
+    for reached, states in _march(x0s, starts, c, grid.times, values, h, scheme, backward, strides, owner):
         out[slot[reached]] = states
     return out[:-1]

@@ -283,6 +283,18 @@ class TestFlowExperiment:
         assert res.checks["top_rung_below_tol"] is False
         assert verify_result(save_result(res, tmp_path / "out")).ok
 
+    def test_a_frozen_driver_fails_the_decay_and_tolerance_checks(self, monkeypatch, tmp_path):
+        import flowlab.experiments as experiments
+
+        # every map is the identity, and so is the closed form: each discrepancy is 0, which shows no decay
+        real = experiments._fine_driver
+        monkeypatch.setattr(experiments, "_fine_driver", lambda *args, **kwargs: real(*args, **kwargs) * 0.0)
+        res = run_experiment(small("flow"))
+        assert res.summary["max_discrepancy"] == 0.0 and not res.summary["exact_field"]
+        assert np.isnan(res.summary["doubling_ratios"]).all() and res.summary["tol_flow_top"] == 0.0
+        assert res.checks == {"no_error_records": True, "median_decay_ratio": False, "top_rung_below_tol": False}
+        assert verify_result(save_result(res, tmp_path / "out")).ok
+
     def test_all_error_records_fail_every_check(self):
         cfg = small("flow")
         records = [{**rec, "status": "error: boom", "disc_forward": np.nan, "disc_backward": np.nan}
@@ -355,10 +367,10 @@ class TestFlowReference:
         real = experiments._flow_marks
         fine_passes, solves = [], []
 
-        def counting(x0s, starts, marks, c, driver, cfg, backward=False):
+        def counting(x0s, starts, marks, c, driver, cfg, backward=False, strides=1):
             if driver[0].n_steps == fine_n:
                 fine_passes.append(backward)
-            return real(x0s, starts, marks, c, driver, cfg, backward=backward)
+            return real(x0s, starts, marks, c, driver, cfg, backward=backward, strides=strides)
 
         def no_solve(*args, **kwargs):
             solves.append(None)

@@ -621,3 +621,69 @@ class TestSteppingKernel:
         got = [r["sup_abs"] for r in experiments._run_moments(cfg)]
         want = [r["sup_abs"] for r in oracle_moments(cfg)]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+class TestStridedMarch:
+    """Members of mixed strides in one march against each member alone on its grid decimated by its stride."""
+
+    N = 256  # four guard blocks; the stride-8 members alone take 32 steps
+    STRIDES = [1, 8, 2, 4, 1, 4, 2, 8]
+
+    def members(self, c, backward, drivers):
+        x0s = np.random.default_rng(5).uniform(-1.0, 1.0, size=(len(self.STRIDES), c.dim))
+        x0s[[1, 4]] = -0.0  # the sign of an exactly-zero state must survive as well
+        x0s[6] = 0.0
+        picks = [256, 0, 64, 128, 200, 32, 96, 256] if backward else [0, 0, 64, 128, 200, 32, 96, 248]
+        starts = [k // s * s for k, s in zip(picks, self.STRIDES)]
+        if drivers == "per-member":
+            return x0s, starts, [driver_of(seed=s, n=self.N, m=c.noise_dim) for s in range(len(starts))]
+        paths = [driver_of(seed=s, n=self.N, m=c.noise_dim) for s in (3, 4)]
+        # one path object for all, or two, each shared by members of several strides
+        return x0s, starts, paths[0] if drivers == "shared" else [paths[i % 3 % 2] for i in range(len(starts))]
+
+    @pytest.mark.parametrize("spec", ["builtin:sin", "builtin:geometric:0.5", "builtin:additive:0.5,1;0,1",
+                                      "builtin:linear-drift:0.8,0.3;-0.2,0.6", "time-dependent:1",
+                                      "time-dependent:2"])
+    @pytest.mark.parametrize("scheme", ["euler", "heun"])
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    @pytest.mark.parametrize("drivers", ["shared", "repeated", "per-member"])
+    def test_each_member_matches_its_decimated_grid(self, spec, scheme, backward, drivers):
+        # the time-dependent fields read t in sigma and the drift, so Heun's second time and h are checked too
+        c = time_dependent_field(int(spec[-1])) if spec.startswith("time") else parse_field(spec)
+        x0s, starts, driver = self.members(c, backward, drivers)
+        got = _flow_marks(x0s, starts, range(self.N + 1), c, driver, SolverConfig(0.3, self.N, 0.75),
+                          backward=backward, scheme=scheme, strides=self.STRIDES)
+        for i, s in enumerate(self.STRIDES):
+            d = driver[i] if isinstance(driver, list) else driver
+            coarse = d.decimate(s)
+            want = _flow_marks(x0s[i : i + 1], starts[i] // s, range(coarse.n_steps + 1), c, coarse,
+                               SolverConfig(0.3, coarse.n_steps, 0.75), backward=backward, scheme=scheme)
+            have = got[::s, i : i + 1]
+            assert np.array_equal(have, want), i
+            assert np.array_equal(np.signbit(have), np.signbit(want)), i
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    def test_a_crossing_member_raises_the_error_it_raises_alone(self, backward):
+        f = builtin_field("additive", matrix=np.array([[1.0]]))
+        strides = [1, 4, 2, 8]
+        # the stride-8 member's driver jumps by 1e13 between its knots 96 and 104; the others stay small
+        drivers = [driver_of(seed=s, n=self.N) for s in range(3)] + [spiked_driver(self.N, 101)]
+        x0s = np.array([[0.5], [-0.3], [1.0], [0.2]])
+        start = self.N if backward else 0
+        with pytest.raises(BlowUpError) as got:
+            _flow_marks(x0s, start, [0, self.N], f, drivers, SolverConfig(0.3, self.N, 0.75),
+                        backward=backward, strides=strides)
+        coarse = drivers[3].decimate(8)
+        with pytest.raises(BlowUpError) as alone:
+            _flow_marks(x0s[3:], start // 8, [0, coarse.n_steps], f, coarse, SolverConfig(0.3, coarse.n_steps, 0.75),
+                        backward=backward)
+        assert str(got.value) == str(alone.value)
+        # the time of the knot the member steps to, not of the fine grid index the march reached
+        assert f"at t = {(96 if backward else 104) / self.N:.6g} " in str(got.value)
+
+    def test_a_stride_must_divide_the_grid_and_the_start(self):
+        drivers = [driver_of(seed=s, n=self.N) for s in range(2)]
+        c, cfg = builtin_field("sin"), SolverConfig(0.3, self.N, 0.75)
+        for starts, strides in (([0, 4], [1, 8]), ([0, 0], [1, 3]), ([0, 0], [1, 0])):
+            with pytest.raises(ValueError, match="stride"):
+                _flow_marks(np.zeros((2, 1)), starts, [self.N], c, drivers, cfg, strides=strides)

@@ -2,7 +2,9 @@
 
 The copies below are the flow, inverse and driver-continuity runners as
 they stood when every seed (and every polygonal driver) had passes of its
-own.  The batched runners must give ``==`` records, failures included.
+own, and the flow and inverse runners as they stood when every ladder
+rung had passes of its own.  The batched runners must give ``==``
+records, failures included.
 The init-continuity copy took one norm per pair; its batched runner must
 give ``==`` records but for ``ratio``, which may move in the last bits.
 The rate copy made two ``lambda_alpha`` calls per rung; its one endpoint
@@ -198,19 +200,128 @@ def test_every_rung_is_one_pass_over_all_seeds(monkeypatch):
     calls = []
     real = experiments._flow_marks
 
-    def counting(x0s, starts, marks, c, driver, cfg, backward=False):
-        calls.append((driver[0].n_steps, x0s.shape[0]))
-        return real(x0s, starts, marks, c, driver, cfg, backward=backward)
+    def counting(x0s, starts, marks, c, driver, cfg, backward=False, strides=1):
+        calls.append((driver[0].n_steps, x0s.shape[0], backward, sorted(set(np.broadcast_to(strides, len(driver))))))
+        return real(x0s, starts, marks, c, driver, cfg, backward=backward, strides=strides)
 
     monkeypatch.setattr(experiments, "_flow_marks", counting)
     cfg = config_for("flow", "builtin:sin", ((0.5,),))
     experiments._run_flow(cfg)
-    # the fine reference forward and backward, then forward and backward per rung, each over 3 seeds;
-    # a backward member ends at each of the 5 marks, t = 0 included
-    assert calls == [(512, 15), (512, 15), (32, 15), (32, 15), (64, 15), (64, 15)]
+    # the fine reference forward and backward over 3 seeds, then forward and backward over the 2 rungs x 3 seeds
+    # on the top rung's grid, rung 32 at stride 2; a member starts (ends) at each of the 5 marks, t = 0 included
+    assert calls == [(512, 15, False, [1]), (512, 15, True, [1]), (64, 30, False, [1, 2]), (64, 30, True, [1, 2])]
+    calls.clear()
+    experiments._run_inverse(config_for("inverse", "builtin:sin", ((0.5,),)))
+    # Y from every t > 0, X from every r (10 returns, 5 plain starts), Y of X for every pair: 6 cells each
+    assert calls == [(64, 4 * 6, True, [1, 2]), (64, 15 * 6, False, [1, 2]), (64, 10 * 6, True, [1, 2])]
     calls.clear()
     experiments._run_driver_continuity(config_for("driver-continuity", "builtin:sin", ((0.5,),)))
-    assert calls == [(512, 3 * 4)]  # g and its three polygonal drivers, for each seed
+    assert calls == [(512, 3 * 4, False, [1])]  # g and its three polygonal drivers, for each seed
+
+
+def per_rung_flow(config):
+    """The flow runner with one ``_mark_maps`` over all seeds per rung, each rung on its own grid."""
+    c = config.field()
+    triples = experiments._time_triples(config.horizon)
+    marks = sorted({m for tri in triples for m in tri})
+    x0s = np.asarray(config.initial_points, dtype=float)
+    npts = x0s.shape[0]
+    fines = [experiments._fine_driver(config, seed, components=c.noise_dim) for seed in config.seeds]
+
+    def reference(sel, out):
+        if c.flow is None:
+            maps = experiments._mark_maps(config, x0s, marks, c, [fines[q] for q in sel])
+            out.update(zip(sel, np.moveaxis(maps, 3, 0)))
+            return
+        for q in sel:
+            at = [fines[q].values[fines[q].index_of(m)] for m in marks]
+            out[q] = np.array([[[[c.flow(x, sign * (bt - br)) for x in x0s] for bt in at] for br in at]
+                               for sign in (1.0, -1.0)])
+
+    refs, ref_errors = experiments._replayed(reference, len(fines))
+    records = []
+    for n in config.ladder:
+        drivers = [fine.decimate(config.fine_n // n) for fine in fines]
+
+        def run(sel, out):
+            maps = experiments._mark_maps(config, x0s, marks, c, [drivers[q] for q in sel])
+            for p, q in enumerate(sel):
+                if ref_errors[q] is not None:
+                    raise ref_errors[q]
+                gap = maps[:, :, :, p] - refs[q]
+                for a, r in enumerate(marks):
+                    for b in range(a, len(marks)):
+                        for i in range(npts):
+                            out[q, r, marks[b], i] = (float(np.linalg.norm(gap[0, a, b, i])),
+                                                      float(np.linalg.norm(gap[1, a, b, i])))
+
+        disc, errors = experiments._replayed(run, len(fines))
+        for q, seed in enumerate(config.seeds):
+            for i in range(npts):
+                for r, tau, t in triples:
+                    fwd, bwd = disc.get((q, r, t, i), (np.nan, np.nan))
+                    records.append({"seed": seed, "n": n, "r": r, "tau": tau, "t": t, "point": i,
+                                    "status": experiments._status(errors[q]),
+                                    "disc_forward": fwd, "disc_backward": bwd})
+    return records
+
+
+def per_rung_inverse(config):
+    """The inverse runner with three passes over all seeds per rung, each rung on its own grid."""
+    c = config.field()
+    pairs = experiments._time_pairs(config.horizon)
+    marks = sorted({m for pair in pairs for m in pair})
+    x0s = np.asarray(config.initial_points, dtype=float)
+    npts = x0s.shape[0]
+    later = [(a, b) for a in range(len(marks)) for b in range(a + 1, len(marks))]
+    fines = [experiments._fine_driver(config, seed, components=c.noise_dim) for seed in config.seeds]
+    records = []
+    for n in config.ladder:
+        drivers = [fine.decimate(config.fine_n // n) for fine in fines]
+        idx = [drivers[0].index_of(m) for m in marks]
+
+        def run(sel, out):
+            stack = [drivers[q] for q in sel]
+            ys = experiments._stack_pass(config, x0s, idx[1:], idx, c, stack, backward=True)
+            inits = [ys[b - 1, a] for a, b in later] + [np.broadcast_to(x0s, ys.shape[2:])] * len(marks)
+            xs = experiments._stack_pass(config, np.stack(inits), [idx[a] for a, _ in later] + idx, idx, c, stack)
+            inits = [xs[len(later) + a, b] for a, b in later]
+            yx = experiments._stack_pass(config, np.stack(inits), [idx[b] for _, b in later], idx, c, stack,
+                                         backward=True)
+            for p, q in enumerate(sel):
+                for j, (a, b) in enumerate(later):
+                    for i in range(npts):
+                        out[q, marks[a], marks[b], i] = (float(np.linalg.norm(xs[j, b, p, i] - x0s[i])),
+                                                          float(np.linalg.norm(yx[j, a, p, i] - x0s[i])))
+                out.update({(q, r, r, i): (0.0, 0.0) for r in marks for i in range(npts)})
+
+        disc, errors = experiments._replayed(run, len(fines))
+        for q, seed in enumerate(config.seeds):
+            for i in range(npts):
+                for r, t in pairs:
+                    xy, yx = disc.get((q, r, t, i), (np.nan, np.nan))
+                    records.append({"seed": seed, "n": n, "r": r, "t": t, "point": i,
+                                    "status": experiments._status(errors[q]), "disc_xy": xy, "disc_yx": yx})
+    records.extend(experiments._run_sortedness_probe(config, c))
+    return records
+
+
+PER_RUNG = {"flow": per_rung_flow, "inverse": per_rung_inverse}
+
+
+def exact_list(records):
+    """Records as exact text, in order."""
+    return [repr(sorted(rec.items())) for rec in records]
+
+
+@pytest.mark.parametrize("kind", sorted(PER_RUNG))
+@pytest.mark.parametrize("coefficients, points", FIELDS)
+def test_lockstep_records_equal_per_rung_records(kind, coefficients, points):
+    # three rungs, so one pass holds strides 1, 2 and 4
+    cfg = config_for(kind, coefficients, points, ladder=(32, 64, 128))
+    lockstep = experiments._KINDS[kind].run(cfg)
+    assert all(r["status"] in ("ok", "probe") for r in lockstep)
+    assert exact_list(lockstep) == exact_list(PER_RUNG[kind](cfg))
 
 
 def per_pair_init_continuity(config):
@@ -351,10 +462,10 @@ def test_a_seed_whose_fine_reference_alone_fails_errors_at_every_rung(monkeypatc
     blown = experiments._fine_driver(cfg, BLOWN_SEED).values
     real = experiments._flow_marks
 
-    def failing(x0s, starts, marks, c, driver, cfg, backward=False):  # the rung passes of every seed stand
+    def failing(x0s, starts, marks, c, driver, cfg, backward=False, strides=1):  # the rung passes of every seed stand
         if any(np.array_equal(p.values, blown) for p in driver):
             raise BlowUpError("injected reference failure")
-        return real(x0s, starts, marks, c, driver, cfg, backward=backward)
+        return real(x0s, starts, marks, c, driver, cfg, backward=backward, strides=strides)
 
     monkeypatch.setattr(experiments, "_flow_marks", failing)
     batched = experiments._run_flow(cfg)
@@ -364,6 +475,45 @@ def test_a_seed_whose_fine_reference_alone_fails_errors_at_every_rung(monkeypatc
     assert all(np.isnan(r["disc_forward"]) and np.isnan(r["disc_backward"]) for r in failed)
     keep = lambda records: bits(r for r in records if r["seed"] != BLOWN_SEED)
     assert keep(batched) == keep(clean)
+
+
+@pytest.mark.parametrize("closed_form", [True, False])
+@pytest.mark.parametrize("kind", sorted(PER_RUNG))
+def test_a_blown_seed_gives_the_per_rung_records(kind, closed_form, tmp_path, request):
+    coefficients = "builtin:geometric:0.5"
+    if not closed_form:  # the flow reference fails too; each cell records its own rung's error
+        spec = tmp_path / "geometric.json"
+        spec.write_text('{"name": "g", "dim": 1, "noise_dim": 1, "sigma": [["0.5*x1"]], "drift": ["0"]}')
+        coefficients = f"file:{spec}"
+    cfg = config_for(kind, coefficients, ((1.0,), (0.3,)), ladder=(32, 64, 128))
+    request.getfixturevalue("blown_driver")
+    lockstep = experiments._KINDS[kind].run(cfg)
+    assert {r["seed"] for r in lockstep if r["status"].startswith("error")} == {BLOWN_SEED}
+    assert exact_list(lockstep) == exact_list(PER_RUNG[kind](cfg))
+
+
+@pytest.mark.parametrize("kind", sorted(PER_RUNG))
+def test_a_cell_that_fails_alone_errors_alone(kind, monkeypatch):
+    cfg = config_for(kind, "builtin:geometric:0.5", ((1.0,), (0.3,)), ladder=(32, 64, 128))
+    clean = experiments._KINDS[kind].run(cfg)
+    target = experiments._fine_driver(cfg, BLOWN_SEED).decimate(cfg.fine_n // 64).values
+    real = experiments._flow_marks
+
+    def scaled(x0s, starts, marks, c, driver, cfg, backward=False, strides=1):
+        # seed 1's members at rung 64 run under 400 times its driver, wherever the pass marches them
+        steps = np.broadcast_to(strides, len(driver))
+        driver = [p * 400.0 if np.array_equal(p.values[::s], target) else p for p, s in zip(driver, steps)]
+        return real(x0s, starts, marks, c, driver, cfg, backward=backward, strides=strides)
+
+    monkeypatch.setattr(experiments, "_flow_marks", scaled)
+    lockstep = experiments._KINDS[kind].run(cfg)
+    cell = lambda r: (r["seed"], r["n"]) == (BLOWN_SEED, 64)
+    failed = [r for r in lockstep if cell(r)]
+    assert failed and all("crossed the blow-up guard" in r["status"] for r in failed)
+    assert all(r["status"] in ("ok", "probe") for r in lockstep if not cell(r))
+    assert bits(r for r in lockstep if not cell(r)) == bits(r for r in clean if not cell(r))
+    # the per-rung runner replays seed by seed on the rung's own grid: the text the cell gets alone
+    assert exact_list(lockstep) == exact_list(PER_RUNG[kind](cfg))
 
 
 @pytest.mark.parametrize("name", ["w_alpha_lambda_norm", "lambda_alpha"])
