@@ -386,12 +386,13 @@ def _mark_maps(config: ExperimentConfig, x0s: np.ndarray, marks: list, c: Coeffi
 def _cell_drivers(config: ExperimentConfig, fines: list, cells: list) -> tuple:
     """The drivers and strides of one lockstep pass over ``cells``.
 
-    The pass marches the grid of the finest rung among the cells.  Cell
-    (n, q) runs under seed q's driver on that grid with stride top / n, so
-    it steps on rung n's own grid points; a single cell marches its own
-    rung's grid.
+    The pass marches the grid of the least common multiple of the cells'
+    rungs, which divides fine_n as every rung does (the top rung, on a
+    ladder of powers of 2).  Cell (n, q) runs under seed q's driver on that
+    grid with stride lcm / n, so it steps on rung n's own grid points; a
+    single cell marches its own rung's grid.
     """
-    top = max(n for n, _ in cells)
+    top = math.lcm(*(n for n, _ in cells))
     grids = {q: fines[q].decimate(config.fine_n // top) for _, q in cells}
     return [grids[q] for _, q in cells], [top // n for n, _ in cells]
 

@@ -213,12 +213,15 @@ def _march(x0s, starts, c, times, values, h, scheme="euler", backward=False, str
 
         Returns the stepping members (a slice when they are the started
         prefix), their one stride or, for several, the positions of each,
-        and their drift steps.
+        and their drift steps; None when no member steps from k (strides
+        2 and 3 at k = 1).
         """
         idx = np.flatnonzero(phase % strides[:a] == 0)
+        if idx.size == 0:
+            return None
         sel = slice(0, a) if idx.size == a else idx
         own = strides[idx]
-        kinds = set(own.tolist()) or {1}
+        kinds = set(own.tolist())
         hs = h if np.ndim(h) == 0 else h[sel]
         if len(kinds) == 1:
             return sel, kinds.pop(), None, hs
@@ -257,7 +260,14 @@ def _march(x0s, starts, c, times, values, h, scheme="euler", backward=False, str
         try:
             # steps past a crossing may overflow; they are checked below and discarded
             with np.errstate(over="ignore", invalid="ignore"):
-                for j, (k, (sel, st, groups, hs)) in enumerate(zip(ks.tolist(), moves[lo : lo + ks.size])):
+                for j, (k, step) in enumerate(zip(ks.tolist(), moves[lo : lo + ks.size])):
+                    row = block[j]
+                    if step is None:  # every member holds its state
+                        row[...] = prev
+                        prev = row
+                        done = j + 1
+                        continue
+                    sel, st, groups, hs = step
                     prefix = type(sel) is slice
                     s = prev[sel] if prefix else prev.take(sel, axis=0)
                     if strided:
@@ -275,7 +285,6 @@ def _march(x0s, starts, c, times, values, h, scheme="euler", backward=False, str
                             for pos, g in groups:
                                 second[pos] = increment(times[k - g if backward else k + g], y[pos], db[pos], hs[pos])
                             inc = 0.5 * (inc + second)
-                    row = block[j]
                     if prefix:
                         apply(s, inc, out=row[sel])
                         if sel.stop < size:

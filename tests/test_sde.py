@@ -627,17 +627,19 @@ class TestStridedMarch:
     """Members of mixed strides in one march against each member alone on its grid decimated by its stride."""
 
     N = 256  # four guard blocks; the stride-8 members alone take 32 steps
-    STRIDES = [1, 8, 2, 4, 1, 4, 2, 8]
+    # nested strides, as on a ladder of powers of 2, and strides 2, 3 and 6, where no member steps from
+    # the indices 1 and 5 (mod 6), as on the ladder (12, 16, 24) marched at its least common multiple 48
+    GRIDS = {"nested": (256, [1, 8, 2, 4, 1, 4, 2, 8]), "non-nested": (252, [3, 2, 6, 2, 3, 6, 2, 3])}
 
-    def members(self, c, backward, drivers):
-        x0s = np.random.default_rng(5).uniform(-1.0, 1.0, size=(len(self.STRIDES), c.dim))
+    def members(self, c, backward, drivers, n, strides):
+        x0s = np.random.default_rng(5).uniform(-1.0, 1.0, size=(len(strides), c.dim))
         x0s[[1, 4]] = -0.0  # the sign of an exactly-zero state must survive as well
         x0s[6] = 0.0
         picks = [256, 0, 64, 128, 200, 32, 96, 256] if backward else [0, 0, 64, 128, 200, 32, 96, 248]
-        starts = [k // s * s for k, s in zip(picks, self.STRIDES)]
+        starts = [min(k, n) // s * s for k, s in zip(picks, strides)]
         if drivers == "per-member":
-            return x0s, starts, [driver_of(seed=s, n=self.N, m=c.noise_dim) for s in range(len(starts))]
-        paths = [driver_of(seed=s, n=self.N, m=c.noise_dim) for s in (3, 4)]
+            return x0s, starts, [driver_of(seed=s, n=n, m=c.noise_dim) for s in range(len(starts))]
+        paths = [driver_of(seed=s, n=n, m=c.noise_dim) for s in (3, 4)]
         # one path object for all, or two, each shared by members of several strides
         return x0s, starts, paths[0] if drivers == "shared" else [paths[i % 3 % 2] for i in range(len(starts))]
 
@@ -647,13 +649,15 @@ class TestStridedMarch:
     @pytest.mark.parametrize("scheme", ["euler", "heun"])
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
     @pytest.mark.parametrize("drivers", ["shared", "repeated", "per-member"])
-    def test_each_member_matches_its_decimated_grid(self, spec, scheme, backward, drivers):
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_each_member_matches_its_decimated_grid(self, spec, scheme, backward, drivers, grid):
         # the time-dependent fields read t in sigma and the drift, so Heun's second time and h are checked too
+        n, strides = self.GRIDS[grid]
         c = time_dependent_field(int(spec[-1])) if spec.startswith("time") else parse_field(spec)
-        x0s, starts, driver = self.members(c, backward, drivers)
-        got = _flow_marks(x0s, starts, range(self.N + 1), c, driver, SolverConfig(0.3, self.N, 0.75),
-                          backward=backward, scheme=scheme, strides=self.STRIDES)
-        for i, s in enumerate(self.STRIDES):
+        x0s, starts, driver = self.members(c, backward, drivers, n, strides)
+        got = _flow_marks(x0s, starts, range(n + 1), c, driver, SolverConfig(0.3, n, 0.75),
+                          backward=backward, scheme=scheme, strides=strides)
+        for i, s in enumerate(strides):
             d = driver[i] if isinstance(driver, list) else driver
             coarse = d.decimate(s)
             want = _flow_marks(x0s[i : i + 1], starts[i] // s, range(coarse.n_steps + 1), c, coarse,
@@ -662,24 +666,26 @@ class TestStridedMarch:
             assert np.array_equal(have, want), i
             assert np.array_equal(np.signbit(have), np.signbit(want)), i
 
+    @pytest.mark.parametrize("n, strides, knots", [(256, [1, 4, 2, 8], (96, 104)), (252, [2, 3, 2, 6], (96, 102))],
+                             ids=["nested", "non-nested"])
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
-    def test_a_crossing_member_raises_the_error_it_raises_alone(self, backward):
+    def test_a_crossing_member_raises_the_error_it_raises_alone(self, backward, n, strides, knots):
         f = builtin_field("additive", matrix=np.array([[1.0]]))
-        strides = [1, 4, 2, 8]
-        # the stride-8 member's driver jumps by 1e13 between its knots 96 and 104; the others stay small
-        drivers = [driver_of(seed=s, n=self.N) for s in range(3)] + [spiked_driver(self.N, 101)]
+        top = strides[3]
+        # the last member's driver jumps by 1e13 between two of its knots; the others stay small
+        drivers = [driver_of(seed=s, n=n) for s in range(3)] + [spiked_driver(n, 101)]
         x0s = np.array([[0.5], [-0.3], [1.0], [0.2]])
-        start = self.N if backward else 0
+        start = n if backward else 0
         with pytest.raises(BlowUpError) as got:
-            _flow_marks(x0s, start, [0, self.N], f, drivers, SolverConfig(0.3, self.N, 0.75),
+            _flow_marks(x0s, start, [0, n], f, drivers, SolverConfig(0.3, n, 0.75),
                         backward=backward, strides=strides)
-        coarse = drivers[3].decimate(8)
+        coarse = drivers[3].decimate(top)
         with pytest.raises(BlowUpError) as alone:
-            _flow_marks(x0s[3:], start // 8, [0, coarse.n_steps], f, coarse, SolverConfig(0.3, coarse.n_steps, 0.75),
-                        backward=backward)
+            _flow_marks(x0s[3:], start // top, [0, coarse.n_steps], f, coarse,
+                        SolverConfig(0.3, coarse.n_steps, 0.75), backward=backward)
         assert str(got.value) == str(alone.value)
         # the time of the knot the member steps to, not of the fine grid index the march reached
-        assert f"at t = {(96 if backward else 104) / self.N:.6g} " in str(got.value)
+        assert f"at t = {knots[0 if backward else 1] / n:.6g} " in str(got.value)
 
     def test_a_stride_must_divide_the_grid_and_the_start(self):
         drivers = [driver_of(seed=s, n=self.N) for s in range(2)]

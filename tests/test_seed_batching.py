@@ -316,9 +316,12 @@ def exact_list(records):
 
 @pytest.mark.parametrize("kind", sorted(PER_RUNG))
 @pytest.mark.parametrize("coefficients, points", FIELDS)
-def test_lockstep_records_equal_per_rung_records(kind, coefficients, points):
-    # three rungs, so one pass holds strides 1, 2 and 4
-    cfg = config_for(kind, coefficients, points, ladder=(32, 64, 128))
+@pytest.mark.parametrize("grid", [dict(ladder=(32, 64, 128)), dict(ladder=(12, 16, 24), fine_n=96)],
+                         ids=["nested", "non-nested"])
+def test_lockstep_records_equal_per_rung_records(kind, coefficients, points, grid):
+    # one pass holds strides 1, 2 and 4 on the top rung's grid, or 4, 3 and 2 on the grid of 48, where
+    # no cell steps from the indices 1 and 5 (mod 6)
+    cfg = config_for(kind, coefficients, points, **grid)
     lockstep = experiments._KINDS[kind].run(cfg)
     assert all(r["status"] in ("ok", "probe") for r in lockstep)
     assert exact_list(lockstep) == exact_list(PER_RUNG[kind](cfg))
