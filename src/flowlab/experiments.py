@@ -503,7 +503,11 @@ def _run_inverse(config: ExperimentConfig) -> list:
 
 
 def _run_sortedness_probe(config: ExperimentConfig, c: CoefficientField) -> list:
-    """1-D monotonicity probe: a sorted fan of initial points must stay sorted."""
+    """1-D monotonicity probe: a sorted fan of initial points must stay sorted.
+
+    Each seed keeps the smallest gap between neighbouring fan points over
+    the grid, block by block through ``_fan_min_gap``.
+    """
     if c.dim != 1:
         return []
     fan = np.sort(np.asarray(config.probe_fan, dtype=float))[:, None]
@@ -513,12 +517,23 @@ def _run_sortedness_probe(config: ExperimentConfig, c: CoefficientField) -> list
         x0s = np.broadcast_to(fan, (config.probe_seeds,) + fan.shape)
         min_gap = np.full(config.probe_seeds, np.inf)
         for states in _sampled_march(config, c, x0s, config.probe_n, seed=0):
-            min_gap = np.minimum(min_gap, np.diff(states[..., 0], axis=-1).min(axis=(0, 2)))
+            min_gap = np.minimum(min_gap, _fan_min_gap(states[..., 0]))
     except Exception as exc:  # a failed probe is one error cell; the pair cells stand
         rec["status"] = _status(exc)
         return [rec]
     rec.update(disc_xy=float(np.count_nonzero(min_gap <= 0.0)), disc_yx=float(min_gap.min()))
     return [rec]
+
+
+def _fan_min_gap(states: np.ndarray) -> np.ndarray:
+    """Smallest gap between neighbouring fan points in a (steps, B, F) block, per seed: (B,).
+
+    The gaps are reduced over the steps, elementwise across rows, before
+    the fan axis, so both reductions run along contiguous rows.  ``min``
+    is exact, so this is ``np.diff(states, axis=-1).min(axis=(0, 2))`` in
+    value; of a tie between 0.0 and -0.0, numpy may pick either.
+    """
+    return (states[..., 1:] - states[..., :-1]).min(axis=0).min(axis=1)
 
 
 def _summarize_flow(config: ExperimentConfig, records: list) -> dict:
@@ -843,15 +858,42 @@ def _checks_driver(config: ExperimentConfig, summary: dict) -> dict:
 
 
 def _run_moments(config: ExperimentConfig) -> list:
+    """One record per path: the sup over the grid of |X_t| from ``moment_x0``.
+
+    Each path keeps its largest squared norm, block by block through
+    ``_sup_sq``, and takes the root once at the end.
+    """
     c = config.field()
     x0s = np.full((max(config.sample_counts), c.dim), config.moment_x0)
-    sup_abs = np.linalg.norm(x0s, axis=-1)
+    sup_sq = _sup_sq(x0s[None])
     try:
         for states in _sampled_march(config, c, x0s, config.solver_n, seed=config.seeds[0]):
-            sup_abs = np.maximum(sup_abs, np.linalg.norm(states, axis=-1).max(axis=0))
+            sup_sq = np.maximum(sup_sq, _sup_sq(states))
     except Exception as exc:  # every path shares the pass, so a failure is one error cell for all of them
         return [{"path": -1, "sup_abs": np.nan, "status": _status(exc)}]
-    return [{"path": i, "sup_abs": float(v)} for i, v in enumerate(sup_abs)]
+    return [{"path": i, "sup_abs": float(v)} for i, v in enumerate(np.sqrt(sup_sq))]
+
+
+def _sup_sq(states: np.ndarray) -> np.ndarray:
+    """Largest squared norm in a (steps, B, d) block, per member: (B,).
+
+    The squares are summed as ``np.linalg.norm`` sums them, and the root is
+    monotone and correctly rounded, so the root of this max is
+    ``np.linalg.norm(states, axis=-1).max(axis=0)`` bit for bit.
+    """
+    return np.add.reduce(states * states, axis=-1).max(axis=0)
+
+
+def _mean_stderr(vals: np.ndarray, count: int) -> dict:
+    """Sample mean and standard error of a block of ``count`` samples.
+
+    A sample with no spread (every value equal and finite) has stderr 0,
+    not the few ulps that rounding in ``std`` leaves, so no estimate from
+    it can pass a ``stable_*`` check.
+    """
+    lo, hi = vals.min(), vals.max()
+    stderr = 0.0 if lo == hi and np.isfinite(lo) else vals.std(ddof=1) / math.sqrt(count)
+    return {"value": float(vals.mean()), "stderr": float(stderr)}
 
 
 def _summarize_moments(config: ExperimentConfig, records: list) -> dict:
@@ -864,11 +906,9 @@ def _summarize_moments(config: ExperimentConfig, records: list) -> dict:
         block = sup[:count]
         entry = {}
         for p in config.moment_orders:
-            vals = block**p
-            entry[f"p{p}"] = {"value": float(vals.mean()), "stderr": float(vals.std(ddof=1) / math.sqrt(count))}
+            entry[f"p{p}"] = _mean_stderr(block**p, count)
         if bounded:
-            vals = np.exp(config.exp_moment_lambda * block**config.exp_moment_gamma)
-            entry["exp"] = {"value": float(vals.mean()), "stderr": float(vals.std(ddof=1) / math.sqrt(count))}
+            entry["exp"] = _mean_stderr(np.exp(config.exp_moment_lambda * block**config.exp_moment_gamma), count)
         stats[str(count)] = entry
     counts = sorted(config.sample_counts)
     drift = {}
@@ -885,7 +925,7 @@ def _summarize_moments(config: ExperimentConfig, records: list) -> dict:
 def _checks_moments(config: ExperimentConfig, summary: dict) -> dict:
     mult = config.tol("stderr_multiple")
     checks = {"record_count": summary["paths"] == max(config.sample_counts)}
-    for name, entry in summary["drift"].items():
+    for name, entry in summary["drift"].items():  # a block with no spread has stderr 0, so its check is false
         checks[f"stable_{name}"] = entry["delta"] < mult * entry["stderr"]
     return checks
 

@@ -68,8 +68,14 @@ def left_weyl_derivative(f: GridPath, alpha: float) -> GridPath:
 
 
 def _endpoint_indices(n: int) -> np.ndarray:
-    """Right endpoints of the decimated mode: ceil(sqrt(n)) grid indices from 2 to n."""
-    return np.unique(np.linspace(2, n, int(np.ceil(np.sqrt(n)))).round().astype(int))
+    """Right endpoints of the decimated mode: ceil(sqrt(n)) grid indices from 2 to n.
+
+    The rounded ``linspace`` never decreases, so a repeat can only follow
+    its own value; dropping those gives ``np.unique``'s indices without
+    the ``numpy.ma`` import that its first call makes.
+    """
+    idx = np.linspace(2, n, int(np.ceil(np.sqrt(n)))).round().astype(int)
+    return idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
 
 
 @dataclass(frozen=True)

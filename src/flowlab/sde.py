@@ -17,9 +17,12 @@ indices that s divides, over s indices at once, and does no arithmetic
 at the indices between.  That is the same solve, bit for bit, as on the
 grid decimated by s, so one march steps a whole ladder of grids in
 lockstep.  The blow-up guard is checked once per block of
-``_GUARD_BLOCK`` steps: the block's states are scanned for the first
-crossing in stepping order, which raises the same error, with the same
-time and magnitude, as a check after every step would (a strided
+``_GUARD_BLOCK`` steps.  The block is screened first by its largest
+component: no norm exceeds sqrt(d) times it, so a block whose largest
+component clears the smallest bound crossed nothing.  A block that fails
+the screen (a NaN or an infinity always does) is scanned exactly for the
+first crossing in stepping order, which raises the same error, with the
+same time and magnitude, as a check after every step would (a strided
 member's crossing is timed at the knot it stepped to).  The guard bound
 is ``DEFAULT_BLOWUP_FACTOR`` times (1 + |x0|), read at each call; a
 non-finite state (say from a field that returns NaN) counts as a
@@ -34,6 +37,7 @@ the moments campaign) reduce each block on the fly without storing it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -54,6 +58,11 @@ __all__ = [
 
 DEFAULT_BLOWUP_FACTOR = 1e12
 _GUARD_BLOCK = 64  # steps advanced between two checks of the blow-up guard
+# The guard's screen: a relative margin over the rounding of a norm of up to
+# 10^6 components, and the smallest bounds for which that margin also covers
+# the underflow and overflow of the norm's squares.
+_SCREEN_MARGIN = 1.0 + 1e-9
+_SCREEN_WINDOW = (1e-100, 1e100)
 
 
 def alpha0(beta: float, delta: float) -> float:
@@ -125,10 +134,20 @@ def _blowup_message(worst: float, t: float) -> str:
 def _check_block(block, active, reached, bound, time_of) -> None:
     """Raise at the first step of the block at which a started member crossed its bound.
 
-    The message names the worst started member's magnitude and
-    ``time_of(r, i)``, the time of member i's state in the row that
-    reached grid index r.
+    The block is screened first by its largest component: no norm exceeds
+    sqrt(d) times it, up to rounding that ``_SCREEN_MARGIN`` covers, so a
+    block (empty ones included) whose largest component times sqrt(d)
+    clears the smallest bound returns at once.  A NaN or infinite
+    component fails the screen, and so does a smallest bound outside
+    ``_SCREEN_WINDOW``; such a block is scanned exactly.  The message
+    names the worst started member's magnitude and ``time_of(r, i)``, the
+    time of member i's state in the row that reached grid index r.
     """
+    floor = float(bound.min())
+    # the largest component: NaN if any component is NaN (both reductions are), -inf if the block is empty
+    top = float(max(block.max(initial=-np.inf), -block.min(initial=np.inf)))
+    if _SCREEN_WINDOW[0] <= floor <= _SCREEN_WINDOW[1] and top * math.sqrt(block.shape[-1]) * _SCREEN_MARGIN <= floor:
+        return
     with np.errstate(over="ignore", invalid="ignore"):
         mag = np.linalg.norm(block, axis=-1)
     over = ~(mag <= bound)  # NaN compares false, so a NaN state counts as a crossing

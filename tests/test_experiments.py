@@ -649,6 +649,21 @@ class TestMomentsExperiment:
         _, records, _ = load_result(out)
         assert not any(evaluate_checks(cfg, summarize(cfg, records)).values())
 
+    def test_a_frozen_driver_fails_every_stable_check(self, monkeypatch, tmp_path):
+        import flowlab.experiments as experiments
+
+        # every path keeps moment_x0, so no block has any spread; exp passed as 0 < 2.2e-18 before
+        real = experiments.fbm.sample_paths
+        monkeypatch.setattr(experiments.fbm, "sample_paths", lambda *args, **kwargs: real(*args, **kwargs) * 0.0)
+        cfg = small("moments")
+        res = run_experiment(cfg)
+        assert {rec["sup_abs"] for rec in res.records} == {abs(cfg.moment_x0)}
+        assert all(e["stderr"] == 0.0 for entry in res.summary["estimates"].values() for e in entry.values())
+        stable = {k: v for k, v in res.checks.items() if k.startswith("stable_")}
+        assert len(stable) == len(cfg.moment_orders) + 1 and not any(stable.values())
+        assert res.checks["record_count"]
+        assert verify_result(save_result(res, tmp_path / "out")).ok
+
     def test_tolerance_overrides_respected(self):
         cfg = small("moments", tolerances={"stderr_multiple": 1e-9})
         res = run_experiment(cfg)

@@ -1,7 +1,11 @@
 """Fractional operators against closed forms, inversion, and the driver functional."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -370,3 +374,20 @@ def test_zigzag_path_warns_too_rough():
     zigzag = GridPath.from_values(np.arange(65) % 2)
     with pytest.warns(UserWarning, match="estimated Holder order 0.001"):
         left_weyl_derivative(zigzag, 0.3)
+
+
+def test_endpoint_indices_are_the_unique_rounded_linspace():
+    for n in range(2, 2**14 + 1):
+        want = np.unique(np.linspace(2, n, int(np.ceil(np.sqrt(n)))).round().astype(int))
+        got = _endpoint_indices(n)
+        assert got.dtype == want.dtype and np.array_equal(got, want), n
+
+
+def test_decimated_lambda_does_not_import_numpy_ma():
+    # the first np.unique call in a process imports numpy.ma, which a decimated sweep paid in peak memory
+    probe = ("import sys; from flowlab import fbm; from flowlab.fraccalc import lambda_alpha; "
+             "g = fbm.sample_circulant(fbm.FbmSpec(0.7, 1, 1.0, 1024, seed=0)).path; lambda_alpha(g, 0.4); "
+             "print('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

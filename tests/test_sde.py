@@ -693,3 +693,178 @@ class TestStridedMarch:
         for starts, strides in (([0, 4], [1, 8]), ([0, 0], [1, 3]), ([0, 0], [1, 0])):
             with pytest.raises(ValueError, match="stride"):
                 _flow_marks(np.zeros((2, 1)), starts, [self.N], c, drivers, cfg, strides=strides)
+
+
+# ---------------------------------------------------------------------------
+# the screened blow-up guard and the campaigns' block reductions against the
+# expressions they replaced
+# ---------------------------------------------------------------------------
+
+def unscreened_check_block(block, active, reached, bound, time_of):
+    """``sde._check_block`` as it was before the screen: an exact scan of every block."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mag = np.linalg.norm(block, axis=-1)
+    over = ~(mag <= bound)
+    if not over.any():
+        return
+    for j in np.flatnonzero(over.reshape(over.shape[0], -1).any(axis=1)):
+        a = active[j]
+        if over[j, :a].any():
+            worst = np.unravel_index(np.argmax(mag[j, :a]), mag[j, :a].shape)
+            raise BlowUpError(
+                f"|X| = {float(mag[j, :a][worst]):.3e} at t = {time_of(reached[j], worst[0]):.6g} "
+                "crossed the blow-up guard; the hypotheses are violated or the grid is too coarse"
+            )
+
+
+def guard_outcome(check, block, active, reached, bound):
+    """The text of the BlowUpError that ``check`` raises on the block, or None."""
+    try:
+        check(block, active, reached, bound, lambda r, i: 0.01 * r + 1e-4 * i)
+    except BlowUpError as exc:
+        return str(exc)
+    return None
+
+
+# three equal components whose norm rounds above their max times sqrt(3): a screen
+# without a margin for the norm's rounding lets a bound just below that norm pass
+_ROUNDS_UP = 1.273599710517558
+
+
+def guard_case(name, d, probe):
+    """A (block, active, reached, bound) case of the guard, states of 8 rows and 6 members.
+
+    ``probe`` lays the members out as the sortedness probe does, (B, F, 1)
+    with 2 seeds of 3 fan points.  Member 5, the last, starts at row 4; in
+    the probe layout its whole seed does.
+    """
+    rng = np.random.default_rng(len(name) * 10 + d)
+    shape = (8, 2, 3, 1) if probe else (8, 6, d)
+    block = rng.uniform(-1.0, 1.0, size=shape)
+    flat = block.reshape(8, 6, -1)  # a view: member i is flat[:, i]
+    bound = np.full(shape[1:-1], 10.0)
+    bounds = bound.reshape(6)
+    active = np.repeat([shape[1] - 1, shape[1]], 4)
+    reached = np.arange(40, 48)
+    if name in ("nan", "inf", "-inf"):
+        flat[3, 2, 0] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[name]
+    elif name == "nan, unstarted":
+        flat[2, 5, -1] = np.nan
+    elif name == "over, unstarted":
+        flat[1, 5, 0] = 1e30
+    elif name in ("just over", "just under"):
+        flat[5, 1] = 7.5
+        mag = np.linalg.norm(flat[5, 1])
+        bounds[1] = np.nextafter(mag, 0.0) if name == "just over" else mag
+    elif name == "rounds up":
+        flat[6, 3] = _ROUNDS_UP * np.array([1.0, -1.0, 1.0])[: flat.shape[-1]]
+        bounds[3] = np.nextafter(np.linalg.norm(flat[6, 3]), 0.0)
+    elif name == "two crossings":
+        flat[6, 0, 0], flat[4, 2, -1] = 11.0, -12.0
+    elif name == "overflowed square":  # |X| reads inf though the component is below the bound
+        bound[...] = 1e200
+        flat[2, 2, 0] = 1e160
+    elif name == "tiny bound":  # a subnormal square rounds up: |X| reads 2.2e-162 for a component of 1.73e-162
+        block *= 1e-170
+        bound[...] = 2e-162
+        flat[3, 0, 0] = 1.73e-162
+    elif name == "empty":
+        block = block[:0]
+    return block, active, reached, bound
+
+
+GUARD_CASES = ["inside", "nan", "inf", "-inf", "nan, unstarted", "over, unstarted", "just over", "just under",
+               "rounds up", "two crossings", "overflowed square", "tiny bound", "empty"]
+
+
+class TestGuardScreen:
+    @pytest.mark.parametrize("name", GUARD_CASES)
+    @pytest.mark.parametrize("layout", ["d=1", "d=2", "d=3", "probe"])
+    def test_same_raise_and_text_as_the_exact_scan(self, name, layout):
+        case = guard_case(name, 1 if layout == "probe" else int(layout[-1]), layout == "probe")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the screen adds no warning of its own
+            got = guard_outcome(sde._check_block, *case)
+        want = guard_outcome(unscreened_check_block, *case)
+        assert got == want
+        crosses = ("nan", "inf", "-inf", "just over", "rounds up", "two crossings", "overflowed square", "tiny bound")
+        assert (want is not None) == (name in crosses), want
+
+    def test_the_cases_reach_both_sides_of_the_screen(self):
+        # "rounds up" is a crossing only a margin finds, and "just under" a block the screen cannot pass
+        block, active, reached, bound = guard_case("rounds up", 3, False)
+        top = np.abs(block).max()
+        assert top * np.sqrt(3) <= bound.min() < np.linalg.norm(block, axis=-1).max()
+        block, active, reached, bound = guard_case("inside", 2, False)
+        assert np.abs(block).max() * np.sqrt(2) * sde._SCREEN_MARGIN <= bound.min()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 9])
+    def test_random_blocks_near_their_bounds(self, d):
+        rng = np.random.default_rng(d)
+        raised = 0
+        for trial in range(300):
+            rows, size = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+            bound = rng.uniform(1.0, 100.0, size)
+            # components around the bound / sqrt(d) level where the screen's decision turns
+            scale = bound.min() / np.sqrt(d) * (1.0 + rng.choice([-1e-9, -1e-15, 0.0, 1e-15, 1e-9, 0.5]))
+            block = scale * rng.choice([-1.0, 1.0], size=(rows, size, d)) * rng.uniform(0.999, 1.0, (rows, size, d))
+            if trial % 7 == 0:
+                block[rng.integers(rows), rng.integers(size), rng.integers(d)] = np.nan
+            active = np.sort(rng.integers(1, size + 1, rows))
+            case = (block, active, np.arange(rows), bound)
+            want = guard_outcome(unscreened_check_block, *case)
+            assert guard_outcome(sde._check_block, *case) == want, trial
+            raised += want is not None
+        assert 0 < raised < 300
+
+    def test_march_crossings_keep_their_text(self):
+        # the kernel's own crossings: a spike in a batch and a NaN from the field
+        f = builtin_field("additive", matrix=np.array([[1.0]]))
+        driver = spiked_driver(200, 70)
+        with pytest.raises(BlowUpError) as want:
+            oracle_forward(np.array([[0.5], [-3.0]]), 0, f, driver)
+        with pytest.raises(BlowUpError) as got:
+            trajectories(np.array([[0.5], [-3.0]]), 0, f, driver, "euler", backward=False)
+        assert str(got.value) == str(want.value) == (
+            "|X| = 1.000e+13 at t = 0.35 crossed the blow-up guard; "
+            "the hypotheses are violated or the grid is too coarse")
+
+
+class TestBlockReductions:
+    @staticmethod
+    def states(rng, shape, zeros):
+        """Normal states with exact ties, NaN and, if ``zeros``, both signed zeros."""
+        x = rng.standard_normal(shape)
+        flat = x.reshape(-1)
+        flat[rng.choice(flat.size, flat.size // 8)] = 0.25  # ties: zero gaps
+        flat[rng.choice(flat.size, 3)] = np.nan
+        if zeros:
+            flat[rng.choice(flat.size, flat.size // 4)] = 0.0
+            flat[rng.choice(flat.size, flat.size // 4)] = -0.0
+        return x
+
+    @pytest.mark.parametrize("fan", [2, 3, 8, 9])
+    @pytest.mark.parametrize("zeros", [False, True], ids=["no signed zeros", "signed zeros"])
+    def test_fan_min_gap_equals_the_diff_min(self, fan, zeros):
+        rng = np.random.default_rng(fan)
+        for rows, seeds in ((64, 40), (1, 3), (17, 1)):
+            x = self.states(rng, (rows, seeds, fan), zeros)
+            got, want = experiments._fan_min_gap(x), np.diff(x, axis=-1).min(axis=(0, 2))
+            assert np.array_equal(got, want, equal_nan=True)
+            if not zeros:  # a zero gap is then +0.0 on both sides, so the bytes agree too
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 9])
+    def test_root_of_the_max_square_equals_the_max_norm(self, d):
+        rng = np.random.default_rng(d)
+        x0 = self.states(rng, (1, 50, d), zeros=True)[0]
+        blocks = [self.states(rng, (64, 50, d), zeros=True) for _ in range(3)]
+        blocks[1][5, 7] = 1e160  # its square overflows, in the norm too
+        blocks[2][9, 8] = 1e-170  # its square underflows
+        with np.errstate(over="ignore"):
+            sup_sq, sup_abs = experiments._sup_sq(x0[None]), np.linalg.norm(x0, axis=-1)
+            for states in blocks:
+                sup_sq = np.maximum(sup_sq, experiments._sup_sq(states))
+                sup_abs = np.maximum(sup_abs, np.linalg.norm(states, axis=-1).max(axis=0))
+        assert np.sqrt(sup_sq).tobytes() == sup_abs.tobytes()
+        assert np.isnan(sup_abs).any() and np.isinf(sup_abs).any()
