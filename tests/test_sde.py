@@ -817,18 +817,6 @@ class TestGuardScreen:
             raised += want is not None
         assert 0 < raised < 300
 
-    def test_march_crossings_keep_their_text(self):
-        # the kernel's own crossings: a spike in a batch and a NaN from the field
-        f = builtin_field("additive", matrix=np.array([[1.0]]))
-        driver = spiked_driver(200, 70)
-        with pytest.raises(BlowUpError) as want:
-            oracle_forward(np.array([[0.5], [-3.0]]), 0, f, driver)
-        with pytest.raises(BlowUpError) as got:
-            trajectories(np.array([[0.5], [-3.0]]), 0, f, driver, "euler", backward=False)
-        assert str(got.value) == str(want.value) == (
-            "|X| = 1.000e+13 at t = 0.35 crossed the blow-up guard; "
-            "the hypotheses are violated or the grid is too coarse")
-
 
 class TestBlockReductions:
     @staticmethod
