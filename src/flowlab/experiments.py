@@ -249,13 +249,35 @@ def _record_key(rec: dict) -> tuple:
     return tuple((k, str(v)) for k, v in sorted(rec.items()))
 
 
-def _median(values) -> float:
-    """Median, NaN for no values (every cell behind it failed)."""
-    return float(np.median(values)) if len(values) else np.nan
+def _quantile(values, q: Optional[float] = None) -> float:
+    """``np.median(values)``, or ``np.percentile(values, q)`` when q is given, bit for bit.
 
-
-def _percentile(values, q: float) -> float:
-    return float(np.percentile(values, q)) if len(values) else np.nan
+    NaN for no values (every cell behind it failed); any NaN value gives
+    a NaN.  numpy's own functions import numpy.ma on their first call in a
+    process (the median's NaN check, the percentile's ``np.unique``).  This
+    one partitions at the indices they partition at, so even the sign of a
+    zero agrees, and repeats their arithmetic: the mean of the middle one
+    or two values, or the linear interpolation between the two neighbours
+    of the position (n - 1) q / 100, taken from the upper one when the
+    weight is at least 1/2.
+    """
+    a = np.asarray(values, dtype=float).ravel()
+    n = a.size
+    if n == 0:
+        return np.nan
+    if q is None:
+        m = n // 2
+        part = np.partition(a, [m - 1, m, -1] if n % 2 == 0 else [m, -1])
+        mid = part[m - 1 : m + 1] if n % 2 == 0 else part[m : m + 1]
+        return float(part[-1] if np.isnan(part[-1]) else np.mean(mid))
+    pos = (n - 1) * (q / 100)
+    lo, hi = (math.floor(pos), math.floor(pos) + 1) if pos < n - 1 else (-1, -1)
+    part = np.partition(a, sorted({0, -1, lo, hi}))
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    weight, below, above = pos - lo, part[lo], part[hi]
+    span = above - below
+    return float(above - span * (1 - weight) if weight >= 0.5 else below + span * weight)
 
 
 def _status(error: Optional[Exception]) -> str:
@@ -572,7 +594,7 @@ def _ok_rows(records: list, rung: str, keep=None) -> tuple:
 
 def _flow_style_summary(config, records, strict, value_keys, group_cols) -> dict:
     ladder, rows = _ok_rows(records, "n", strict)
-    pooled = [_median([float(r[k]) for r in rows[n] for k in value_keys]) for n in ladder]
+    pooled = [_quantile([float(r[k]) for r in rows[n] for k in value_keys]) for n in ladder]
     # tol_flow(n) = A n^{-(2H-1)/2}, A anchored at the coarsest rung with a safety factor
     decay = -(2.0 * config.hurst - 1.0) / 2.0
     amp = pooled[0] / ladder[0] ** decay * config.tol("tol_flow_safety") if pooled[0] > 0 else 0.0
@@ -582,13 +604,13 @@ def _flow_style_summary(config, records, strict, value_keys, group_cols) -> dict
         groups.setdefault(tuple(r[c] for c in group_cols), []).append(max(float(r[k]) for k in value_keys))
     return {
         "ladder": ladder,
-        "medians": {k: [_median([float(r[k]) for r in rows[n]]) for n in ladder] for k in value_keys},
+        "medians": {k: [_quantile([float(r[k]) for r in rows[n]]) for n in ladder] for k in value_keys},
         "median_pooled": pooled,
         # a zero rung after a nonzero one is an infinite decay; 0/0 shows none
         "doubling_ratios": [a / b if b != 0 else np.inf if a != 0 else np.nan for a, b in zip(pooled, pooled[1:])],
         "tol_flow_amplitude": amp,
         "tol_flow_top": amp * ladder[-1] ** decay,
-        "top_rung_worst_cell_median": max((_median(v) for v in groups.values()), default=np.nan),
+        "top_rung_worst_cell_median": max((_quantile(v) for v in groups.values()), default=np.nan),
         "max_discrepancy": max((max(float(r[k]) for k in value_keys) for r in records if r["status"] == "ok"),
                                default=np.nan),
         "error_records": _error_count(records),
@@ -657,7 +679,7 @@ def _run_rate(config: ExperimentConfig) -> list:
 def _summarize_rate(config: ExperimentConfig, records: list) -> dict:
     ladder, rows = _ok_rows(records, "coarse_n")
     col = lambda key, n: [float(r[key]) for r in rows[n]]
-    med = {key: [_median(col(key, n)) for n in ladder] for key in ("holder_error", "lambda_coarse", "lambda_diff")}
+    med = {key: [_quantile(col(key, n)) for n in ladder] for key in ("holder_error", "lambda_coarse", "lambda_diff")}
     moduli = [float(r["modulus_g"]) for r in records if r["status"] == "ok"]
     # the predicted rate carries a sqrt(log n) factor; divide it out before fitting
     logs = np.log(ladder)
@@ -667,15 +689,15 @@ def _summarize_rate(config: ExperimentConfig, records: list) -> dict:
     return {
         "ladder": ladder,
         "median_error": med["holder_error"],
-        "q25": [_percentile(col("holder_error", n), 25) for n in ladder],
-        "q75": [_percentile(col("holder_error", n), 75) for n in ladder],
+        "q25": [_quantile(col("holder_error", n), 25) for n in ladder],
+        "q75": [_quantile(col("holder_error", n), 75) for n in ladder],
         "median_lambda_coarse": med["lambda_coarse"],
         "median_lambda_diff": med["lambda_diff"],
-        "lambda_coarse_ladder_median": _median([v for n in ladder for v in col("lambda_coarse", n)]),
+        "lambda_coarse_ladder_median": _quantile([v for n in ladder for v in col("lambda_coarse", n)]),
         "fitted_slope": slope,
         "target_slope": config.theta - config.hurst,
-        "modulus_q99": _percentile(moduli, 99),
-        "modulus_median": _median(moduli),
+        "modulus_q99": _quantile(moduli, 99),
+        "modulus_median": _quantile(moduli),
         "error_records": _error_count(records),
     }
 
@@ -768,7 +790,7 @@ def _ratio_stats(ratios) -> dict:
     """Median, max and spread (max / median) of the nonnegative ok ratios; all NaN for none, so a check on them is false."""
     if not len(ratios):
         return {"ratio_median": np.nan, "ratio_max": np.nan, "ratio_spread": np.nan}
-    med, top = float(np.median(ratios)), float(np.max(ratios))
+    med, top = _quantile(ratios), float(np.max(ratios))
     return {"ratio_median": med, "ratio_max": top, "ratio_spread": top / med if med > 0 else np.inf}
 
 
@@ -828,8 +850,8 @@ def _summarize_driver(config: ExperimentConfig, records: list) -> dict:
     gaps = [(float(r["sol_gap"]), float(r["lambda_gap"])) for r in records if r["status"] == "ok"]
     ratios = [sol / lam for sol, lam in gaps if lam > 0]
     log_pairs = [(math.log(lam), math.log(sol)) for sol, lam in gaps if lam > 0 and sol > 0]
-    med_gap = [_median([float(r["sol_gap"]) for r in rows[n]]) for n in ladder]
-    med_lam = [_median([float(r["lambda_gap"]) for r in rows[n]]) for n in ladder]
+    med_gap = [_quantile([float(r["sol_gap"]) for r in rows[n]]) for n in ladder]
+    med_lam = [_quantile([float(r["lambda_gap"]) for r in rows[n]]) for n in ladder]
     corr = float(np.corrcoef(*zip(*log_pairs))[0, 1]) if len(log_pairs) > 2 else np.nan
     return {
         "ladder": ladder,

@@ -240,20 +240,19 @@ def estimate_holder_order(f: GridPath) -> float:
 def _lag_sup(vals: np.ndarray, denominators) -> float:
     """max over lags 1 .. len(denominators) of ``_lag_peak(vals, lag) / denominators[lag - 1]``.
 
-    Every increment is bounded by the componentwise range, so a lag whose
-    bound ratio cannot beat the incumbent is skipped, and the scan stops
-    once the suffix maximum of the bound ratios cannot, so the denominators
-    need not rise: gap^H sqrt(log 1/gap) rises and then falls.
+    Every increment is bounded by the componentwise range, so lag L's ratio
+    is at most ``range / denominators[L - 1]``.  The lags are visited in
+    descending order of that bound (ties in ascending lag order), and the
+    scan stops at the first lag whose bound cannot beat the incumbent.  The
+    max is exact, so the order changes no bit of the result.
     """
     den = np.asarray(denominators, dtype=float)
     bound = float(np.linalg.norm(vals.max(axis=0) - vals.min(axis=0))) / den
-    reach = np.maximum.accumulate(bound[::-1])[::-1]
     best = 0.0
-    for lag, (d, b, r) in enumerate(zip(den, bound, reach), start=1):
-        if r <= best:
+    for i in np.argsort(-bound, kind="stable").tolist():
+        if bound[i] <= best:
             break
-        if b > best:
-            best = max(best, _lag_peak(vals, lag) / d)
+        best = max(best, _lag_peak(vals, i + 1) / den[i])
     return float(best)
 
 

@@ -1,6 +1,10 @@
 """Experiment campaigns at reduced scale, persistence, and verification."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from flowlab.experiments import (
     EXPERIMENT_KINDS,
     ExperimentConfig,
     ExperimentResult,
+    _quantile,
     default_config,
     evaluate_checks,
     run_experiment,
@@ -779,3 +784,40 @@ def test_boundary_configs_are_rejected_or_run_and_verify(kind, name, tmp_path):
         assert res.checks and all(type(v) is bool for v in res.checks.values()), (value, res.checks)
         report = verify_result(save_result(res, tmp_path / str(k)))
         assert report.ok, (value, report.mismatches)
+
+
+def _quantile_samples():
+    """Per n in 1 .. 300: distinct values, ties drawn from a pool with both zeros and both infinities, and the same with a NaN."""
+    rng = np.random.default_rng(24)
+    pool = np.array([-0.0, 0.0, -1.5, 1.5, 2.0, np.inf, -np.inf])
+    for n in range(1, 301):
+        tied = rng.choice(pool, n)
+        with_nan = tied.copy()
+        with_nan[rng.integers(n)] = np.nan
+        yield from (rng.normal(size=n), tied, np.where(rng.random(n) < 0.5, -0.0, tied), with_nan)
+
+
+def test_quantile_equals_numpy_byte_for_byte():
+    def same(got, want):
+        return np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    with np.errstate(invalid="ignore"):  # inf - inf in the interpolation, as in numpy's own
+        for v in _quantile_samples():
+            assert same(_quantile(v), np.median(v)), v
+            assert same(_quantile(list(v)), np.median(v)), v
+            for q in (25, 50, 75, 99):
+                assert same(_quantile(v, q), np.percentile(v, q)), (q, v)
+    assert np.isnan(_quantile([])) and np.isnan(_quantile([], 99))
+
+
+def test_rate_and_driver_continuity_do_not_import_numpy_ma(tmp_path):
+    # numpy's median and percentile import numpy.ma on their first call, which the summaries paid in peak memory
+    probe = ("import sys; from flowlab.experiments import default_config, run_experiment; "
+             "from flowlab.reporting import save_result, verify_result\n"
+             "for kind, kw in (('rate', dict(ladder=(16, 32, 64), seeds=(0, 1, 2), fine_n=2**11)), "
+             "('driver-continuity', dict(ladder=(16, 32, 64), seeds=(0, 1), fine_n=2**11, lambda_weight=5.0))):\n"
+             f"    assert verify_result(save_result(run_experiment(default_config(kind, **kw)), {str(tmp_path)!r} + kind)).ok\n"
+             "print('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

@@ -446,12 +446,79 @@ def test_lag_scans_match_separate_loops(n, d, seed, horizon):
     assert got == _oracle_lag_scans(fp.path, 0.4, 0.7)
 
 
-def test_modulus_scan_is_pruned(monkeypatch):
-    """On a path where the range bound beats the late lags, fewer than all n - 1 lag peaks are taken."""
-    n = 2**13
-    fp = fbm.sample_circulant(fbm.FbmSpec(hurst=0.7, grid_size=n, seed=0))
+def ascending_lag_sup(vals, denominators):
+    """``paths._lag_sup`` as it was: lags in ascending order, pruned by a suffix maximum of the bound ratios."""
+    den = np.asarray(denominators, dtype=float)
+    bound = float(np.linalg.norm(vals.max(axis=0) - vals.min(axis=0))) / den
+    reach = np.maximum.accumulate(bound[::-1])[::-1]
+    best = 0.0
+    for lag, (d, b, r) in enumerate(zip(den, bound, reach), start=1):
+        if r <= best:
+            break
+        if b > best:
+            best = max(best, paths._lag_peak(vals, lag) / d)
+    return float(best)
+
+
+def _denominators(kind, n, rng):
+    lags = np.arange(1, n + 1, dtype=float)
+    if kind == "rising":
+        return (lags / n) ** 0.4
+    if kind == "rise-fall":  # the modulus shape gap^H sqrt(log 1/gap)
+        gaps = lags / (n + 1)
+        return gaps**0.7 * np.sqrt(np.log(1.0 / gaps))
+    if kind == "ties":
+        return rng.integers(1, 4, n) * 0.25
+    if kind == "extreme":
+        return rng.choice([5e-324, 1e-310, 1e-300, 1.0, 1e300, 1.7e308], n)
+    return rng.uniform(0.5, 2.0, n)  # "overflow": the values' range overflows to inf
+
+
+LAG_SUP_KINDS = ["rising", "rise-fall", "ties", "extreme", "overflow"]
+
+
+@pytest.mark.parametrize("kind", LAG_SUP_KINDS)
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 1000])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_lag_sup_matches_ascending_scan(kind, n, d):
+    rng = np.random.default_rng([n, d, LAG_SUP_KINDS.index(kind)])
+    for _ in range(5):
+        vals = rng.normal(size=(n + 1, d)) * rng.choice([1e-3, 1.0, 1e3])
+        if kind == "overflow":
+            vals[rng.integers(0, n + 1), 0], vals[rng.integers(0, n + 1), 0] = 1e308, -1e308
+        den = _denominators(kind, n, rng)
+        with np.errstate(over="ignore"):
+            got, want = paths._lag_sup(vals, den), ascending_lag_sup(vals, den)
+        assert got == want
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_lag_sup_of_no_lags_is_zero(d):
+    vals = np.random.default_rng(d).normal(size=(4, d))
+    assert paths._lag_sup(vals, []) == ascending_lag_sup(vals, []) == 0.0
+
+
+def _counted_lag_peaks(monkeypatch):
     peak, calls = paths._lag_peak, []
     monkeypatch.setattr(paths, "_lag_peak", lambda vals, lag: calls.append(lag) or peak(vals, lag))
+    return calls
+
+
+def test_modulus_scan_is_pruned(monkeypatch):
+    """The modulus bounds are largest at both ends of the lag range; visited in bound order, few lag peaks are taken."""
+    n = 2**13
+    fp = fbm.sample_circulant(fbm.FbmSpec(hurst=0.7, grid_size=n, seed=0))
+    calls = _counted_lag_peaks(monkeypatch)
     got = fbm.modulus_constant(fp)
-    assert 0 < len(calls) < n - 1
+    assert 0 < len(calls) <= 64  # 11 lag peaks; the ascending scan took 3,233
     assert got == _oracle_lag_scans(fp.path, 0.4, 0.7)[2]
+
+
+def test_constant_path_takes_no_lag_peak(monkeypatch):
+    # every bound is 0, which no lag can beat
+    spec = fbm.FbmSpec(hurst=0.7, grid_size=256)
+    fp = fbm.FbmPath(spec, GridPath(spec.times(), np.zeros((257, 1))))
+    calls = _counted_lag_peaks(monkeypatch)
+    assert holder_seminorm(fp.path, 0.4) == fbm.modulus_constant(fp) == 0.0
+    assert calls == []
