@@ -271,7 +271,8 @@ def _quantile(values, q: Optional[float] = None) -> float:
         mid = part[m - 1 : m + 1] if n % 2 == 0 else part[m : m + 1]
         return float(part[-1] if np.isnan(part[-1]) else np.mean(mid))
     pos = (n - 1) * (q / 100)
-    lo, hi = (math.floor(pos), math.floor(pos) + 1) if pos < n - 1 else (-1, -1)
+    lo = math.floor(pos) if pos < n - 1 else -1
+    hi = lo + 1 if lo >= 0 else -1
     part = np.partition(a, sorted({0, -1, lo, hi}))
     if np.isnan(part[-1]):
         return float(part[-1])
