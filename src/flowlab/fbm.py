@@ -6,8 +6,11 @@ Davies-Harte circulant embedding of the increment autocovariance
 (O(n log n), the performance path).  Components are generated from
 independent substreams of the seeded generator, so paths are
 reproducible and componentwise independent.  A circulant batch is
-sampled in blocks of ``_SAMPLE_ROWS`` paths, so its workspace (normals,
-spectrum and FFT output) is bounded by one block, not by the batch size.
+sampled in blocks of ``_SAMPLE_POINTS`` normals (at least one path),
+through one workspace (normals, spectrum and FFT output) allocated once
+per call and reused by every block, so beyond the result it takes about
+3 MB whatever the batch size, as long as one path's 2n normals fit the
+budget (n <= 2^15 without embedding doublings).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ __all__ = [
 DEFAULT_MAX_CHOLESKY_GRID = 2**13
 _EIG_TOL = 1e-10
 _MAX_EMBED_DOUBLINGS = 3
-_SAMPLE_ROWS = 512  # circulant paths per block; the generator fills in C order, so blocks draw the one-shot stream
+_SAMPLE_POINTS = 2**16  # circulant normals per block; the generator fills in C order, so blocks draw the one-shot stream
 
 _eig_cache: dict[tuple[float, int], np.ndarray] = {}
 _eig_lock = threading.Lock()
@@ -188,17 +191,27 @@ def _circulant_values(spec: FbmSpec, count: int) -> np.ndarray:
     scale = spec.step**spec.hurst
     half = np.sqrt(lam[1:m_embed] / (2.0 * two_m))
     values = np.zeros((count, n + 1, m))
+    block = max(1, _SAMPLE_POINTS // two_m)
+    # one workspace for every block (normals, Hermitian spectrum and its FFT), allocated after the
+    # result so that, once freed, it rejoins the top of the heap instead of leaving a hole below it
+    u = np.empty((min(block, count), two_m))
+    w = np.zeros(u.shape, dtype=complex)  # the imaginary parts at 0 and m_embed stay zero
+    f = np.empty(u.shape, dtype=complex)
     for j in range(m):
         rng = _component_rng(spec.seed, j)
-        for a in range(0, count, _SAMPLE_ROWS):
-            b = min(a + _SAMPLE_ROWS, count)
-            u = rng.standard_normal((b - a, two_m))
-            w = np.zeros((b - a, two_m), dtype=complex)
-            w[:, 0] = np.sqrt(lam[0] / two_m) * u[:, 0]
-            w[:, m_embed] = np.sqrt(lam[m_embed] / two_m) * u[:, 1]
-            w[:, 1:m_embed] = half * (u[:, 2 : 2 * m_embed : 2] + 1j * u[:, 3 : 2 * m_embed + 1 : 2])
-            w[:, m_embed + 1 :] = np.conj(w[:, 1:m_embed][:, ::-1])
-            fgn = np.fft.fft(w, axis=1).real[:, :n] * scale
+        for a in range(0, count, block):
+            b = min(a + block, count)
+            ub, wb, fb = u[: b - a], w[: b - a], f[: b - a]
+            rng.standard_normal(out=ub)
+            wr, wi = wb.real, wb.imag
+            np.multiply(np.sqrt(lam[0] / two_m), ub[:, 0], out=wr[:, 0])
+            np.multiply(np.sqrt(lam[m_embed] / two_m), ub[:, 1], out=wr[:, m_embed])
+            np.multiply(half, ub[:, 2 : 2 * m_embed : 2], out=wr[:, 1:m_embed])
+            np.multiply(half, ub[:, 3 : 2 * m_embed + 1 : 2], out=wi[:, 1:m_embed])
+            wr[:, m_embed + 1 :] = wr[:, m_embed - 1 : 0 : -1]
+            np.negative(wi[:, m_embed - 1 : 0 : -1], out=wi[:, m_embed + 1 :])
+            np.fft.fft(wb, axis=1, out=fb)
+            fgn = np.multiply(fb.real[:, :n], scale, out=fb.real[:, :n])
             np.cumsum(fgn, axis=1, out=values[a:b, 1:, j])
     return values
 
@@ -214,10 +227,12 @@ def sample_paths(spec: FbmSpec, count: int, method: str = "circulant") -> np.nda
 
     The batch shares the spec seed; it is meant for Monte-Carlo statistics,
     not for reproducing individual ``sample_*`` paths.  The circulant
-    sampler fills the output in blocks of ``_SAMPLE_ROWS`` paths, so beyond
-    the result its workspace is bounded by one block, not by ``count``;
-    the blocks draw the one-shot stream, so the batch does not depend on
-    the block size.  The Cholesky sampler draws all ``count`` paths at once.
+    sampler fills the output in blocks of ``_SAMPLE_POINTS`` normals (at
+    least one path) through one workspace that every block reuses, so
+    beyond the result it takes a fixed budget, not one growing with
+    ``count``; the blocks draw the one-shot stream, so the batch does not
+    depend on the block size.  The Cholesky sampler draws all ``count``
+    paths at once.
     """
     if method == "circulant":
         return _circulant_values(spec, count)

@@ -287,16 +287,26 @@ def test_circulant_subquadratic_scaling():
     assert best_of(spec_large) / best_of(spec_small) < 3.0
 
 
-def one_shot_circulant_values(spec: fbm.FbmSpec, count: int) -> np.ndarray:
-    """The unblocked Davies-Harte batch: every (count, 2n) buffer alive at once."""
-    n, m = spec.grid_size, spec.components
-    m_embed = n
+def embedding(spec: fbm.FbmSpec) -> tuple[int, np.ndarray]:
+    """The circulant embedding size and its clipped eigenvalues, doubled as the sampler doubles it."""
+    m_embed = spec.grid_size
     for _ in range(fbm._MAX_EMBED_DOUBLINGS + 1):
         eig = fbm._fgn_eigenvalues(spec.hurst, m_embed)
         if eig.min() >= -fbm._EIG_TOL * eig.max():
             break
         m_embed *= 2
-    lam = np.clip(eig, 0.0, None)
+    return m_embed, np.clip(eig, 0.0, None)
+
+
+def block_rows(spec: fbm.FbmSpec) -> int:
+    """Paths per circulant block: the normals budget over the embedding length, at least one."""
+    return max(1, fbm._SAMPLE_POINTS // (2 * embedding(spec)[0]))
+
+
+def one_shot_circulant_values(spec: fbm.FbmSpec, count: int) -> np.ndarray:
+    """The unblocked Davies-Harte batch: every (count, 2n) buffer alive at once."""
+    n, m = spec.grid_size, spec.components
+    m_embed, lam = embedding(spec)
     two_m = 2 * m_embed
     scale = spec.step**spec.hurst
     values = np.zeros((count, n + 1, m))
@@ -314,25 +324,40 @@ def one_shot_circulant_values(spec: fbm.FbmSpec, count: int) -> np.ndarray:
 
 
 class TestBlockedCirculantBatch:
-    @pytest.mark.parametrize("count", [0, 1, 511, 512, 513, 1025])
+    @pytest.mark.parametrize("count", [0, 1, 511, 512, 513, 1025, "rows-1", "rows", "rows+1", "2rows+1"])
     @pytest.mark.parametrize("m", [1, 3])
     @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.75])
     @pytest.mark.parametrize("n", [16, 256, 1000])
     def test_bit_identical_to_one_shot(self, count, m, hurst, n):
         s = spec(hurst=hurst, n=n, m=m, seed=11)
+        if isinstance(count, str):  # a count at this grid's block boundaries
+            rows = block_rows(s)
+            count = {"rows-1": rows - 1, "rows": rows, "rows+1": rows + 1, "2rows+1": 2 * rows + 1}[count]
         got = fbm.sample_paths(s, count, "circulant")
         want = one_shot_circulant_values(s, count)
         assert got.shape == want.shape == (count, n + 1, m)
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n", [2, 16, 255])
+    def test_bit_identical_in_one_row_blocks(self, monkeypatch, n):
+        s = spec(hurst=0.75, n=n, m=2, seed=11)
+        monkeypatch.setattr(fbm, "_SAMPLE_POINTS", 2 * embedding(s)[0] - 1)
+        assert block_rows(s) == 1
+        got = fbm.sample_paths(s, 5, "circulant")
+        assert got.tobytes() == one_shot_circulant_values(s, 5).tobytes()
+
     def test_workspace_bounded_by_a_block(self):
-        # the one-shot sampler peaks near 12x the result (u, w and the FFT output at (count, 2n))
+        # the one-shot sampler peaks near 12x the result (u, w and the FFT output at (count, 2n));
+        # 512-path blocks left 12, 23 and 34 MB of workspace at these three shapes
         import tracemalloc
 
-        tracemalloc.start()
-        try:
-            out = fbm.sample_paths(fbm.FbmSpec(0.75, 1, 1.0, 256), 10_000)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * out.nbytes
+        for n, count in [(256, 10_000), (512, 1000), (2048, 200)]:
+            tracemalloc.start()
+            try:
+                out = fbm.sample_paths(fbm.FbmSpec(0.75, 1, 1.0, n), count)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            if count == 10_000:
+                assert peak < 2 * out.nbytes
+            assert peak - out.nbytes < 4 * 2**20, (n, count)

@@ -490,6 +490,7 @@ def test_lag_sup_matches_ascending_scan(kind, n, d):
         with np.errstate(over="ignore"):
             got, want = paths._lag_sup(vals, den), ascending_lag_sup(vals, den)
         assert got == want
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
