@@ -36,6 +36,8 @@ __all__ = [
 _MAX_LAMBDA_EXPONENT = 600.0
 # init-continuity: squared pair norms must stay finite, or the pair sampler accepts nothing
 _MAX_BALL_RADIUS = 1e150
+# sampled marches (moments, sortedness probe): driver values per member block, about 4 MB
+_DRIVER_POINTS = 2**19
 
 DEFAULT_TOLERANCES = {
     "min_doubling_ratio": 1.3,      # median discrepancy decay per ladder doubling
@@ -306,16 +308,31 @@ def _fine_driver(config: ExperimentConfig, seed: int, components: int = 1) -> Gr
 
 
 def _sampled_march(config: ExperimentConfig, c: CoefficientField, x0s: np.ndarray, n: int, seed: int):
-    """The Euler states (steps, B, ..., d) of ``_march``, block by block, from grid index 0.
+    """The Euler states of ``_march`` from grid index 0, as ``(members, states)`` block by block.
 
     Member x0s[i] runs under path i of one circulant batch of B = len(x0s)
-    fBm paths on n steps, drawn from ``seed``.
+    fBm paths on n steps, drawn from ``seed``.  The batch is drawn and
+    marched in member blocks of ``_DRIVER_POINTS`` driver values (at least
+    one path), so one block of drivers is alive at a time; ``members`` is
+    the slice of x0s that ``states`` (steps, b, ..., d) belongs to.  Each
+    member steps on its own, so its states do not depend on the blocks.
     """
     spec = fbm.FbmSpec(config.hurst, c.noise_dim, config.horizon, n, seed=seed)
-    drivers = fbm.sample_paths(spec, x0s.shape[0], method="circulant")
     h = config.horizon / n
-    for _, states in _march(x0s, 0, c, np.arange(n + 1) * h, drivers, h):
-        yield states
+    times = np.arange(n + 1) * h
+    rows = _DRIVER_POINTS // ((n + 1) * c.noise_dim)
+    try:
+        for start, drivers in fbm._circulant_batches(spec, x0s.shape[0], rows):
+            members = slice(start, start + drivers.shape[0])
+            for _, states in _march(x0s[members], 0, c, times, drivers, h):
+                yield members, states
+    except Exception:
+        # one batch stops at the first crossing of any member and a block sees only its own, so the
+        # whole batch is marched once more in one piece, and its error is the one raised
+        drivers = fbm.sample_paths(spec, x0s.shape[0], method="circulant")
+        for _ in _march(x0s, 0, c, times, drivers, h):
+            pass
+        raise
 
 
 def _auto_lambda(config: ExperimentConfig, driver: GridPath) -> float:
@@ -539,8 +556,8 @@ def _run_sortedness_probe(config: ExperimentConfig, c: CoefficientField) -> list
     try:
         x0s = np.broadcast_to(fan, (config.probe_seeds,) + fan.shape)
         min_gap = np.full(config.probe_seeds, np.inf)
-        for states in _sampled_march(config, c, x0s, config.probe_n, seed=0):
-            min_gap = np.minimum(min_gap, _fan_min_gap(states[..., 0]))
+        for members, states in _sampled_march(config, c, x0s, config.probe_n, seed=0):
+            min_gap[members] = np.minimum(min_gap[members], _fan_min_gap(states[..., 0]))
     except Exception as exc:  # a failed probe is one error cell; the pair cells stand
         rec["status"] = _status(exc)
         return [rec]
@@ -890,8 +907,8 @@ def _run_moments(config: ExperimentConfig) -> list:
     x0s = np.full((max(config.sample_counts), c.dim), config.moment_x0)
     sup_sq = _sup_sq(x0s[None])
     try:
-        for states in _sampled_march(config, c, x0s, config.solver_n, seed=config.seeds[0]):
-            sup_sq = np.maximum(sup_sq, _sup_sq(states))
+        for members, states in _sampled_march(config, c, x0s, config.solver_n, seed=config.seeds[0]):
+            sup_sq[members] = np.maximum(sup_sq[members], _sup_sq(states))
     except Exception as exc:  # every path shares the pass, so a failure is one error cell for all of them
         return [{"path": -1, "sup_abs": np.nan, "status": _status(exc)}]
     return [{"path": i, "sup_abs": float(v)} for i, v in enumerate(np.sqrt(sup_sq))]

@@ -5,12 +5,17 @@ factorization of the covariance (small grids, simple) and a
 Davies-Harte circulant embedding of the increment autocovariance
 (O(n log n), the performance path).  Components are generated from
 independent substreams of the seeded generator, so paths are
-reproducible and componentwise independent.  A circulant batch is
-sampled in blocks of ``_SAMPLE_POINTS`` normals (at least one path),
-through one workspace (normals, spectrum and FFT output) allocated once
-per call and reused by every block, so beyond the result it takes about
-3 MB whatever the batch size, as long as one path's 2n normals fit the
-budget (n <= 2^15 without embedding doublings).
+reproducible and componentwise independent.  ``_circulant_batches``
+hands a circulant batch out in consecutive member blocks of a caller's
+size, all through one block buffer, so a caller that reduces each block
+as it comes never holds the whole batch; ``sample_paths`` is its
+one-block case.  A member block is filled in blocks of
+``_SAMPLE_POINTS`` normals (at least one path), through one workspace
+(normals, spectrum and FFT output) that every one of them reuses and
+that is freed before the member block is handed out, so beyond the
+result it takes about 3 MB whatever the batch size, as long as one
+path's 2n normals fit the budget (n <= 2^15 without embedding
+doublings).
 """
 
 from __future__ import annotations
@@ -171,9 +176,16 @@ def _fgn_eigenvalues(hurst: float, m_embed: int) -> np.ndarray:
     return eig
 
 
-def _circulant_values(spec: FbmSpec, count: int) -> np.ndarray:
-    n, m = spec.grid_size, spec.components
-    m_embed = n
+def _circulant_batches(spec: FbmSpec, count: int, rows: int):
+    """Yield ``(start, values)`` for consecutive blocks of at most ``rows`` paths of a circulant batch.
+
+    ``values`` (b, n+1, m) holds paths start .. start + b - 1 of
+    ``sample_paths(spec, count)``, byte for byte: every component draws
+    from its own generator, which fills in C order, so the blocks draw
+    the one-shot stream.  One buffer holds every block, so a block is
+    valid until the next one is drawn.
+    """
+    m_embed = spec.grid_size
     for attempt in range(_MAX_EMBED_DOUBLINGS + 1):
         eig = _fgn_eigenvalues(spec.hurst, m_embed)
         floor = -_EIG_TOL * eig.max()
@@ -187,20 +199,36 @@ def _circulant_values(spec: FbmSpec, count: int) -> np.ndarray:
             "(sample_cholesky, or fbm sample --method cholesky)"
         )
     lam = np.clip(eig, 0.0, None)
-    two_m = 2 * m_embed
-    scale = spec.step**spec.hurst
+    rngs = [_component_rng(spec.seed, j) for j in range(spec.components)]
+    rows = max(1, rows)
+    values = np.zeros((min(rows, count), spec.grid_size + 1, spec.components))
+    for start in range(0, count, rows):
+        out = values[: min(rows, count - start)]
+        _fill_circulant(out, rngs, lam, spec.step**spec.hurst)
+        yield start, out
+
+
+def _fill_circulant(out: np.ndarray, rngs: list, lam: np.ndarray, scale: float) -> None:
+    """Draw the paths ``out`` (b, n+1, m) after B(0) = 0, component j from ``rngs[j]``.
+
+    ``lam`` holds the clipped eigenvalues of the embedding, of length 2
+    m_embed.  The paths are filled in blocks of ``_SAMPLE_POINTS`` normals
+    through one workspace (normals, Hermitian spectrum and its FFT), which
+    is allocated after ``out`` so that, once freed, it rejoins the top of
+    the heap instead of leaving a hole below it; it is freed on return,
+    before a caller marches the block.
+    """
+    n = out.shape[1] - 1
+    two_m = lam.size
+    m_embed = two_m // 2
     half = np.sqrt(lam[1:m_embed] / (2.0 * two_m))
-    values = np.zeros((count, n + 1, m))
     block = max(1, _SAMPLE_POINTS // two_m)
-    # one workspace for every block (normals, Hermitian spectrum and its FFT), allocated after the
-    # result so that, once freed, it rejoins the top of the heap instead of leaving a hole below it
-    u = np.empty((min(block, count), two_m))
+    u = np.empty((min(block, len(out)), two_m))
     w = np.zeros(u.shape, dtype=complex)  # the imaginary parts at 0 and m_embed stay zero
     f = np.empty(u.shape, dtype=complex)
-    for j in range(m):
-        rng = _component_rng(spec.seed, j)
-        for a in range(0, count, block):
-            b = min(a + block, count)
+    for j, rng in enumerate(rngs):
+        for a in range(0, len(out), block):
+            b = min(a + block, len(out))
             ub, wb, fb = u[: b - a], w[: b - a], f[: b - a]
             rng.standard_normal(out=ub)
             wr, wi = wb.real, wb.imag
@@ -212,8 +240,13 @@ def _circulant_values(spec: FbmSpec, count: int) -> np.ndarray:
             np.negative(wi[:, m_embed - 1 : 0 : -1], out=wi[:, m_embed + 1 :])
             np.fft.fft(wb, axis=1, out=fb)
             fgn = np.multiply(fb.real[:, :n], scale, out=fb.real[:, :n])
-            np.cumsum(fgn, axis=1, out=values[a:b, 1:, j])
-    return values
+            np.cumsum(fgn, axis=1, out=out[a:b, 1:, j])
+
+
+def _circulant_values(spec: FbmSpec, count: int) -> np.ndarray:
+    for _, values in _circulant_batches(spec, count, count):
+        return values
+    return np.zeros((0, spec.grid_size + 1, spec.components))  # no paths; the embedding was still checked
 
 
 def sample_circulant(spec: FbmSpec) -> FbmPath:
@@ -231,8 +264,10 @@ def sample_paths(spec: FbmSpec, count: int, method: str = "circulant") -> np.nda
     least one path) through one workspace that every block reuses, so
     beyond the result it takes a fixed budget, not one growing with
     ``count``; the blocks draw the one-shot stream, so the batch does not
-    depend on the block size.  The Cholesky sampler draws all ``count``
-    paths at once.
+    depend on the block size.  It is the single member block of
+    ``_circulant_batches``, whose blocks of any size concatenate to this
+    batch byte for byte.  The Cholesky sampler draws all ``count`` paths
+    at once.
     """
     if method == "circulant":
         return _circulant_values(spec, count)

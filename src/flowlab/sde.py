@@ -32,7 +32,9 @@ Blocks are handed back one at a time.  ``_flow_marks`` is the one place
 that stores states: it keeps them at chosen grid indices, and a full
 solve (``solve_*_batch``) is ``_flow_marks`` over every grid index on the
 member's side of its start.  The other callers (the sortedness probe and
-the moments campaign) reduce each block on the fly without storing it.
+the moments campaign) reduce each block on the fly without storing it;
+their members come in blocks of drivers too, each drawn and marched in
+turn, so neither holds the whole batch of drivers.
 """
 
 from __future__ import annotations

@@ -654,12 +654,27 @@ class TestMomentsExperiment:
         _, records, _ = load_result(out)
         assert not any(evaluate_checks(cfg, summarize(cfg, records)).values())
 
+    def test_blow_up_in_member_blocks_keeps_the_one_batch_text(self, monkeypatch):
+        # a 7-path block crosses at another time and magnitude than the 400-path batch does
+        import flowlab.experiments as experiments
+
+        cfg = default_config("moments", sample_counts=(200, 400), solver_n=2**7,
+                             coefficients="builtin:geometric:60.0")
+        statuses = []
+        for rows in (400, 7):
+            monkeypatch.setattr(experiments, "_DRIVER_POINTS", rows * (cfg.solver_n + 1))
+            (rec,) = run_experiment(cfg).records
+            statuses.append(rec["status"])
+        assert "guard" in statuses[0]
+        assert statuses[1] == statuses[0]
+
     def test_a_frozen_driver_fails_every_stable_check(self, monkeypatch, tmp_path):
         import flowlab.experiments as experiments
 
         # every path keeps moment_x0, so no block has any spread; exp passed as 0 < 2.2e-18 before
-        real = experiments.fbm.sample_paths
-        monkeypatch.setattr(experiments.fbm, "sample_paths", lambda *args, **kwargs: real(*args, **kwargs) * 0.0)
+        real = experiments.fbm._circulant_batches
+        monkeypatch.setattr(experiments.fbm, "_circulant_batches",
+                            lambda *args: ((start, values * 0.0) for start, values in real(*args)))
         cfg = small("moments")
         res = run_experiment(cfg)
         assert {rec["sup_abs"] for rec in res.records} == {abs(cfg.moment_x0)}

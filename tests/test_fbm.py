@@ -346,6 +346,22 @@ class TestBlockedCirculantBatch:
         got = fbm.sample_paths(s, 5, "circulant")
         assert got.tobytes() == one_shot_circulant_values(s, 5).tobytes()
 
+    @pytest.mark.parametrize("rows", ["1", "block-1", "block", "block+1", "count"])
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("hurst, n", [(0.75, 100), (0.3, 256)])
+    def test_member_blocks_concatenate_to_the_batch(self, rows, m, hurst, n):
+        s = spec(hurst=hurst, n=n, m=m, seed=11)
+        block = block_rows(s)
+        count = 2 * block + 5  # every rows but count leave a partial last member block
+        rows = {"1": 1, "block-1": block - 1, "block": block, "block+1": block + 1, "count": count}[rows]
+        starts, blocks = [], []
+        for start, values in fbm._circulant_batches(s, count, rows):
+            starts.append(start)
+            blocks.append(values.copy())  # one buffer holds every block
+        assert starts == list(range(0, count, rows))
+        assert [len(b) for b in blocks] == [min(rows, count - a) for a in starts]
+        assert np.concatenate(blocks).tobytes() == fbm.sample_paths(s, count, "circulant").tobytes()
+
     def test_workspace_bounded_by_a_block(self):
         # the one-shot sampler peaks near 12x the result (u, w and the FFT output at (count, 2n));
         # 512-path blocks left 12, 23 and 34 MB of workspace at these three shapes

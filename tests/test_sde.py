@@ -327,6 +327,28 @@ def oracle_moments(config):
     return [{"path": i, "sup_abs": float(v)} for i, v in enumerate(sup_abs)]
 
 
+def force_member_blocks(monkeypatch, rows, n, m):
+    """Make a sampled march on n steps with m noise components draw ``rows`` paths per block (None: keep the budget).
+
+    Returns the list that collects the member count of every block marched.
+    """
+    if rows is not None:
+        monkeypatch.setattr(experiments, "_DRIVER_POINTS", rows * (n + 1) * m)
+    marched = []
+    real = experiments._march
+
+    def counted(x0s, *args, **kwargs):
+        marched.append(x0s.shape[0])
+        return real(x0s, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "_march", counted)
+    return marched
+
+
+def member_blocks(rows, count):
+    return [min(rows, count - a) for a in range(0, count, rows)]
+
+
 def time_dependent_field(m):
     """State- and time-dependent sigma with a drift; d = 1 for m = 1, d = 2 for m = 2."""
     if m == 1:
@@ -601,18 +623,41 @@ class TestSteppingKernel:
         solve_forward_batch(np.array([[0.4], [-1.2]]), 0.0, dataclasses.replace(f, drift=counted), driver, cfg, scheme)
         assert len(calls) == per_step * cfg.n_steps
 
+    @pytest.mark.parametrize("rows", [None, 1, 7], ids=["one-block", "1-row-blocks", "7-row-blocks"])
     @pytest.mark.parametrize("coefficients", ["builtin:geometric:0.5", "builtin:sin", "builtin:additive:0.8"])
-    def test_probe_matches_oracle(self, coefficients):
+    def test_probe_matches_oracle(self, monkeypatch, coefficients, rows):
         cfg = experiments.default_config("inverse", ladder=(2**7,), seeds=(0,), fine_n=2**10,
                                          probe_seeds=40, probe_n=2**7 + 3, coefficients=coefficients)
         c = cfg.field()
+        marched = force_member_blocks(monkeypatch, rows, cfg.probe_n, c.noise_dim)
         assert experiments._run_sortedness_probe(cfg, c) == oracle_probe(cfg, c)
+        assert marched == member_blocks(rows or 40, 40)  # 7-row blocks leave a last block of 5
 
+    @pytest.mark.parametrize("rows, counts", [(None, (300, 600)), (1, (20, 45)), (7, (20, 45))],
+                             ids=["one-block", "1-row-blocks", "7-row-blocks"])
     @pytest.mark.parametrize("coefficients", ["builtin:sin", "builtin:geometric:0.5", "builtin:additive:0.8"])
-    def test_moments_match_oracle(self, coefficients):
-        cfg = experiments.default_config("moments", sample_counts=(300, 600), solver_n=2**7 + 5,
+    def test_moments_match_oracle(self, monkeypatch, coefficients, rows, counts):
+        cfg = experiments.default_config("moments", sample_counts=counts, solver_n=2**7 + 5,
                                          coefficients=coefficients)
+        marched = force_member_blocks(monkeypatch, rows, cfg.solver_n, 1)
         assert experiments._run_moments(cfg) == oracle_moments(cfg)
+        assert marched == member_blocks(rows or 600, counts[-1])  # 7-row blocks leave a last block of 3
+
+    def test_moments_working_set_is_flat_in_the_sample_count(self):
+        # beyond its records, a pass holds one member block of drivers and its march, not the whole batch
+        import tracemalloc
+
+        for scale in (1, 4):
+            counts = tuple(scale * k for k in experiments.default_config("moments").sample_counts)
+            cfg = experiments.default_config("moments", sample_counts=counts)
+            tracemalloc.start()
+            try:
+                records = experiments._run_moments(cfg)
+                retained, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(records) == max(counts)
+            assert peak - retained < 16 * 2**20, (counts, peak - retained)
 
     def test_moments_with_drift_match_oracle(self):
         # the kernel adds sigma dB + b h before the state; the old loop added them in turn
