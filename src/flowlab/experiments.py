@@ -22,7 +22,7 @@ from . import fbm
 from .coefficients import CoefficientField, parse_field
 from .fraccalc import _lambda_ladder, lambda_alpha
 from .paths import GridPath, _w_alpha_lambda_norms, w_alpha_lambda_norm
-from .sde import SolverConfig, _flow_marks, _march, check_order_window, solve_forward_batch
+from .sde import SolverConfig, _flow_marks, _march, _prepare, check_order_window, solve_forward_batch
 
 __all__ = [
     "ExperimentConfig",
@@ -568,12 +568,15 @@ def _run_sortedness_probe(config: ExperimentConfig, c: CoefficientField) -> list
 def _fan_min_gap(states: np.ndarray) -> np.ndarray:
     """Smallest gap between neighbouring fan points in a (steps, B, F) block, per seed: (B,).
 
-    The gaps are reduced over the steps, elementwise across rows, before
-    the fan axis, so both reductions run along contiguous rows.  ``min``
-    is exact, so this is ``np.diff(states, axis=-1).min(axis=(0, 2))`` in
-    value; of a tie between 0.0 and -0.0, numpy may pick either.
+    One gap at a time is reduced over the steps, elementwise across rows,
+    so a (steps, B) temporary is the largest held.  ``min`` is exact, so
+    this is ``np.diff(states, axis=-1).min(axis=(0, 2))`` in value; of a
+    tie between 0.0 and -0.0, numpy may pick either.
     """
-    return (states[..., 1:] - states[..., :-1]).min(axis=0).min(axis=1)
+    least = (states[..., 1] - states[..., 0]).min(axis=0)
+    for f in range(2, states.shape[-1]):
+        np.minimum(least, (states[..., f] - states[..., f - 1]).min(axis=0), out=least)
+    return least
 
 
 def _summarize_flow(config: ExperimentConfig, records: list) -> dict:
@@ -763,15 +766,11 @@ def _run_init_continuity(config: ExperimentConfig) -> list:
             chunks.append(raw[inside])
             collected += chunks[-1].shape[0]
         pairs = np.concatenate(chunks, axis=0)[:per_seed]
-        flat = pairs.reshape(-1, c.dim)
         try:
-            sols, failure = solve_forward_batch(flat, 0.0, c, driver, cfg), None
+            diffs, failure = _pair_differences(pairs.reshape(-1, c.dim), c, driver, cfg).swapaxes(0, 1), None
         except Exception as exc:  # every non-degenerate pair of the seed records the failure
             failure = _status(exc)
         if failure is None:
-            sols[0::2] -= sols[1::2]  # row 2i is now pair i's difference
-            diffs = sols[0::2]
-
             def run(sel, out):  # sel is contiguous: every pair, or one
                 out.update(zip(sel, _w_alpha_lambda_norms(diffs[sel[0] : sel[-1] + 1], driver.times,
                                                           config.alpha, lam)))
@@ -789,6 +788,24 @@ def _run_init_continuity(config: ExperimentConfig) -> list:
                 rec["ratio"] = float(norms[i]) / dist
             records.append(rec)
     return records
+
+
+def _pair_differences(flat: np.ndarray, c: CoefficientField, driver: GridPath, cfg: SolverConfig) -> np.ndarray:
+    """X_{0,t}(flat[2i]) - X_{0,t}(flat[2i+1]) of the Euler solves under ``driver``: (n+1, P, d).
+
+    The 2P members march from t = 0 in one batch, as ``solve_forward_batch``
+    marches them, and only each block's pair differences are kept, so no
+    (2P, n+1, d) array of solutions is held.  The states are the full
+    solve's, so this is ``solve_forward_batch(flat)[0::2] -
+    solve_forward_batch(flat)[1::2]`` bit for bit, time first, and a
+    crossing of the blow-up guard raises the same error.
+    """
+    x0s = _prepare(flat, c, driver, cfg)
+    diffs = np.empty((driver.n_steps + 1, x0s.shape[0] // 2, c.dim))
+    np.subtract(x0s[0::2], x0s[1::2], out=diffs[0])
+    for reached, states in _march(x0s, 0, c, driver.times, driver.values, driver.step):
+        np.subtract(states[:, 0::2], states[:, 1::2], out=diffs[reached[0] : reached[-1] + 1])
+    return diffs
 
 
 def _summarize_init(config: ExperimentConfig, records: list) -> dict:

@@ -309,13 +309,15 @@ def _w_alpha_lambda_norms(values: np.ndarray, times: np.ndarray, alpha: float,
         block_bound = np.maximum.reduceat(bound[:, 1:], np.arange(0, n, _CHUNK), axis=1)
         reach = np.maximum.accumulate(block_bound[:, ::-1], axis=1)[:, ::-1]
         best = discount[0] * mags[:, 0]
-        # sized as abs_increment_profile(chunk) sizes them, so each computed row is bit-identical to its
-        buffers = _abs_buffers(n, chunk.shape[0], chunk.shape[2])
-        f = np.ascontiguousarray(chunk.transpose(2, 1, 0))  # f[c, k, path]
+        buffers = None  # made for the first block that runs; often none does
         for b, k0 in enumerate(range(1, n + 1, _CHUNK)):
             if (reach[:, b] <= best).all():
                 break
             if (block_bound[:, b] > best).any():
+                if buffers is None:
+                    # sized as abs_increment_profile(chunk) sizes them, so each computed row is bit-identical to its
+                    buffers = _abs_buffers(n, chunk.shape[0], chunk.shape[2])
+                    f = np.ascontiguousarray(chunk.transpose(2, 1, 0))  # f[c, k, path]
                 rows = _abs_block(f, k0, *weights, *buffers)
                 k1 = k0 + rows.shape[1]
                 best = np.maximum(best, (discount[k0:k1] * (mags[:, k0:k1] + rows)).max(axis=1))

@@ -28,13 +28,16 @@ is ``DEFAULT_BLOWUP_FACTOR`` times (1 + |x0|), read at each call; a
 non-finite state (say from a field that returns NaN) counts as a
 crossing.  A field that declares ``drift_growth == 0`` has b = 0, and
 its steps never call ``drift``.
-Blocks are handed back one at a time.  ``_flow_marks`` is the one place
-that stores states: it keeps them at chosen grid indices, and a full
+Blocks are handed back one at a time, each stepped into the same buffer,
+so a block is valid until the next one is stepped and a march holds one
+block of states however long its grid.  ``_flow_marks`` is the one place
+that stores states: it copies them at chosen grid indices, and a full
 solve (``solve_*_batch``) is ``_flow_marks`` over every grid index on the
-member's side of its start.  The other callers (the sortedness probe and
-the moments campaign) reduce each block on the fly without storing it;
-their members come in blocks of drivers too, each drawn and marched in
-turn, so neither holds the whole batch of drivers.
+member's side of its start.  The other callers reduce each block on the
+fly without storing it: the sortedness probe and the moments campaign,
+whose members come in blocks of drivers too, each drawn and marched in
+turn, so neither holds the whole batch of drivers; and init-continuity,
+which keeps only the difference of each pair of members.
 """
 
 from __future__ import annotations
@@ -180,7 +183,9 @@ def _march(x0s, starts, c, times, values, h, scheme="euler", backward=False, str
     order: ``reached`` holds the grid indices the steps reach and
     ``states`` (len(reached), B, ..., d) the members' states there, in the
     caller's order.  A member that has not started yet holds its initial
-    point.
+    point.  Every block is stepped into one buffer of ``_GUARD_BLOCK``
+    rows, so a yielded block is valid until the next block is stepped: a
+    caller that keeps states copies them.
     """
     n = times.shape[0] - 1
     size = x0s.shape[0]
@@ -263,13 +268,19 @@ def _march(x0s, starts, c, times, values, h, scheme="euler", backward=False, str
         rows = np.flatnonzero(strides == g)
         by_stride.append((rows, g, owner[rows]))
 
+    # every block is stepped into one buffer of states (and one of strided increments): a step reads
+    # the row before the one it writes, and a block's first step the last row of the block before
+    rows_max = min(_GUARD_BLOCK, steps.size)
+    buffer = np.empty((rows_max,) + x0s.shape)
+    if strided:
+        spans = np.empty((rows_max, size) + values.shape[2:])
     prev = x0s
     for lo in range(0, steps.size, _GUARD_BLOCK):
         ks = steps[lo : lo + _GUARD_BLOCK]
-        block = np.empty(ks.shape + x0s.shape)
+        block = buffer[: ks.size]
         if strided:  # every member's increment over its own stride, from each index of the block
             first = int(ks.min())
-            span = np.empty((ks.size, size) + values.shape[2:])
+            span = spans[: ks.size]
             for rows, g, under in by_stride:
                 # only from the indices whose reach stays on the grid; the others are never read
                 a, b = (max(first, g), first + ks.size) if backward else (first, min(first + ks.size, n - g + 1))

@@ -502,14 +502,14 @@ class TestContinuityExperiments:
         # pair_count // len(seeds) per seed, at least 1, used to give 4 records for 3 pairs and 8 for 10
         import flowlab.experiments as experiments
 
-        real = experiments.solve_forward_batch
+        real = experiments._pair_differences
         solved = []
 
-        def counting(x0s, *args, **kwargs):
-            solved.append(len(x0s) // 2)
-            return real(x0s, *args, **kwargs)
+        def counting(flat, *args, **kwargs):
+            solved.append(len(flat) // 2)
+            return real(flat, *args, **kwargs)
 
-        monkeypatch.setattr(experiments, "solve_forward_batch", counting)
+        monkeypatch.setattr(experiments, "_pair_differences", counting)
         cfg = small("init-continuity", seeds=(0, 1, 2, 3), pair_count=pair_count, solver_n=16)
         res = run_experiment(cfg)
         assert len(res.records) == pair_count

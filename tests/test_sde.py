@@ -659,6 +659,60 @@ class TestSteppingKernel:
             assert len(records) == max(counts)
             assert peak - retained < 16 * 2**20, (counts, peak - retained)
 
+    def test_consecutive_march_blocks_share_one_buffer(self):
+        f = builtin_field("sin")
+        smooth = driver_of(seed=2, n=3 * _GUARD_BLOCK)
+        blocks = _march(np.array([[0.4], [-1.2]]), 0, f, smooth.times, smooth.values, smooth.step)
+        (_, first), (_, second) = next(blocks), next(blocks)
+        assert np.shares_memory(first, second)
+
+    @staticmethod
+    def traced_peak(run, *args):
+        """The tracemalloc peak of ``run(*args)`` beyond what the call leaves allocated, in MiB."""
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            run(*args)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return (peak - retained) / 2**20
+
+    def test_init_continuity_working_set_holds_no_batch_of_solutions(self):
+        # holding every pair's two solutions, (2000, 513, 1), as a full solve does, peaks at 12.3 MiB
+        cfg = experiments.default_config("init-continuity", seeds=(0,))
+        assert self.traced_peak(experiments._run_init_continuity, cfg) < 7.0
+
+    def test_sortedness_probe_working_set_holds_no_gap_block(self):
+        # a (64, seeds, fan - 1) block of gaps held besides the states peaks at 12.0 MiB
+        cfg = experiments.default_config("inverse")
+        assert self.traced_peak(experiments._run_sortedness_probe, cfg, cfg.field()) < 10.0
+
+    @pytest.mark.parametrize("field", ["builtin:geometric:0.5", "2-D"])
+    def test_pair_differences_equal_the_differences_of_the_full_solve(self, field):
+        c = time_dependent_field(2) if field == "2-D" else parse_field(field)
+        n = 3 * _GUARD_BLOCK + 10  # a short last block
+        smooth = driver_of(seed=4, n=n, m=c.noise_dim)
+        cfg = SolverConfig(alpha=0.3, n_steps=n, hurst=0.75)
+        flat = np.random.default_rng(6).uniform(-1.0, 1.0, size=(2 * 9, c.dim))
+        flat[7] = flat[6]  # a pair of equal points: a difference of zeros
+        flat[8] = -0.0
+        want = solve_forward_batch(flat, 0.0, c, smooth, cfg)
+        want = (want[0::2] - want[1::2]).swapaxes(0, 1)
+        got = experiments._pair_differences(flat, c, smooth, cfg)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # a driver that crosses the blow-up guard in the second guard block raises the same text
+        jump = np.zeros((n + 1, c.noise_dim))
+        jump[70:] = 1e13
+        spiked = GridPath(smooth.times, jump)
+        with pytest.raises(BlowUpError) as solved:
+            solve_forward_batch(flat, 0.0, c, spiked, cfg)
+        with pytest.raises(BlowUpError) as paired:
+            experiments._pair_differences(flat, c, spiked, cfg)
+        assert str(paired.value) == str(solved.value)
+        assert "at t = " in str(paired.value)
+
     def test_moments_with_drift_match_oracle(self):
         # the kernel adds sigma dB + b h before the state; the old loop added them in turn
         cfg = experiments.default_config("moments", sample_counts=(300, 600), solver_n=2**7,
@@ -861,6 +915,18 @@ class TestGuardScreen:
             assert guard_outcome(sde._check_block, *case) == want, trial
             raised += want is not None
         assert 0 < raised < 300
+
+    def test_march_crossings_keep_their_text(self):
+        # the kernel's own crossings: a spike in a batch and a NaN from the field
+        f = builtin_field("additive", matrix=np.array([[1.0]]))
+        driver = spiked_driver(200, 70)
+        with pytest.raises(BlowUpError) as want:
+            oracle_forward(np.array([[0.5], [-3.0]]), 0, f, driver)
+        with pytest.raises(BlowUpError) as got:
+            trajectories(np.array([[0.5], [-3.0]]), 0, f, driver, "euler", backward=False)
+        assert str(got.value) == str(want.value) == (
+            "|X| = 1.000e+13 at t = 0.35 crossed the blow-up guard; "
+            "the hypotheses are violated or the grid is too coarse")
 
 
 class TestBlockReductions:

@@ -399,14 +399,20 @@ def test_batched_init_records_match_per_pair_records(coefficients):
 
 
 def test_a_non_finite_pair_difference_is_its_own_error_cell(monkeypatch):
-    real = experiments.solve_forward_batch
+    real, real_solve = experiments._pair_differences, experiments.solve_forward_batch
 
-    def poisoned(x0s, *args, **kwargs):
-        sols = real(x0s, *args, **kwargs)
+    def poisoned(flat, *args, **kwargs):
+        diffs = real(flat, *args, **kwargs)
+        diffs[100, 3] = np.nan  # pair 3's difference
+        return diffs
+
+    def poisoned_solve(x0s, *args, **kwargs):  # the per-pair copy solves through this one
+        sols = real_solve(x0s, *args, **kwargs)
         sols[2 * 3, 100] = np.nan  # pair 3's first solution
         return sols
 
-    monkeypatch.setattr(experiments, "solve_forward_batch", poisoned)
+    monkeypatch.setattr(experiments, "_pair_differences", poisoned)
+    monkeypatch.setattr(experiments, "solve_forward_batch", poisoned_solve)
     cfg = init_config("builtin:geometric:0.5")
     batched = experiments._run_init_continuity(cfg)
     errors = [(r["seed"], r["pair"], r["status"]) for r in batched if r["status"] != "ok"]
