@@ -79,7 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--n", type=int, default=1024)
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--horizon", type=float, default=1.0)
-    p_solve.add_argument("--scheme", choices=("euler", "heun"), default="euler")
     p_solve.add_argument("--out", required=True)
 
     p_run = top.add_parser("run", help="run an experiment campaign from a JSON config")
@@ -164,7 +163,7 @@ def _cmd_sde_solve(args) -> int:
     spec = fbm.FbmSpec(args.hurst, field.noise_dim, args.horizon, args.n, args.seed)
     driver = fbm.sample_circulant(spec).path
     cfg = SolverConfig(args.alpha, args.n, args.hurst)
-    solution = solve_forward(x0, 0.0, field, driver, cfg, scheme=args.scheme)
+    solution = solve_forward(x0, 0.0, field, driver, cfg)
     solution.to_csv(args.out)
     print(f"wrote {args.out}")
     return 0

@@ -22,7 +22,7 @@ from . import fbm
 from .coefficients import CoefficientField, parse_field
 from .fraccalc import _lambda_ladder, lambda_alpha
 from .paths import GridPath, _w_alpha_lambda_norms, w_alpha_lambda_norm
-from .sde import SolverConfig, _flow_marks, _march, _prepare, check_order_window, solve_forward_batch
+from .sde import SolverConfig, _flow_marks, _march, _prepare, check_order_window
 
 __all__ = [
     "ExperimentConfig",

@@ -5,18 +5,18 @@ match the left Riemann-Stieltjes sums of :mod:`flowlab.young`; with a
 piecewise-linear driver it is exact ODE integration in the vanishing-step
 limit.  The backward flow steps in reverse time and subtracts the
 increment evaluated at the right point, which makes it the exact grid
-inverse of the forward map for additive noise.  A Heun-type two-step
-scheme is available for convergence cross-checks.
+inverse of the forward map for additive noise.
 
 Every solve runs through one stepping kernel, ``_march``.  It advances a
 batch of members, each from its own start index, against one shared
-driver or a driver per member (which members may share); sorted by
-start, the members that have started at a step are a prefix of the
-batch.  A member may march with a stride s: it steps only from the grid
-indices that s divides, over s indices at once, and does no arithmetic
-at the indices between.  That is the same solve, bit for bit, as on the
-grid decimated by s, so one march steps a whole ladder of grids in
-lockstep.  The blow-up guard is checked once per block of
+driver or a driver per member (which members may share).  Its members
+come in stepping order (by start, ascending forward and descending
+backward), so the members that have started at a step are a prefix of
+the batch.  A member may march with a stride s: it steps only from the
+grid indices that s divides, over s indices at once, and does no
+arithmetic at the indices between.  That is the same solve, bit for
+bit, as on the grid decimated by s, so one march steps a whole ladder
+of grids in lockstep.  The blow-up guard is checked once per block of
 ``_GUARD_BLOCK`` steps.  The block is screened first by its largest
 component: no norm exceeds sqrt(d) times it, so a block whose largest
 component clears the smallest bound crossed nothing.  A block that fails
@@ -31,13 +31,15 @@ its steps never call ``drift``.
 Blocks are handed back one at a time, each stepped into the same buffer,
 so a block is valid until the next one is stepped and a march holds one
 block of states however long its grid.  ``_flow_marks`` is the one place
-that stores states: it copies them at chosen grid indices, and a full
-solve (``solve_*_batch``) is ``_flow_marks`` over every grid index on the
-member's side of its start.  The other callers reduce each block on the
-fly without storing it: the sortedness probe and the moments campaign,
-whose members come in blocks of drivers too, each drawn and marched in
-turn, so neither holds the whole batch of drivers; and init-continuity,
-which keeps only the difference of each pair of members.
+that stores states: it puts the members in stepping order, copies their
+states at chosen grid indices back into the caller's order, and a full
+solve (``solve_forward_batch``) is ``_flow_marks`` over every grid index
+after the start.  The other callers start every member at 0 and reduce
+each block on the fly without storing it: the sortedness probe and the
+moments campaign, whose members come in blocks of drivers too, each
+drawn and marched in turn, so neither holds the whole batch of drivers;
+and init-continuity, which keeps only the difference of each pair of
+members.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ __all__ = [
     "check_order_window",
     "solve_forward",
     "solve_forward_batch",
-    "solve_backward_batch",
 ]
 
 DEFAULT_BLOWUP_FACTOR = 1e12
@@ -165,12 +166,14 @@ def _check_block(block, active, reached, bound, time_of) -> None:
             raise BlowUpError(_blowup_message(float(mag[j, :a][worst]), time_of(reached[j], worst[0])))
 
 
-def _march(x0s, starts, c, times, values, h, scheme="euler", backward=False, strides=1, owner=None):
-    """The stepping kernel: advance every member from its own start index.
+def _march(x0s, starts, c, times, values, h, backward=False, strides=1, owner=None):
+    """The Euler stepping kernel: advance every member from its own start index.
 
     ``x0s`` is (B, ..., d); member i holds x0s[i] at grid index starts[i]
     (an int or a (B,) array) and steps forward to the end of the grid, or
-    back to its first point when ``backward``.  ``values`` is one shared
+    back to its first point when ``backward``.  The members come in
+    stepping order: ``starts`` ascends forward and descends backward, or
+    the first block raises ``ValueError``.  ``values`` is one shared
     driver (n+1, m) or a stack of drivers (D, n+1, m): member i runs under
     values[owner[i]], or under values[i] when ``owner`` is None.  ``h`` is
     the drift step, one for all or one per member.  A member of stride s
@@ -181,35 +184,28 @@ def _march(x0s, starts, c, times, values, h, scheme="euler", backward=False, str
     its state at the knot it is stepping to.  Yields ``(reached, states)``
     per checked block of at most ``_GUARD_BLOCK`` steps, in stepping
     order: ``reached`` holds the grid indices the steps reach and
-    ``states`` (len(reached), B, ..., d) the members' states there, in the
-    caller's order.  A member that has not started yet holds its initial
-    point.  Every block is stepped into one buffer of ``_GUARD_BLOCK``
-    rows, so a yielded block is valid until the next block is stepped: a
-    caller that keeps states copies them.
+    ``states`` (len(reached), B, ..., d) the members' states there.  A
+    member that has not started yet holds its initial point.  Every block
+    is stepped into one buffer of ``_GUARD_BLOCK`` rows, so a yielded
+    block is valid until the next block is stepped: a caller that keeps
+    states copies them.
     """
     n = times.shape[0] - 1
     size = x0s.shape[0]
     starts = np.broadcast_to(np.asarray(starts, dtype=np.intp), (size,))
     strides = np.broadcast_to(np.asarray(strides, dtype=np.intp), (size,))
+    rank = -starts if backward else starts
+    if np.any(rank[1:] < rank[:-1]):  # then the members that have started at a step form a prefix
+        raise ValueError(f"starts must be in stepping order ({'descending' if backward else 'ascending'})")
     strided = bool(np.any(strides != 1))
-    # with members sorted by start, the members that have started at any step form a prefix
-    order = np.argsort(-starts if backward else starts, kind="stable")
     if np.ndim(h) or strided:  # one drift step per member, broadcast over the state axes between B and d
-        h = np.broadcast_to(h, (size,))[order].reshape((size,) + (1,) * (x0s.ndim - 1))
+        h = np.broadcast_to(h, (size,)).reshape((size,) + (1,) * (x0s.ndim - 1))
     if strided:  # increments are taken from the distinct drivers, member i's from values[owner[i]]
         if values.ndim == 2:
             values, owner = values[None], np.zeros(size, dtype=np.intp)
         owner = np.arange(size) if owner is None else np.asarray(owner)
     elif owner is not None:  # one driver row per member, which the steps slice
         values = values[owner]
-    inverse = None
-    if np.any(order != np.arange(order.size)):
-        inverse = np.argsort(order)
-        x0s, starts, strides = x0s[order], starts[order], strides[order]
-        if strided:
-            owner = owner[order]
-        elif values.ndim == 3:
-            values = values[order]
     per_member = strided or values.ndim == 3
     # a step is named by the grid index k it leaves
     if backward:
@@ -238,20 +234,14 @@ def _march(x0s, starts, c, times, values, h, scheme="euler", backward=False, str
         """Who steps from an index k = phase (mod every stride), with a members started.
 
         Returns the stepping members (a slice when they are the started
-        prefix), their one stride or, for several, the positions of each,
-        and their drift steps; None when no member steps from k (strides
-        2 and 3 at k = 1).
+        prefix) and their drift steps; None when no member steps from k
+        (strides 2 and 3 at k = 1).
         """
         idx = np.flatnonzero(phase % strides[:a] == 0)
         if idx.size == 0:
             return None
         sel = slice(0, a) if idx.size == a else idx
-        own = strides[idx]
-        kinds = set(own.tolist())
-        hs = h if np.ndim(h) == 0 else h[sel]
-        if len(kinds) == 1:
-            return sel, kinds.pop(), None, hs
-        return sel, None, [(np.flatnonzero(own == s), s) for s in kinds], hs
+        return sel, h if np.ndim(h) == 0 else h[sel]
 
     # who steps from k depends on k only through the started count and k mod every stride
     period = int(np.lcm.reduce(strides))
@@ -299,7 +289,7 @@ def _march(x0s, starts, c, times, values, h, scheme="euler", backward=False, str
                         prev = row
                         done = j + 1
                         continue
-                    sel, st, groups, hs = step
+                    sel, hs = step
                     prefix = type(sel) is slice
                     s = prev[sel] if prefix else prev.take(sel, axis=0)
                     if strided:
@@ -308,15 +298,6 @@ def _march(x0s, starts, c, times, values, h, scheme="euler", backward=False, str
                         near = k - 1 if backward else k
                         db = values[sel, near + 1] - values[sel, near] if per_member else shared_db[near]
                     inc = increment(times[k], s, db, hs)
-                    if scheme == "heun":
-                        y = apply(s, inc)
-                        if groups is None:
-                            inc = 0.5 * (inc + increment(times[k - st if backward else k + st], y, db, hs))
-                        else:  # each stride reaches its own time
-                            second = np.empty_like(inc)
-                            for pos, g in groups:
-                                second[pos] = increment(times[k - g if backward else k + g], y[pos], db[pos], hs[pos])
-                            inc = 0.5 * (inc + second)
                     if prefix:
                         apply(s, inc, out=row[sel])
                         if sel.stop < size:
@@ -330,7 +311,7 @@ def _march(x0s, starts, c, times, values, h, scheme="euler", backward=False, str
             _check_block(block[:done], active[lo:], reached[lo:], bound, time_of)
             raise
         _check_block(block, active[lo:], reached[lo:], bound, time_of)
-        yield reached[lo : lo + ks.size], (block if inverse is None else block[:, inverse])
+        yield reached[lo : lo + ks.size], block
 
 
 def solve_forward_batch(
@@ -339,11 +320,10 @@ def solve_forward_batch(
     c: CoefficientField,
     driver: GridPath,
     cfg: SolverConfig,
-    scheme: str = "euler",
 ) -> np.ndarray:
     """Solve from start time r for a batch of initial points: (batch, steps+1, d)."""
     k0 = driver.index_of(r)
-    return _flow_marks(x0s, k0, range(k0, driver.n_steps + 1), c, driver, cfg, scheme=scheme).swapaxes(0, 1)
+    return _flow_marks(x0s, k0, range(k0, driver.n_steps + 1), c, driver, cfg).swapaxes(0, 1)
 
 
 def solve_forward(
@@ -352,31 +332,15 @@ def solve_forward(
     c: CoefficientField,
     driver: GridPath,
     cfg: SolverConfig,
-    scheme: str = "euler",
 ) -> GridPath:
     """Forward flow X started at x0 at time r, on the grid points >= r."""
-    values = solve_forward_batch(x0, r, c, driver, cfg, scheme)[0]
+    values = solve_forward_batch(x0, r, c, driver, cfg)[0]
     k0 = driver.index_of(r)
     return GridPath(driver.times[k0:], values)
 
 
-def solve_backward_batch(
-    x0s: np.ndarray,
-    t_end: float,
-    c: CoefficientField,
-    driver: GridPath,
-    cfg: SolverConfig,
-    scheme: str = "euler",
-) -> np.ndarray:
-    """Backward flow values: entry k is Y_{t_k, t_end}(x), for t_k <= t_end."""
-    k1 = driver.index_of(t_end)
-    if k1 < 1:
-        raise ValueError("backward solve needs a positive end time")
-    return _flow_marks(x0s, k1, range(k1 + 1), c, driver, cfg, backward=True, scheme=scheme).swapaxes(0, 1)
-
-
 def _flow_marks(x0s, starts, marks, c: CoefficientField, driver: Union[GridPath, list], cfg: SolverConfig,
-                backward: bool = False, scheme: str = "euler", strides=1) -> np.ndarray:
+                backward: bool = False, strides=1) -> np.ndarray:
     """Euler states of members started at grid indices ``starts``, at grid indices ``marks``.
 
     Returns (len(marks), batch, d).  Entry [j, i] is X_{starts[i], marks[j]}(x0s[i])
@@ -386,28 +350,34 @@ def _flow_marks(x0s, starts, marks, c: CoefficientField, driver: Union[GridPath,
     path shared by every member or a list of one path per member, all on
     one grid.  A member of stride s (``strides``, an int or one per member)
     solves on that grid decimated by s, with its step: at a mark that s
-    divides it reads what a solve on the decimated grid reads there.
+    divides it reads what a solve on the decimated grid reads there.  The
+    members may come in any order: they march in stepping order, and their
+    states are put back in the caller's order.
     """
-    if scheme not in ("euler", "heun"):
-        raise ValueError(f"unknown scheme {scheme!r}")
     grid = driver[0] if isinstance(driver, list) else driver
     x0s = _prepare(x0s, c, grid, cfg)
+    strides = np.asarray(strides, dtype=np.intp)
+    if np.any(strides < 1) or np.any(grid.n_steps % strides) or np.any(np.asarray(starts) % strides):
+        raise ValueError(f"each stride must be positive and divide the grid's {grid.n_steps} steps "
+                         "and its member's start")
+    starts = np.broadcast_to(np.asarray(starts, dtype=np.intp), x0s.shape[:1])
+    order = np.argsort(-starts if backward else starts, kind="stable")
+    starts = starts[order]
+    if strides.ndim:
+        strides = strides[order]
     if isinstance(driver, list):  # each path once: the members of a lockstep pass share their seed's path
+        driver = [driver[i] for i in order]
         slots = {}
         owner = np.array([slots.setdefault(id(p), len(slots)) for p in driver])
         values = np.stack([p.values for p in {id(p): p for p in driver}.values()])
         owner = None if len(slots) == len(driver) else owner
     else:
         values, owner = driver.values, None
-    strides = np.asarray(strides, dtype=np.intp)
-    if np.any(strides < 1) or np.any(grid.n_steps % strides) or np.any(np.asarray(starts) % strides):
-        raise ValueError(f"each stride must be positive and divide the grid's {grid.n_steps} steps "
-                         "and its member's start")
     h = (grid.times[-1] - grid.times[0]) / (grid.n_steps // strides)  # each decimated grid's step
     marks = np.asarray(marks, dtype=np.intp)
     slot = np.full(grid.n_steps + 1, marks.size)  # an unmarked index writes to a spare last row
     slot[marks] = np.arange(marks.size)
     out = np.broadcast_to(x0s, (marks.size + 1,) + x0s.shape).copy()
-    for reached, states in _march(x0s, starts, c, grid.times, values, h, scheme, backward, strides, owner):
-        out[slot[reached]] = states
+    for reached, states in _march(x0s[order], starts, c, grid.times, values, h, backward, strides, owner):
+        out[slot[reached][:, None], order] = states
     return out[:-1]

@@ -328,12 +328,12 @@ class TestFlowExperiment:
 
 def _per_cell_reference(config, c, fine, r, t, x):
     """The per-(r, t, x) fine-grid solves that the flow reference ran before the shared passes."""
-    from flowlab.sde import SolverConfig, solve_backward_batch, solve_forward_batch
+    from flowlab.sde import SolverConfig, _flow_marks, solve_forward_batch
 
     cfg = SolverConfig(config.alpha, fine.n_steps, config.hurst)
     x = np.asarray(x, dtype=float)[None, :]
     fwd = solve_forward_batch(x, r, c, fine, cfg)[0][fine.index_of(t) - fine.index_of(r)]
-    bwd = solve_backward_batch(x, t, c, fine, cfg)[0][fine.index_of(r)] if t > 0.0 else x[0]
+    bwd = _flow_marks(x, fine.index_of(t), [fine.index_of(r)], c, fine, cfg, backward=True)[0, 0]
     return fwd, bwd
 
 
@@ -367,6 +367,7 @@ class TestFlowReference:
 
     def test_reference_is_two_fine_passes_per_seed(self, monkeypatch):
         import flowlab.experiments as experiments
+        import flowlab.sde as sde
 
         fine_n = 2**10
         real = experiments._flow_marks
@@ -382,7 +383,7 @@ class TestFlowReference:
             raise AssertionError("the flow reference made a per-cell solve")
 
         monkeypatch.setattr(experiments, "_flow_marks", counting)
-        monkeypatch.setattr(experiments, "solve_forward_batch", no_solve)
+        monkeypatch.setattr(sde, "solve_forward_batch", no_solve)
         cfg = default_config("flow", coefficients="builtin:sin", ladder=(64, 128, 256), fine_n=fine_n, seeds=(0,))
         res = run_experiment(cfg)
         assert all(r["status"] == "ok" for r in res.records)

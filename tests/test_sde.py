@@ -18,7 +18,6 @@ from flowlab.sde import (
     _march,
     alpha0,
     check_order_window,
-    solve_backward_batch,
     solve_forward,
     solve_forward_batch,
 )
@@ -26,6 +25,12 @@ from flowlab.sde import (
 
 def driver_of(seed=11, n=1024, hurst=0.75, m=1):
     return fbm.sample_circulant(fbm.FbmSpec(hurst, m, 1.0, n, seed)).path
+
+
+def solve_backward(x0s, t_end, c, driver, cfg):
+    """Backward flow values, (batch, k1+1, d): entry k is Y_{t_k, t_end}(x), for t_k <= t_end = t_k1."""
+    k1 = driver.index_of(t_end)
+    return _flow_marks(x0s, k1, range(k1 + 1), c, driver, cfg, backward=True).swapaxes(0, 1)
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +125,7 @@ class TestForwardSolver:
         with pytest.raises(ValueError):
             solve_forward([1.0], 0.0, f, wide, cfg)  # wrong driver width
 
-    @pytest.mark.parametrize("solve", [solve_forward_batch, solve_backward_batch], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("solve", [solve_forward_batch, solve_backward], ids=lambda f: f.__name__)
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_initial_point_is_rejected(self, driver, cfg, solve, bad):
         # it used to step and fail at the blow-up guard, which blames the field or the grid
@@ -134,20 +139,6 @@ class TestForwardSolver:
         with pytest.raises(BlowUpError, match="guard"):
             solve_forward([1.0], 0.0, f, driver, cfg)
 
-    def test_heun_scheme_more_accurate_on_geometric(self):
-        fine = driver_of(seed=15, n=2**10)
-        f = builtin_field("geometric", sigma0=0.5)
-        cfg10 = SolverConfig(0.3, 2**10, 0.75)
-        closed = np.exp(0.5 * fine.values[-1, 0])
-        err_euler = abs(solve_forward([1.0], 0.0, f, fine, cfg10).values[-1, 0] - closed)
-        err_heun = abs(solve_forward([1.0], 0.0, f, fine, cfg10, scheme="heun").values[-1, 0] - closed)
-        assert err_heun < err_euler
-
-    @pytest.mark.parametrize("solve", [solve_forward_batch, solve_backward_batch], ids=lambda f: f.__name__)
-    def test_unknown_scheme(self, driver, cfg, solve):
-        with pytest.raises(ValueError, match="unknown scheme"):
-            solve([1.0], 1.0, builtin_field("zero"), driver, cfg, scheme="rk4")
-
     def test_batch_matches_single(self, driver, cfg):
         f = parse_field("builtin:sin")
         batch = solve_forward_batch(np.array([[0.4], [0.9]]), 0.0, f, driver, cfg)
@@ -159,12 +150,12 @@ class TestForwardSolver:
 class TestBackwardSolver:
     def test_terminal_condition_exact(self, driver, cfg):
         f = builtin_field("geometric", sigma0=0.5)
-        sol = solve_backward_batch([2.0], 1.0, f, driver, cfg)[0]
+        sol = solve_backward([2.0], 1.0, f, driver, cfg)[0]
         assert sol[-1, 0] == 2.0
 
     def test_additive_exact_inverse(self, driver, cfg):
         f = builtin_field("additive", matrix=np.array([[0.8]]))
-        y = solve_backward_batch([1.5], 1.0, f, driver, cfg)[0]
+        y = solve_backward([1.5], 1.0, f, driver, cfg)[0]
         expected = 1.5 - 0.8 * (driver.values[-1, 0] - driver.values[:, 0])
         assert np.abs(y[:, 0] - expected).max() < 1e-12
         assert abs(solve_forward_batch(y[:1], 0.0, f, driver, cfg)[0, -1, 0] - 1.5) < 1e-12
@@ -176,7 +167,7 @@ class TestBackwardSolver:
         for n in (2**9, 2**10, 2**11, 2**12):
             d = fine.decimate(2**12 // n)
             c = SolverConfig(0.3, n, 0.75)
-            y = solve_backward_batch([1.0], 1.0, f, d, c)[:, 0]
+            y = solve_backward([1.0], 1.0, f, d, c)[:, 0]
             discs.append(abs(solve_forward_batch(y, 0.0, f, d, c)[0, -1, 0] - 1.0))
         assert discs[0] > discs[-1]
         assert discs[-1] < 5e-3
@@ -199,11 +190,11 @@ class TestFlowMap:
         x = np.array([[1.3], [-0.7]])
         k = driver.index_of(0.5)
         assert np.array_equal(solve_forward_batch(x, 0.5, f, driver, cfg)[:, 0], x)
-        assert np.array_equal(solve_backward_batch(x, 0.5, f, driver, cfg)[:, k], x)
+        assert np.array_equal(solve_backward(x, 0.5, f, driver, cfg)[:, k], x)
 
     def test_compose_returns_pair(self, driver, cfg):
         composed, direct = compose(builtin_field("geometric", sigma0=0.5), driver, cfg, 0.0, 0.5, 1.0, 1.0)
-        # one-step schemes compose exactly: both legs replay the same float ops
+        # the one-step Euler scheme composes exactly: both legs replay the same float ops
         assert np.array_equal(composed, direct)
 
     def test_compose_degenerate_triple(self, driver, cfg):
@@ -254,7 +245,7 @@ def oracle_increments(c, t, states, db, h):
     return np.einsum("...dm,m->...d", c.sigma(t, states), db) + c.drift(t, states) * h
 
 
-def oracle_forward(x0s, k0, c, driver, scheme="euler", blowup_factor=DEFAULT_BLOWUP_FACTOR):
+def oracle_forward(x0s, k0, c, driver, blowup_factor=DEFAULT_BLOWUP_FACTOR):
     times, vals, h, n = driver.times, driver.values, driver.step, driver.n_steps
     out = np.empty((x0s.shape[0], n - k0 + 1, c.dim))
     out[:, 0] = x0s
@@ -262,17 +253,13 @@ def oracle_forward(x0s, k0, c, driver, scheme="euler", blowup_factor=DEFAULT_BLO
     state = x0s
     for k in range(k0, n):
         db = vals[k + 1] - vals[k]
-        inc = oracle_increments(c, times[k], state, db, h)
-        if scheme == "heun":
-            pred = state + inc
-            inc = 0.5 * (inc + oracle_increments(c, times[k + 1], pred, db, h))
-        state = state + inc
+        state = state + oracle_increments(c, times[k], state, db, h)
         oracle_guard(state, bound, times[k + 1])
         out[:, k + 1 - k0] = state
     return out
 
 
-def oracle_backward(x0s, k1, c, driver, scheme="euler", blowup_factor=DEFAULT_BLOWUP_FACTOR):
+def oracle_backward(x0s, k1, c, driver, blowup_factor=DEFAULT_BLOWUP_FACTOR):
     times, vals, h = driver.times, driver.values, driver.step
     out = np.empty((x0s.shape[0], k1 + 1, c.dim))
     out[:, k1] = x0s
@@ -280,11 +267,7 @@ def oracle_backward(x0s, k1, c, driver, scheme="euler", blowup_factor=DEFAULT_BL
     state = x0s
     for k in range(k1 - 1, -1, -1):
         db = vals[k + 1] - vals[k]
-        inc = oracle_increments(c, times[k + 1], state, db, h)
-        if scheme == "heun":
-            pred = state - inc
-            inc = 0.5 * (inc + oracle_increments(c, times[k], pred, db, h))
-        state = state - inc
+        state = state - oracle_increments(c, times[k + 1], state, db, h)
         oracle_guard(state, bound, times[k])
         out[:, k] = state
     return out
@@ -365,13 +348,10 @@ def time_dependent_field(m):
     return CoefficientField(sigma, lambda t, x: -0.1 * x + 0.05 * t, 2, 2)
 
 
-def trajectories(x0s, starts, c, driver, scheme, backward):
-    """Every member's states on the whole grid from the kernel, (B, n+1, d)."""
-    out = np.full((x0s.shape[0], driver.n_steps + 1, c.dim), np.nan)
-    for reached, states in _march(x0s, starts, c, driver.times, driver.values, driver.step,
-                                  scheme, backward=backward):
-        out[:, reached] = states.swapaxes(0, 1)
-    return out
+def trajectories(x0s, starts, c, driver, backward):
+    """Every member's states on the whole grid from ``_flow_marks``, in any start order: (B, n+1, d)."""
+    cfg = SolverConfig(0.3, driver.n_steps, 0.75)
+    return _flow_marks(x0s, starts, range(driver.n_steps + 1), c, driver, cfg, backward=backward).swapaxes(0, 1)
 
 
 def spiked_driver(n, step, height=1e13):
@@ -381,19 +361,15 @@ def spiked_driver(n, step, height=1e13):
     return GridPath(np.linspace(0.0, 1.0, n + 1), vals)
 
 
-def drift_march(x0s, starts, c, times, values, h, scheme, backward):
+def drift_march(x0s, starts, c, times, values, h, backward):
     """``_march`` with the drift term on every step, whatever the field declares: (B, n+1, d) states.
 
-    Same member order, einsum layout and state updates as ``_march``, with
-    ``c.drift(t, s) * h`` always added and no blow-up guard.
+    Same members in stepping order, einsum layout and state updates as
+    ``_march``, with ``c.drift(t, s) * h`` always added and no blow-up guard.
     """
     n = times.shape[0] - 1
-    starts = np.broadcast_to(np.asarray(starts, dtype=np.intp), x0s.shape[:1])
-    order = np.argsort(-starts if backward else starts, kind="stable")
-    x0s, starts = x0s[order], starts[order]
+    starts = np.asarray(starts, dtype=np.intp)
     per_member = values.ndim == 3
-    if per_member:
-        values = values[order]
     if backward:
         steps = np.arange(starts[0] - 1, -1, -1)
         active = np.searchsorted(-starts, -(steps + 1), side="right")
@@ -403,31 +379,24 @@ def drift_march(x0s, starts, c, times, values, h, scheme, backward):
     apply = np.subtract if backward else np.add
     contract = "b...dm,bm->b...d" if per_member else "...dm,m->...d"
     shared_db = None if per_member else np.diff(values, axis=0)
-
-    def increment(t, s, db):
-        return np.einsum(contract, c.sigma(t, s), db) + c.drift(t, s) * h
-
     out = np.full((n + 1,) + x0s.shape, np.nan)
     prev = x0s
     for k, a in zip(steps.tolist(), active.tolist()):
-        t_from, t_to = (times[k + 1], times[k]) if backward else (times[k], times[k + 1])
         s = prev[:a]
         db = values[:a, k + 1] - values[:a, k] if per_member else shared_db[k]
-        inc = increment(t_from, s, db)
-        if scheme == "heun":
-            inc = 0.5 * (inc + increment(t_to, apply(s, inc), db))
+        t = times[k + 1] if backward else times[k]
+        inc = np.einsum(contract, c.sigma(t, s), db) + c.drift(t, s) * h
         row = np.empty_like(prev)
         apply(s, inc, out=row[:a])
         row[a:] = prev[a:]
         out[k if backward else k + 1] = prev = row
-    return out[:, np.argsort(order)].swapaxes(0, 1)
+    return out.swapaxes(0, 1)
 
 
 class TestSteppingKernel:
     @pytest.mark.parametrize("m", [1, 2])
-    @pytest.mark.parametrize("scheme", ["euler", "heun"])
     @pytest.mark.parametrize("backward", [False, True])
-    def test_mixed_starts_match_single_solves(self, m, scheme, backward):
+    def test_mixed_starts_match_single_solves(self, m, backward):
         c = time_dependent_field(m)
         n = 150  # more than two guard blocks
         driver = driver_of(seed=3, n=n, m=m)
@@ -435,17 +404,12 @@ class TestSteppingKernel:
         # starts on both sides of block edges, repeated, and at the far end of the grid
         starts = [150, 1, 65, 64, 150, 2, 130, 90] if backward else [0, 150, 64, 1, 149, 64, 87, 0]
         x0s = rng.uniform(-1.0, 1.0, size=(len(starts), c.dim))
-        got = trajectories(x0s, starts, c, driver, scheme, backward)
+        got = trajectories(x0s, starts, c, driver, backward)
         for i, k in enumerate(starts):
-            # a start is never stepped to, so the kernel reports no state there for the first starters
             if backward:
-                want = oracle_backward(x0s[i : i + 1], k, c, driver, scheme)[0]
-                have = got[i, : k + 1]
-                have[k] = x0s[i]
+                want, have = oracle_backward(x0s[i : i + 1], k, c, driver)[0], got[i, : k + 1]
             else:
-                want = oracle_forward(x0s[i : i + 1], k, c, driver, scheme)[0]
-                have = got[i, k:]
-                have[0] = x0s[i]
+                want, have = oracle_forward(x0s[i : i + 1], k, c, driver)[0], got[i, k:]
             if m == 1:
                 assert np.array_equal(have, want), (i, k)
             else:
@@ -457,16 +421,13 @@ class TestSteppingKernel:
         driver = driver_of(seed=4, n=200, m=m)
         cfg = SolverConfig(0.3, 200, 0.75)
         x0s = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3, c.dim))
-        for scheme in ("euler", "heun"):
-            pairs = [(solve_forward_batch(x0s, 0.25, c, driver, cfg, scheme),
-                      oracle_forward(x0s, 50, c, driver, scheme)),
-                     (solve_backward_batch(x0s, 0.75, c, driver, cfg, scheme),
-                      oracle_backward(x0s, 150, c, driver, scheme))]
-            for got, want in pairs:
-                if m == 1:
-                    assert np.array_equal(got, want)
-                else:
-                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        pairs = [(solve_forward_batch(x0s, 0.25, c, driver, cfg), oracle_forward(x0s, 50, c, driver)),
+                 (solve_backward(x0s, 0.75, c, driver, cfg), oracle_backward(x0s, 150, c, driver))]
+        for got, want in pairs:
+            if m == 1:
+                assert np.array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("step", [1, _GUARD_BLOCK - 1, _GUARD_BLOCK, _GUARD_BLOCK + 1, 200])
     def test_guard_crossing_message_matches_oracle(self, step):
@@ -484,7 +445,7 @@ class TestSteppingKernel:
         with pytest.raises(BlowUpError) as want:
             oracle_backward(x0s, n, f, driver)
         with pytest.raises(BlowUpError) as got:
-            solve_backward_batch(x0s, 1.0, f, driver, cfg)
+            solve_backward(x0s, 1.0, f, driver, cfg)
         assert str(got.value) == str(want.value)
 
     def test_crossing_counts_only_started_members(self, monkeypatch):
@@ -496,7 +457,7 @@ class TestSteppingKernel:
         with pytest.raises(BlowUpError) as want:
             oracle_forward(x0s[:2], 10, f, driver)
         with pytest.raises(BlowUpError) as got:
-            trajectories(x0s, [10, 0, 100], f, driver, "euler", backward=False)
+            trajectories(x0s, [10, 0, 100], f, driver, backward=False)
         assert str(got.value) == str(want.value)
         # a factor below 1 puts the x0 of the member waiting for index 100 above its bound:
         # waiting is no crossing, its first step is
@@ -577,14 +538,14 @@ class TestSteppingKernel:
 
     @pytest.mark.parametrize("spec", ["builtin:geometric:0.5", "builtin:sin", "builtin:additive:0.8",
                                       "builtin:additive:0.5,1;0,1"])
-    @pytest.mark.parametrize("scheme", ["euler", "heun"])
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
     @pytest.mark.parametrize("per_member", [False, True], ids=["shared", "per-member"])
-    def test_declared_zero_drift_matches_the_drift_kernel(self, spec, scheme, backward, per_member):
+    def test_declared_zero_drift_matches_the_drift_kernel(self, spec, backward, per_member):
         c = parse_field(spec)
         assert c.drift_growth == 0.0
         n = 150  # more than two guard blocks
-        starts = [150, 1, 65, 64, 150, 2, 130, 90] if backward else [0, 150, 64, 1, 149, 64, 87, 0]
+        # in stepping order, with repeated starts and starts on both sides of block edges
+        starts = [150, 150, 130, 90, 65, 64, 2, 1] if backward else [0, 0, 1, 64, 64, 87, 149, 150]
         x0s = np.random.default_rng(7).uniform(-1.0, 1.0, size=(len(starts), c.dim))
         x0s[[0, 3]] = 0.0
         x0s[[1, 5]] = -0.0  # the kernels may differ only in the sign of an exactly-zero state, which == ignores
@@ -594,25 +555,23 @@ class TestSteppingKernel:
         else:
             values = grid.values
         got = np.full((len(starts), n + 1, c.dim), np.nan)
-        for reached, states in _march(x0s, starts, c, grid.times, values, grid.step, scheme, backward):
+        for reached, states in _march(x0s, starts, c, grid.times, values, grid.step, backward):
             got[:, reached] = states.swapaxes(0, 1)
-        want = drift_march(x0s, starts, c, grid.times, values, grid.step, scheme, backward)
+        want = drift_march(x0s, starts, c, grid.times, values, grid.step, backward)
         # NaN marks the start indices that no member steps to, in both
         assert np.array_equal(got, want, equal_nan=True)
 
-    @pytest.mark.parametrize("scheme", ["euler", "heun"])
-    def test_declared_zero_drift_is_never_called(self, driver, cfg, scheme):
+    def test_declared_zero_drift_is_never_called(self, driver, cfg):
         def refuse(t, x):
             raise AssertionError("drift called on a field that declares none")
 
         f = builtin_field("sin")
         silent = dataclasses.replace(f, drift=refuse)
         x0s = np.array([[0.4], [-1.2]])
-        for solve, t in ((solve_forward_batch, 0.25), (solve_backward_batch, 0.75)):
-            assert np.array_equal(solve(x0s, t, silent, driver, cfg, scheme), solve(x0s, t, f, driver, cfg, scheme))
+        for solve, t in ((solve_forward_batch, 0.25), (solve_backward, 0.75)):
+            assert np.array_equal(solve(x0s, t, silent, driver, cfg), solve(x0s, t, f, driver, cfg))
 
-    @pytest.mark.parametrize("scheme, per_step", [("euler", 1), ("heun", 2)])
-    def test_declared_drift_is_called_every_step(self, driver, cfg, scheme, per_step):
+    def test_declared_drift_is_called_every_step(self, driver, cfg):
         f = builtin_field("linear-drift")
         calls = []
 
@@ -620,8 +579,8 @@ class TestSteppingKernel:
             calls.append(t)
             return f.drift(t, x)
 
-        solve_forward_batch(np.array([[0.4], [-1.2]]), 0.0, dataclasses.replace(f, drift=counted), driver, cfg, scheme)
-        assert len(calls) == per_step * cfg.n_steps
+        solve_forward_batch(np.array([[0.4], [-1.2]]), 0.0, dataclasses.replace(f, drift=counted), driver, cfg)
+        assert len(calls) == cfg.n_steps
 
     @pytest.mark.parametrize("rows", [None, 1, 7], ids=["one-block", "1-row-blocks", "7-row-blocks"])
     @pytest.mark.parametrize("coefficients", ["builtin:geometric:0.5", "builtin:sin", "builtin:additive:0.8"])
@@ -659,12 +618,27 @@ class TestSteppingKernel:
             assert len(records) == max(counts)
             assert peak - retained < 16 * 2**20, (counts, peak - retained)
 
-    def test_consecutive_march_blocks_share_one_buffer(self):
+    @pytest.mark.parametrize("backward, starts", [(False, 0), (True, [3 * _GUARD_BLOCK, 96])],
+                             ids=["forward", "backward"])
+    def test_consecutive_march_blocks_share_one_buffer(self, backward, starts):
         f = builtin_field("sin")
         smooth = driver_of(seed=2, n=3 * _GUARD_BLOCK)
-        blocks = _march(np.array([[0.4], [-1.2]]), 0, f, smooth.times, smooth.values, smooth.step)
-        (_, first), (_, second) = next(blocks), next(blocks)
-        assert np.shares_memory(first, second)
+        blocks = _march(np.array([[0.4], [-1.2]]), starts, f, smooth.times, smooth.values, smooth.step,
+                        backward=backward)
+        (_, first), (_, second), (_, third) = blocks
+        assert np.shares_memory(first, second) and np.shares_memory(second, third)
+
+    @pytest.mark.parametrize("backward, starts", [(False, [0, 64, 1]), (True, [150, 1, 65])],
+                             ids=["forward", "backward"])
+    def test_march_rejects_starts_out_of_stepping_order(self, backward, starts):
+        f = builtin_field("sin")
+        smooth = driver_of(seed=2, n=150)
+        x0s = np.zeros((len(starts), 1))
+        with pytest.raises(ValueError, match="stepping order"):
+            next(_march(x0s, starts, f, smooth.times, smooth.values, smooth.step, backward=backward))
+        # sorted into stepping order, the same members march
+        ordered = sorted(starts, reverse=backward)
+        assert len(list(_march(x0s, ordered, f, smooth.times, smooth.values, smooth.step, backward=backward))) == 3
 
     @staticmethod
     def traced_peak(run, *args):
@@ -745,22 +719,21 @@ class TestStridedMarch:
     @pytest.mark.parametrize("spec", ["builtin:sin", "builtin:geometric:0.5", "builtin:additive:0.5,1;0,1",
                                       "builtin:linear-drift:0.8,0.3;-0.2,0.6", "time-dependent:1",
                                       "time-dependent:2"])
-    @pytest.mark.parametrize("scheme", ["euler", "heun"])
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
     @pytest.mark.parametrize("drivers", ["shared", "repeated", "per-member"])
     @pytest.mark.parametrize("grid", sorted(GRIDS))
-    def test_each_member_matches_its_decimated_grid(self, spec, scheme, backward, drivers, grid):
-        # the time-dependent fields read t in sigma and the drift, so Heun's second time and h are checked too
+    def test_each_member_matches_its_decimated_grid(self, spec, backward, drivers, grid):
+        # the time-dependent fields read t in sigma and the drift, so each stride's times and h are checked too
         n, strides = self.GRIDS[grid]
         c = time_dependent_field(int(spec[-1])) if spec.startswith("time") else parse_field(spec)
         x0s, starts, driver = self.members(c, backward, drivers, n, strides)
         got = _flow_marks(x0s, starts, range(n + 1), c, driver, SolverConfig(0.3, n, 0.75),
-                          backward=backward, scheme=scheme, strides=strides)
+                          backward=backward, strides=strides)
         for i, s in enumerate(strides):
             d = driver[i] if isinstance(driver, list) else driver
             coarse = d.decimate(s)
             want = _flow_marks(x0s[i : i + 1], starts[i] // s, range(coarse.n_steps + 1), c, coarse,
-                               SolverConfig(0.3, coarse.n_steps, 0.75), backward=backward, scheme=scheme)
+                               SolverConfig(0.3, coarse.n_steps, 0.75), backward=backward)
             have = got[::s, i : i + 1]
             assert np.array_equal(have, want), i
             assert np.array_equal(np.signbit(have), np.signbit(want)), i
@@ -923,7 +896,7 @@ class TestGuardScreen:
         with pytest.raises(BlowUpError) as want:
             oracle_forward(np.array([[0.5], [-3.0]]), 0, f, driver)
         with pytest.raises(BlowUpError) as got:
-            trajectories(np.array([[0.5], [-3.0]]), 0, f, driver, "euler", backward=False)
+            trajectories(np.array([[0.5], [-3.0]]), 0, f, driver, backward=False)
         assert str(got.value) == str(want.value) == (
             "|X| = 1.000e+13 at t = 0.35 crossed the blow-up guard; "
             "the hypotheses are violated or the grid is too coarse")

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import flowlab.experiments as experiments
-from flowlab import fbm
+from flowlab import fbm, sde
 from flowlab.errors import BlowUpError
 from flowlab.experiments import default_config
 from flowlab.fraccalc import _endpoint_indices, _endpoint_peaks, lambda_alpha
@@ -351,7 +351,7 @@ def per_pair_init_continuity(config):
         pairs = np.concatenate(chunks, axis=0)[:per_seed]
         flat = pairs.reshape(-1, c.dim)
         try:
-            sols, failure = experiments.solve_forward_batch(flat, 0.0, c, driver, cfg), None
+            sols, failure = sde.solve_forward_batch(flat, 0.0, c, driver, cfg), None
         except Exception as exc:
             failure = f"error: {exc}"
         for i in range(pairs.shape[0]):
@@ -399,7 +399,7 @@ def test_batched_init_records_match_per_pair_records(coefficients):
 
 
 def test_a_non_finite_pair_difference_is_its_own_error_cell(monkeypatch):
-    real, real_solve = experiments._pair_differences, experiments.solve_forward_batch
+    real, real_solve = experiments._pair_differences, sde.solve_forward_batch
 
     def poisoned(flat, *args, **kwargs):
         diffs = real(flat, *args, **kwargs)
@@ -412,7 +412,7 @@ def test_a_non_finite_pair_difference_is_its_own_error_cell(monkeypatch):
         return sols
 
     monkeypatch.setattr(experiments, "_pair_differences", poisoned)
-    monkeypatch.setattr(experiments, "solve_forward_batch", poisoned_solve)
+    monkeypatch.setattr(sde, "solve_forward_batch", poisoned_solve)
     cfg = init_config("builtin:geometric:0.5")
     batched = experiments._run_init_continuity(cfg)
     errors = [(r["seed"], r["pair"], r["status"]) for r in batched if r["status"] != "ok"]
