@@ -395,14 +395,17 @@ def drift_march(x0s, starts, c, times, values, h, backward):
 
 class TestSteppingKernel:
     @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("order", ["as-listed", "reversed"])
     @pytest.mark.parametrize("backward", [False, True])
-    def test_mixed_starts_match_single_solves(self, m, backward):
+    def test_mixed_starts_match_single_solves(self, m, order, backward):
         c = time_dependent_field(m)
         n = 150  # more than two guard blocks
         driver = driver_of(seed=3, n=n, m=m)
         rng = np.random.default_rng(m)
-        # starts on both sides of block edges, repeated, and at the far end of the grid
+        # starts on both sides of block edges, repeated, and at the far end of the grid; reversed, the
+        # members come in another order that is not stepping order either
         starts = [150, 1, 65, 64, 150, 2, 130, 90] if backward else [0, 150, 64, 1, 149, 64, 87, 0]
+        starts = starts[::-1] if order == "reversed" else starts
         x0s = rng.uniform(-1.0, 1.0, size=(len(starts), c.dim))
         got = trajectories(x0s, starts, c, driver, backward)
         for i, k in enumerate(starts):
@@ -540,7 +543,8 @@ class TestSteppingKernel:
                                       "builtin:additive:0.5,1;0,1"])
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
     @pytest.mark.parametrize("per_member", [False, True], ids=["shared", "per-member"])
-    def test_declared_zero_drift_matches_the_drift_kernel(self, spec, backward, per_member):
+    @pytest.mark.parametrize("entry", ["march", "flow-marks-reversed"])
+    def test_declared_zero_drift_matches_the_drift_kernel(self, spec, backward, per_member, entry):
         c = parse_field(spec)
         assert c.drift_growth == 0.0
         n = 150  # more than two guard blocks
@@ -554,24 +558,35 @@ class TestSteppingKernel:
             values = np.stack([driver_of(seed=s, n=n, m=c.noise_dim).values for s in range(len(starts))])
         else:
             values = grid.values
-        got = np.full((len(starts), n + 1, c.dim), np.nan)
-        for reached, states in _march(x0s, starts, c, grid.times, values, grid.step, backward):
-            got[:, reached] = states.swapaxes(0, 1)
         want = drift_march(x0s, starts, c, grid.times, values, grid.step, backward)
-        # NaN marks the start indices that no member steps to, in both
-        assert np.array_equal(got, want, equal_nan=True)
+        if entry == "march":
+            got = np.full((len(starts), n + 1, c.dim), np.nan)
+            for reached, states in _march(x0s, starts, c, grid.times, values, grid.step, backward):
+                got[:, reached] = states.swapaxes(0, 1)
+            # NaN marks the start indices that no member steps to, in both
+            assert np.array_equal(got, want, equal_nan=True)
+            return
+        # the members out of stepping order: _flow_marks orders them for the march and puts them back
+        driver = [GridPath(grid.times, v) for v in values] if per_member else grid
+        got = _flow_marks(x0s[::-1], starts[::-1], range(n + 1), c, driver[::-1] if per_member else driver,
+                          SolverConfig(0.3, n, 0.75), backward=backward).swapaxes(0, 1)[::-1]
+        # a member holds its x0 at every index it has not stepped to
+        assert np.array_equal(got, np.where(np.isnan(want), x0s[:, None], want))
 
-    def test_declared_zero_drift_is_never_called(self, driver, cfg):
+    @pytest.mark.parametrize("solve, t", [(solve_forward_batch, 0.25), (solve_backward, 0.75)],
+                             ids=["forward", "backward"])
+    def test_declared_zero_drift_is_never_called(self, driver, cfg, solve, t):
         def refuse(t, x):
             raise AssertionError("drift called on a field that declares none")
 
         f = builtin_field("sin")
         silent = dataclasses.replace(f, drift=refuse)
         x0s = np.array([[0.4], [-1.2]])
-        for solve, t in ((solve_forward_batch, 0.25), (solve_backward, 0.75)):
-            assert np.array_equal(solve(x0s, t, silent, driver, cfg), solve(x0s, t, f, driver, cfg))
+        assert np.array_equal(solve(x0s, t, silent, driver, cfg), solve(x0s, t, f, driver, cfg))
 
-    def test_declared_drift_is_called_every_step(self, driver, cfg):
+    @pytest.mark.parametrize("solve, t", [(solve_forward_batch, 0.0), (solve_backward, 1.0)],
+                             ids=["forward", "backward"])
+    def test_declared_drift_is_called_every_step(self, driver, cfg, solve, t):
         f = builtin_field("linear-drift")
         calls = []
 
@@ -579,7 +594,7 @@ class TestSteppingKernel:
             calls.append(t)
             return f.drift(t, x)
 
-        solve_forward_batch(np.array([[0.4], [-1.2]]), 0.0, dataclasses.replace(f, drift=counted), driver, cfg)
+        solve(np.array([[0.4], [-1.2]]), t, dataclasses.replace(f, drift=counted), driver, cfg)
         assert len(calls) == cfg.n_steps
 
     @pytest.mark.parametrize("rows", [None, 1, 7], ids=["one-block", "1-row-blocks", "7-row-blocks"])
@@ -722,11 +737,15 @@ class TestStridedMarch:
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
     @pytest.mark.parametrize("drivers", ["shared", "repeated", "per-member"])
     @pytest.mark.parametrize("grid", sorted(GRIDS))
-    def test_each_member_matches_its_decimated_grid(self, spec, backward, drivers, grid):
+    @pytest.mark.parametrize("order", ["as-listed", "reversed"])
+    def test_each_member_matches_its_decimated_grid(self, spec, backward, drivers, grid, order):
         # the time-dependent fields read t in sigma and the drift, so each stride's times and h are checked too
         n, strides = self.GRIDS[grid]
         c = time_dependent_field(int(spec[-1])) if spec.startswith("time") else parse_field(spec)
         x0s, starts, driver = self.members(c, backward, drivers, n, strides)
+        if order == "reversed":  # another order out of stepping order: x0s, starts, strides and drivers move together
+            x0s, starts, strides = x0s[::-1], starts[::-1], strides[::-1]
+            driver = driver[::-1] if isinstance(driver, list) else driver
         got = _flow_marks(x0s, starts, range(n + 1), c, driver, SolverConfig(0.3, n, 0.75),
                           backward=backward, strides=strides)
         for i, s in enumerate(strides):
