@@ -13,8 +13,8 @@ one-block case.  A member block is filled in blocks of
 ``_SAMPLE_POINTS`` normals (at least one path), through one workspace
 (normals, spectrum and FFT output) that every one of them reuses and
 that is freed before the member block is handed out, so beyond the
-result it takes about 3 MB whatever the batch size, as long as one
-path's 2n normals fit the budget (n <= 2^15 without embedding
+result it takes under 1 MiB whatever the batch size, as long as one
+path's 2n normals fit the budget (n <= 2^13 without embedding
 doublings).
 """
 
@@ -45,7 +45,9 @@ __all__ = [
 DEFAULT_MAX_CHOLESKY_GRID = 2**13
 _EIG_TOL = 1e-10
 _MAX_EMBED_DOUBLINGS = 3
-_SAMPLE_POINTS = 2**16  # circulant normals per block; the generator fills in C order, so blocks draw the one-shot stream
+# circulant normals per block: the workspace (u, w, f) takes 40 bytes a normal, 0.625 MiB; the generator fills in
+# C order, so blocks draw the one-shot stream
+_SAMPLE_POINTS = 2**14
 
 _eig_cache: dict[tuple[float, int], np.ndarray] = {}
 _eig_lock = threading.Lock()

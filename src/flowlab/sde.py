@@ -17,7 +17,9 @@ grid indices that s divides, over s indices at once, and does no
 arithmetic at the indices between.  That is the same solve, bit for
 bit, as on the grid decimated by s, so one march steps a whole ladder
 of grids in lockstep.  The blow-up guard is checked once per block of
-``_GUARD_BLOCK`` steps.  The block is screened first by its largest
+steps, which holds at most ``_GUARD_BLOCK`` steps and at most
+``_STATE_POINTS`` states (members times state components; at least one
+step however wide the batch).  The block is screened first by its largest
 component: no norm exceeds sqrt(d) times it, so a block whose largest
 component clears the smallest bound crossed nothing.  A block that fails
 the screen (a NaN or an infinity always does) is scanned exactly for the
@@ -30,16 +32,18 @@ crossing.  A field that declares ``drift_growth == 0`` has b = 0, and
 its steps never call ``drift``.
 Blocks are handed back one at a time, each stepped into the same buffer,
 so a block is valid until the next one is stepped and a march holds one
-block of states however long its grid.  ``_flow_marks`` is the one place
-that stores states: it puts the members in stepping order, copies their
-states at chosen grid indices back into the caller's order, and a full
-solve (``solve_forward_batch``) is ``_flow_marks`` over every grid index
-after the start.  The other callers start every member at 0 and reduce
-each block on the fly without storing it: the sortedness probe and the
-moments campaign, whose members come in blocks of drivers too, each
-drawn and marched in turn, so neither holds the whole batch of drivers;
-and init-continuity, which keeps only the difference of each pair of
-members.
+block of states however long its grid and, beyond one step's states,
+however wide its batch.  The block size changes no state and no error:
+the guard raises at the first crossing in stepping order whatever the
+block.  ``_flow_marks`` is the one place that stores states: it puts the
+members in stepping order, copies their states at chosen grid indices
+back into the caller's order, and a full solve (``solve_forward_batch``)
+is ``_flow_marks`` over every grid index after the start.  The other
+callers start every member at 0 and reduce each block on the fly without
+storing it: the sortedness probe and the moments campaign, whose members
+come in blocks of drivers too, each drawn and marched in turn, so neither
+holds the whole batch of drivers; and init-continuity, which keeps only
+the difference of each pair of members.
 """
 
 from __future__ import annotations
@@ -63,7 +67,8 @@ __all__ = [
 ]
 
 DEFAULT_BLOWUP_FACTOR = 1e12
-_GUARD_BLOCK = 64  # steps advanced between two checks of the blow-up guard
+_GUARD_BLOCK = 64  # most steps advanced between two checks of the blow-up guard
+_STATE_POINTS = 2**16  # most states (members times state components) a block holds; at least one step
 # The guard's screen: a relative margin over the rounding of a norm of up to
 # 10^6 components, and the smallest bounds for which that margin also covers
 # the underflow and overflow of the norm's squares.
@@ -182,13 +187,14 @@ def _march(x0s, starts, c, times, values, h, backward=False, strides=1, owner=No
     from the indices k that s divides, to k + s (k - s backward), with the
     driver increment between the two.  Between two of its knots it reads
     its state at the knot it is stepping to.  Yields ``(reached, states)``
-    per checked block of at most ``_GUARD_BLOCK`` steps, in stepping
-    order: ``reached`` holds the grid indices the steps reach and
-    ``states`` (len(reached), B, ..., d) the members' states there.  A
-    member that has not started yet holds its initial point.  Every block
-    is stepped into one buffer of ``_GUARD_BLOCK`` rows, so a yielded
-    block is valid until the next block is stepped: a caller that keeps
-    states copies them.
+    per checked block, in stepping order: ``reached`` holds the grid
+    indices the steps reach and ``states`` (len(reached), B, ..., d) the
+    members' states there.  A block holds max(1, min(``_GUARD_BLOCK``,
+    ``_STATE_POINTS`` // x0s.size)) steps (the last one may hold fewer),
+    so a wide batch marches in shorter blocks.  A member that has not
+    started yet holds its initial point.  Every block is stepped into one
+    buffer of that many rows, so a yielded block is valid until the next
+    block is stepped: a caller that keeps states copies them.
     """
     n = times.shape[0] - 1
     size = x0s.shape[0]
@@ -260,13 +266,13 @@ def _march(x0s, starts, c, times, values, h, backward=False, strides=1, owner=No
 
     # every block is stepped into one buffer of states (and one of strided increments): a step reads
     # the row before the one it writes, and a block's first step the last row of the block before
-    rows_max = min(_GUARD_BLOCK, steps.size)
-    buffer = np.empty((rows_max,) + x0s.shape)
+    block_rows = max(1, min(_GUARD_BLOCK, _STATE_POINTS // x0s.size))
+    buffer = np.empty((min(block_rows, steps.size),) + x0s.shape)
     if strided:
-        spans = np.empty((rows_max, size) + values.shape[2:])
+        spans = np.empty((buffer.shape[0], size) + values.shape[2:])
     prev = x0s
-    for lo in range(0, steps.size, _GUARD_BLOCK):
-        ks = steps[lo : lo + _GUARD_BLOCK]
+    for lo in range(0, steps.size, block_rows):
+        ks = steps[lo : lo + block_rows]
         block = buffer[: ks.size]
         if strided:  # every member's increment over its own stride, from each index of the block
             first = int(ks.min())

@@ -362,18 +362,32 @@ class TestBlockedCirculantBatch:
         assert [len(b) for b in blocks] == [min(rows, count - a) for a in starts]
         assert np.concatenate(blocks).tobytes() == fbm.sample_paths(s, count, "circulant").tobytes()
 
+    SHAPES = [(256, 10_000), (512, 1000), (2048, 200)]
+
+    @staticmethod
+    def traced_sample(n, count):
+        """The result of ``sample_paths`` at n steps and ``count`` paths, and its tracemalloc peak in bytes."""
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            out = fbm.sample_paths(fbm.FbmSpec(0.75, 1, 1.0, n), count)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return out, peak
+
     def test_workspace_bounded_by_a_block(self):
         # the one-shot sampler peaks near 12x the result (u, w and the FFT output at (count, 2n));
         # 512-path blocks left 12, 23 and 34 MB of workspace at these three shapes
-        import tracemalloc
-
-        for n, count in [(256, 10_000), (512, 1000), (2048, 200)]:
-            tracemalloc.start()
-            try:
-                out = fbm.sample_paths(fbm.FbmSpec(0.75, 1, 1.0, n), count)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+        for n, count in self.SHAPES:
+            out, peak = self.traced_sample(n, count)
             if count == 10_000:
                 assert peak < 2 * out.nbytes
             assert peak - out.nbytes < 4 * 2**20, (n, count)
+
+    def test_workspace_fits_the_normals_budget(self):
+        # 2^16 normals per block left 2.76-2.86 MiB of workspace at these three shapes
+        for n, count in self.SHAPES:
+            out, peak = self.traced_sample(n, count)
+            assert peak - out.nbytes < 1.25 * 2**20, (n, count, peak - out.nbytes)

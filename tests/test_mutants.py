@@ -1,0 +1,81 @@
+"""Mutants of the code, each with the test cases that must catch it.
+
+Each row is a patch, a module constant set with ``monkeypatch`` or a
+function swapped for a mutated copy, and the test cases it must make
+fail.  Every case is run under its row's patch and must fail on an
+assertion (a ``pytest.raises`` that sees no error counts), so a test that
+stops catching what it was written to catch shows here.  A mutated copy
+is compiled from the function's source with one string replaced, and the
+row fails at once if that string is no longer in the source.
+"""
+
+import inspect
+import textwrap
+
+import pytest
+
+import test_fbm as fbm_tests
+import test_sde as sde_tests
+from flowlab import experiments, fbm, sde
+
+
+def mutant(func, old, new):
+    """``func`` compiled against its own module's globals with the one ``old`` in its source replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(func))
+    assert source.count(old) == 1, f"{old!r} is not once in {func.__name__}"
+    scope = {}
+    exec(compile(source.replace(old, new), inspect.getsourcefile(func), "exec"), func.__globals__, scope)
+    return scope[func.__name__]
+
+
+def huge_state_budget(monkeypatch):
+    """Every march steps 64-step blocks again, however wide."""
+    monkeypatch.setattr(sde, "_STATE_POINTS", 2**62)
+
+
+def sample_points_2_16(monkeypatch):
+    """The sampler's workspace at 2^16 normals again."""
+    monkeypatch.setattr(fbm, "_SAMPLE_POINTS", 2**16)
+
+
+def guard_block_stride(monkeypatch):
+    """The block loop strides by ``_GUARD_BLOCK`` whatever its blocks hold, so short blocks skip steps."""
+    march = mutant(sde._march, "for lo in range(0, steps.size, block_rows):",
+                   "for lo in range(0, steps.size, _GUARD_BLOCK):")
+    monkeypatch.setattr(sde, "_march", march)
+    monkeypatch.setattr(experiments, "_march", march)
+
+
+kernel = sde_tests.TestSteppingKernel()
+guard = sde_tests.TestGuardScreen()
+sampler = fbm_tests.TestBlockedCirculantBatch()
+
+# (mutant, case id, case): a case takes the monkeypatch and runs one test case with it
+ROWS = [
+    (huge_state_budget, "probe-pin", lambda mp: kernel.test_sortedness_probe_working_set_fits_the_state_budget()),
+    (huge_state_budget, "moments-pin", lambda mp: kernel.test_moments_working_set_fits_the_state_budget()),
+    (sample_points_2_16, "sampler-pin", lambda mp: sampler.test_workspace_fits_the_normals_budget()),
+]
+for step in (1, sde._GUARD_BLOCK - 1, sde._GUARD_BLOCK, sde._GUARD_BLOCK + 1, 200):
+    ROWS.append((guard_block_stride, f"guard-crossing-{step}",
+                 lambda mp, step=step: kernel.test_guard_crossing_message_matches_oracle(mp, step, 1)))
+ROWS.append((guard_block_stride, "march-crossings",
+             lambda mp: guard.test_march_crossings_keep_their_text(mp, 1)))
+for field in ("builtin:geometric:0.5", "2-D"):
+    ROWS.append((guard_block_stride, f"pair-differences-{field}",
+                 lambda mp, field=field: kernel.test_pair_differences_equal_the_differences_of_the_full_solve(
+                     mp, field, 1)))
+for coefficients in ("builtin:geometric:0.5", "builtin:sin", "builtin:additive:0.8"):
+    for rows, counts in ((None, (300, 600)), (1, (20, 45)), (7, (20, 45))):
+        ROWS.append((guard_block_stride, f"probe-{coefficients}-{rows}",
+                     lambda mp, c=coefficients, r=rows: kernel.test_probe_matches_oracle(mp, c, r, 1)))
+        ROWS.append((guard_block_stride, f"moments-{coefficients}-{rows}",
+                     lambda mp, c=coefficients, r=rows, k=counts: kernel.test_moments_match_oracle(mp, c, r, k, 1)))
+
+
+@pytest.mark.parametrize("patch, case", [(p, c) for p, _, c in ROWS],
+                         ids=[f"{p.__name__}-{i}" for p, i, _ in ROWS])
+def test_mutant_is_caught(monkeypatch, patch, case):
+    patch(monkeypatch)
+    with pytest.raises((AssertionError, pytest.fail.Exception)):
+        case(monkeypatch)

@@ -332,6 +332,19 @@ def member_blocks(rows, count):
     return [min(rows, count - a) for a in range(0, count, rows)]
 
 
+def force_block_rows(monkeypatch, rows, width):
+    """Make a march of ``width`` states step blocks of ``rows`` steps (None: keep the budget).
+
+    A narrower march of the same test steps longer blocks, up to ``_GUARD_BLOCK``.
+    """
+    if rows is not None:
+        monkeypatch.setattr(sde, "_STATE_POINTS", rows * width)
+
+
+BLOCK_ROWS = pytest.mark.parametrize("block_rows", [None, 1, 7],
+                                     ids=["budget-blocks", "1-step-blocks", "7-step-blocks"])
+
+
 def time_dependent_field(m):
     """State- and time-dependent sigma with a drift; d = 1 for m = 1, d = 2 for m = 2."""
     if m == 1:
@@ -432,12 +445,14 @@ class TestSteppingKernel:
             else:
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
+    @BLOCK_ROWS
     @pytest.mark.parametrize("step", [1, _GUARD_BLOCK - 1, _GUARD_BLOCK, _GUARD_BLOCK + 1, 200])
-    def test_guard_crossing_message_matches_oracle(self, step):
+    def test_guard_crossing_message_matches_oracle(self, monkeypatch, step, block_rows):
         n = 200
         f = builtin_field("additive", matrix=np.array([[1.0]]))
         cfg = SolverConfig(0.3, n, 0.75)
         x0s = np.array([[0.5], [-3.0], [2.0]])
+        force_block_rows(monkeypatch, block_rows, x0s.size)
         driver = spiked_driver(n, step)
         with pytest.raises(BlowUpError) as want:
             oracle_forward(x0s, 0, f, driver)
@@ -597,41 +612,45 @@ class TestSteppingKernel:
         solve(np.array([[0.4], [-1.2]]), t, dataclasses.replace(f, drift=counted), driver, cfg)
         assert len(calls) == cfg.n_steps
 
+    @BLOCK_ROWS
     @pytest.mark.parametrize("rows", [None, 1, 7], ids=["one-block", "1-row-blocks", "7-row-blocks"])
     @pytest.mark.parametrize("coefficients", ["builtin:geometric:0.5", "builtin:sin", "builtin:additive:0.8"])
-    def test_probe_matches_oracle(self, monkeypatch, coefficients, rows):
+    def test_probe_matches_oracle(self, monkeypatch, coefficients, rows, block_rows):
         cfg = experiments.default_config("inverse", ladder=(2**7,), seeds=(0,), fine_n=2**10,
                                          probe_seeds=40, probe_n=2**7 + 3, coefficients=coefficients)
         c = cfg.field()
         marched = force_member_blocks(monkeypatch, rows, cfg.probe_n, c.noise_dim)
+        # the widest march: a full member block of seeds, each with its fan of 1-D points
+        force_block_rows(monkeypatch, block_rows, (rows or 40) * len(cfg.probe_fan))
         assert experiments._run_sortedness_probe(cfg, c) == oracle_probe(cfg, c)
         assert marched == member_blocks(rows or 40, 40)  # 7-row blocks leave a last block of 5
 
+    @BLOCK_ROWS
     @pytest.mark.parametrize("rows, counts", [(None, (300, 600)), (1, (20, 45)), (7, (20, 45))],
                              ids=["one-block", "1-row-blocks", "7-row-blocks"])
     @pytest.mark.parametrize("coefficients", ["builtin:sin", "builtin:geometric:0.5", "builtin:additive:0.8"])
-    def test_moments_match_oracle(self, monkeypatch, coefficients, rows, counts):
+    def test_moments_match_oracle(self, monkeypatch, coefficients, rows, counts, block_rows):
         cfg = experiments.default_config("moments", sample_counts=counts, solver_n=2**7 + 5,
                                          coefficients=coefficients)
         marched = force_member_blocks(monkeypatch, rows, cfg.solver_n, 1)
+        force_block_rows(monkeypatch, block_rows, (rows or counts[-1]) * cfg.field().dim)
         assert experiments._run_moments(cfg) == oracle_moments(cfg)
         assert marched == member_blocks(rows or 600, counts[-1])  # 7-row blocks leave a last block of 3
 
     def test_moments_working_set_is_flat_in_the_sample_count(self):
         # beyond its records, a pass holds one member block of drivers and its march, not the whole batch
-        import tracemalloc
-
         for scale in (1, 4):
             counts = tuple(scale * k for k in experiments.default_config("moments").sample_counts)
             cfg = experiments.default_config("moments", sample_counts=counts)
-            tracemalloc.start()
-            try:
-                records = experiments._run_moments(cfg)
-                retained, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            records, held = self.working_set(experiments._run_moments, cfg)
             assert len(records) == max(counts)
-            assert peak - retained < 16 * 2**20, (counts, peak - retained)
+            assert held < 16, (counts, held)
+
+    def test_moments_working_set_fits_the_state_budget(self):
+        # beyond its records: 64-step blocks of its 2,040-member driver blocks, with the sampler's workspace
+        # at 2^16 normals, peak at 5.6 MiB
+        records, held = self.working_set(experiments._run_moments, experiments.default_config("moments"))
+        assert held < 4.5
 
     @pytest.mark.parametrize("backward, starts", [(False, 0), (True, [3 * _GUARD_BLOCK, 96])],
                              ids=["forward", "backward"])
@@ -642,6 +661,22 @@ class TestSteppingKernel:
                         backward=backward)
         (_, first), (_, second), (_, third) = blocks
         assert np.shares_memory(first, second) and np.shares_memory(second, third)
+
+    @pytest.mark.parametrize("block_rows", [None, 1, 7], ids=["budget", "1-step-budget", "7-step-budget"])
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    def test_block_rows_follow_the_state_budget(self, monkeypatch, backward, block_rows):
+        f = builtin_field("sin")
+        n = 150
+        smooth = driver_of(seed=2, n=n)
+        force_block_rows(monkeypatch, block_rows, 10**4)
+        wide = max(1, sde._STATE_POINTS // 10**4)
+        assert wide == (block_rows or 6)
+        # a wide march steps blocks of the budget's rows, a narrow one keeps its 64-step blocks
+        for members, want in ((10**4, wide), (40, _GUARD_BLOCK)):
+            x0s = np.linspace(-1.0, 1.0, members)[:, None]
+            blocks = [len(reached) for reached, _ in _march(x0s, n if backward else 0, f, smooth.times,
+                                                            smooth.values, smooth.step, backward=backward)]
+            assert blocks == member_blocks(want, n), members
 
     @pytest.mark.parametrize("backward, starts", [(False, [0, 64, 1]), (True, [150, 1, 65])],
                              ids=["forward", "backward"])
@@ -654,6 +689,19 @@ class TestSteppingKernel:
         # sorted into stepping order, the same members march
         ordered = sorted(starts, reverse=backward)
         assert len(list(_march(x0s, ordered, f, smooth.times, smooth.values, smooth.step, backward=backward))) == 3
+
+    @staticmethod
+    def working_set(run, *args):
+        """``run(*args)`` and its tracemalloc peak beyond what stays allocated with that result kept, in MiB."""
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            result = run(*args)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, (peak - retained) / 2**20
 
     @staticmethod
     def traced_peak(run, *args):
@@ -678,8 +726,14 @@ class TestSteppingKernel:
         cfg = experiments.default_config("inverse")
         assert self.traced_peak(experiments._run_sortedness_probe, cfg, cfg.field()) < 10.0
 
+    def test_sortedness_probe_working_set_fits_the_state_budget(self):
+        # 64-step blocks of its 8,000 states, with the sampler's workspace at 2^16 normals, peak at 8.5 MiB
+        cfg = experiments.default_config("inverse")
+        assert self.traced_peak(experiments._run_sortedness_probe, cfg, cfg.field()) < 5.5
+
+    @BLOCK_ROWS
     @pytest.mark.parametrize("field", ["builtin:geometric:0.5", "2-D"])
-    def test_pair_differences_equal_the_differences_of_the_full_solve(self, field):
+    def test_pair_differences_equal_the_differences_of_the_full_solve(self, monkeypatch, field, block_rows):
         c = time_dependent_field(2) if field == "2-D" else parse_field(field)
         n = 3 * _GUARD_BLOCK + 10  # a short last block
         smooth = driver_of(seed=4, n=n, m=c.noise_dim)
@@ -687,6 +741,7 @@ class TestSteppingKernel:
         flat = np.random.default_rng(6).uniform(-1.0, 1.0, size=(2 * 9, c.dim))
         flat[7] = flat[6]  # a pair of equal points: a difference of zeros
         flat[8] = -0.0
+        force_block_rows(monkeypatch, block_rows, flat.size)
         want = solve_forward_batch(flat, 0.0, c, smooth, cfg)
         want = (want[0::2] - want[1::2]).swapaxes(0, 1)
         got = experiments._pair_differences(flat, c, smooth, cfg)
@@ -908,10 +963,12 @@ class TestGuardScreen:
             raised += want is not None
         assert 0 < raised < 300
 
-    def test_march_crossings_keep_their_text(self):
+    @BLOCK_ROWS
+    def test_march_crossings_keep_their_text(self, monkeypatch, block_rows):
         # the kernel's own crossings: a spike in a batch and a NaN from the field
         f = builtin_field("additive", matrix=np.array([[1.0]]))
         driver = spiked_driver(200, 70)
+        force_block_rows(monkeypatch, block_rows, 2)
         with pytest.raises(BlowUpError) as want:
             oracle_forward(np.array([[0.5], [-3.0]]), 0, f, driver)
         with pytest.raises(BlowUpError) as got:
