@@ -22,6 +22,7 @@ from . import fbm
 from .coefficients import CoefficientField, parse_field
 from .fraccalc import _lambda_ladder, lambda_alpha
 from .paths import GridPath, _w_alpha_lambda_norms, w_alpha_lambda_norm
+from .quadrature import _PATH_CHUNK
 from .sde import SolverConfig, _flow_marks, _march, _prepare, check_order_window
 
 __all__ = [
@@ -38,6 +39,8 @@ _MAX_LAMBDA_EXPONENT = 600.0
 _MAX_BALL_RADIUS = 1e150
 # sampled marches (moments, sortedness probe): driver values per member block, about 4 MB
 _DRIVER_POINTS = 2**19
+# init-continuity: pairs marched and normed at a time, a whole number of the norm's path chunks
+_PAIR_BLOCK = 8 * _PATH_CHUNK
 
 DEFAULT_TOLERANCES = {
     "min_doubling_ratio": 1.3,      # median discrepancy decay per ladder doubling
@@ -746,6 +749,19 @@ def _checks_rate(config: ExperimentConfig, summary: dict) -> dict:
 
 
 def _run_init_continuity(config: ExperimentConfig) -> list:
+    """Ratio of the W^{alpha,lambda} norm of X_{0,.}(x) - X_{0,.}(y) to |x - y|, per sampled pair.
+
+    Each seed's pairs are marched and normed ``_PAIR_BLOCK`` pairs at a
+    time: a block's differences go through ``_pair_differences`` and then
+    one norm pass, replayed pair by pair if it raises, so one block of
+    differences is alive at a time.  A block is a whole number of the
+    norm's ``_PATH_CHUNK``-path chunks, so every pair is normed in the
+    chunk it would share in one pass over all of the seed's pairs.  A
+    march stops at the first crossing of any of its members and a block
+    sees only its own, so if a block's march raises, all of the seed's
+    pairs are marched once more in one piece, and that error is recorded
+    for every non-degenerate pair of the seed.
+    """
     c = config.field()
     n = config.solver_n
     cfg = SolverConfig(config.alpha, n, config.hurst)
@@ -766,16 +782,26 @@ def _run_init_continuity(config: ExperimentConfig) -> list:
             chunks.append(raw[inside])
             collected += chunks[-1].shape[0]
         pairs = np.concatenate(chunks, axis=0)[:per_seed]
+        flat = pairs.reshape(-1, c.dim)
+        norms, errors, failure = {}, [], None
+
+        def run(sel, out):  # sel is contiguous: every pair of the block, or one
+            out.update(zip(sel, _w_alpha_lambda_norms(diffs[sel[0] : sel[-1] + 1], driver.times,
+                                                      config.alpha, lam)))
+
         try:
-            diffs, failure = _pair_differences(pairs.reshape(-1, c.dim), c, driver, cfg).swapaxes(0, 1), None
+            for lo in range(0, pairs.shape[0], _PAIR_BLOCK):
+                diffs = None  # the last block's differences go before the next block is marched
+                diffs = _pair_differences(flat[2 * lo : 2 * (lo + _PAIR_BLOCK)], c, driver, cfg).swapaxes(0, 1)
+                block, block_errors = _replayed(run, diffs.shape[0])
+                norms.update((lo + k, v) for k, v in block.items())
+                errors += block_errors
         except Exception as exc:  # every non-degenerate pair of the seed records the failure
             failure = _status(exc)
-        if failure is None:
-            def run(sel, out):  # sel is contiguous: every pair, or one
-                out.update(zip(sel, _w_alpha_lambda_norms(diffs[sel[0] : sel[-1] + 1], driver.times,
-                                                          config.alpha, lam)))
-
-            norms, errors = _replayed(run, pairs.shape[0])
+            try:  # the error of one march over all of the seed's pairs
+                _pair_differences(flat, c, driver, cfg)
+            except Exception as whole:
+                failure = _status(whole)
         for i in range(pairs.shape[0]):
             dist = float(np.linalg.norm(pairs[i, 0] - pairs[i, 1]))
             rec = {"seed": seed, "pair": i, "dist": dist, "lambda_weight": lam,
@@ -798,7 +824,11 @@ def _pair_differences(flat: np.ndarray, c: CoefficientField, driver: GridPath, c
     (2P, n+1, d) array of solutions is held.  The states are the full
     solve's, so this is ``solve_forward_batch(flat)[0::2] -
     solve_forward_batch(flat)[1::2]`` bit for bit, time first, and a
-    crossing of the blow-up guard raises the same error.
+    crossing of the blow-up guard raises the same error.  The array holds
+    every pair of ``flat``; ``_run_init_continuity`` passes it one block of
+    ``_PAIR_BLOCK`` pairs at a time.  The guard names the worst member of
+    the march, so a march of some of the pairs may raise with another
+    magnitude than one of all of them.
     """
     x0s = _prepare(flat, c, driver, cfg)
     diffs = np.empty((driver.n_steps + 1, x0s.shape[0] // 2, c.dim))

@@ -43,7 +43,10 @@ callers start every member at 0 and reduce each block on the fly without
 storing it: the sortedness probe and the moments campaign, whose members
 come in blocks of drivers too, each drawn and marched in turn, so neither
 holds the whole batch of drivers; and init-continuity, which keeps only
-the difference of each pair of members.
+the difference of each pair of members and marches a seed's pairs a
+block of pairs at a time, so it holds one block of differences however
+many pairs the seed has.  An empty batch of initial points is rejected
+before any march, as a non-finite initial point is.
 """
 
 from __future__ import annotations
@@ -129,6 +132,8 @@ def _prepare(x0, c: CoefficientField, driver: GridPath, cfg: SolverConfig):
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     if x0.shape[-1] != c.dim:
         raise ValueError(f"initial point has dimension {x0.shape[-1]}, field expects {c.dim}")
+    if x0.size == 0:
+        raise ValueError(f"empty batch of initial points, shape {x0.shape}")
     finite = np.isfinite(x0).all(axis=-1)
     if not finite.all():
         raise ValueError(f"initial points must be finite, got {x0[~finite][0].tolist()}")

@@ -16,6 +16,7 @@ import pytest
 
 import test_fbm as fbm_tests
 import test_sde as sde_tests
+import test_seed_batching as batching_tests
 from flowlab import experiments, fbm, sde
 
 
@@ -46,7 +47,44 @@ def guard_block_stride(monkeypatch):
     monkeypatch.setattr(experiments, "_march", march)
 
 
+def huge_pair_block(monkeypatch):
+    """init-continuity marches all of a seed's pairs in one block again."""
+    monkeypatch.setattr(experiments, "_PAIR_BLOCK", 10**9)
+
+
+def pair_block_without_replay(monkeypatch):
+    """A pair block whose march raises records its own error, not that of the seed's pairs in one march."""
+    monkeypatch.setattr(experiments, "_run_init_continuity", mutant(
+        experiments._run_init_continuity, "_pair_differences(flat, c, driver, cfg)", "pass"))
+
+
+def zero_first_difference(monkeypatch):
+    """The pair differences at t = 0 are left at 0.0, not set to x - y."""
+    monkeypatch.setattr(experiments, "_pair_differences", mutant(
+        experiments._pair_differences, "np.subtract(x0s[0::2], x0s[1::2], out=diffs[0])", "diffs[0] = 0.0"))
+
+
+def fresh_block_array(monkeypatch):
+    """Every block of a march is stepped into an array of its own."""
+    march = mutant(sde._march, "block = buffer[: ks.size]", "block = np.empty((ks.size,) + x0s.shape)")
+    monkeypatch.setattr(sde, "_march", march)
+    monkeypatch.setattr(sde_tests, "_march", march)
+
+
+def dropped_last_fan_gap(monkeypatch):
+    """The smallest fan gap skips the gap between the last two fan points."""
+    monkeypatch.setattr(experiments, "_fan_min_gap", mutant(
+        experiments._fan_min_gap, "for f in range(2, states.shape[-1]):", "for f in range(2, states.shape[-1] - 1):"))
+
+
+def blown_pair_blocks(mp):
+    """The blown 64-pair byte case, with the patch of its ``blown_driver`` fixture."""
+    batching_tests.blow_seed(mp)
+    batching_tests.test_a_blown_seed_in_pair_blocks_records_the_one_block_text(64, mp, None)
+
+
 kernel = sde_tests.TestSteppingKernel()
+reductions = sde_tests.TestBlockReductions()
 guard = sde_tests.TestGuardScreen()
 sampler = fbm_tests.TestBlockedCirculantBatch()
 
@@ -55,7 +93,21 @@ ROWS = [
     (huge_state_budget, "probe-pin", lambda mp: kernel.test_sortedness_probe_working_set_fits_the_state_budget()),
     (huge_state_budget, "moments-pin", lambda mp: kernel.test_moments_working_set_fits_the_state_budget()),
     (sample_points_2_16, "sampler-pin", lambda mp: sampler.test_workspace_fits_the_normals_budget()),
+    (huge_pair_block, "init-continuity-flat-pin",
+     lambda mp: kernel.test_init_continuity_working_set_is_flat_in_the_pair_count()),
+    (pair_block_without_replay, "blown-64-pair-blocks", blown_pair_blocks),
 ]
+for field in ("builtin:geometric:0.5", "2-D"):
+    ROWS.append((zero_first_difference, f"pair-differences-{field}",
+                 lambda mp, field=field: kernel.test_pair_differences_equal_the_differences_of_the_full_solve(
+                     mp, field, None)))
+for backward, starts in ((False, 0), (True, [3 * sde._GUARD_BLOCK, 96])):
+    ROWS.append((fresh_block_array, f"shared-buffer-{'backward' if backward else 'forward'}",
+                 lambda mp, b=backward, s=starts: kernel.test_consecutive_march_blocks_share_one_buffer(b, s)))
+for fan in (3, 8, 9):
+    for zeros in (False, True):
+        ROWS.append((dropped_last_fan_gap, f"fan-min-gap-{fan}-{zeros}",
+                     lambda mp, f=fan, z=zeros: reductions.test_fan_min_gap_equals_the_diff_min(f, z)))
 for step in (1, sde._GUARD_BLOCK - 1, sde._GUARD_BLOCK, sde._GUARD_BLOCK + 1, 200):
     ROWS.append((guard_block_stride, f"guard-crossing-{step}",
                  lambda mp, step=step: kernel.test_guard_crossing_message_matches_oracle(mp, step, 1)))

@@ -132,6 +132,16 @@ class TestForwardSolver:
         with pytest.raises(ValueError, match=r"initial points must be finite, got \[(nan|inf|-inf)\]"):
             solve(np.array([[0.5], [bad]]), 1.0, builtin_field("geometric"), driver, cfg)
 
+    @pytest.mark.parametrize("solve", [
+        lambda x0s, c, driver, cfg: solve_forward_batch(x0s, 0.0, c, driver, cfg),
+        lambda x0s, c, driver, cfg: solve_backward(x0s, 1.0, c, driver, cfg),
+        experiments._pair_differences,
+    ], ids=["solve_forward_batch", "solve_backward", "_pair_differences"])
+    def test_empty_batch_is_rejected(self, driver, cfg, solve):
+        # it used to fail inside the march, with an IndexError on the first member's start
+        with pytest.raises(ValueError, match=r"empty batch of initial points, shape \(0, 1\)"):
+            solve(np.empty((0, 1)), builtin_field("sin"), driver, cfg)
+
     def test_blowup_guard_fires(self, driver, cfg, monkeypatch):
         # the solution for this driver peaks near 1.06; a guard at 2 * 0.51 = 1.02 binds
         f = builtin_field("geometric", sigma0=0.5)
@@ -703,33 +713,33 @@ class TestSteppingKernel:
             tracemalloc.stop()
         return result, (peak - retained) / 2**20
 
-    @staticmethod
-    def traced_peak(run, *args):
-        """The tracemalloc peak of ``run(*args)`` beyond what the call leaves allocated, in MiB."""
-        import tracemalloc
-
-        tracemalloc.start()
-        try:
-            run(*args)
-            retained, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return (peak - retained) / 2**20
-
     def test_init_continuity_working_set_holds_no_batch_of_solutions(self):
         # holding every pair's two solutions, (2000, 513, 1), as a full solve does, peaks at 12.3 MiB
         cfg = experiments.default_config("init-continuity", seeds=(0,))
-        assert self.traced_peak(experiments._run_init_continuity, cfg) < 7.0
+        records, held = self.working_set(experiments._run_init_continuity, cfg)
+        assert len(records) == cfg.pair_count
+        assert held < 6.65
+
+    def test_init_continuity_working_set_is_flat_in_the_pair_count(self):
+        # beyond its records, a seed holds one block of pair differences, not all of them: the seed's
+        # differences in one piece peak at 5.3 MiB for 1,000 pairs and 17.0 MiB for 4,000
+        for pairs in (1000, 4000):
+            cfg = experiments.default_config("init-continuity", seeds=(0,), pair_count=pairs)
+            records, held = self.working_set(experiments._run_init_continuity, cfg)
+            assert len(records) == pairs
+            assert held < 4.25, (pairs, held)
 
     def test_sortedness_probe_working_set_holds_no_gap_block(self):
         # a (64, seeds, fan - 1) block of gaps held besides the states peaks at 12.0 MiB
         cfg = experiments.default_config("inverse")
-        assert self.traced_peak(experiments._run_sortedness_probe, cfg, cfg.field()) < 10.0
+        _, held = self.working_set(experiments._run_sortedness_probe, cfg, cfg.field())
+        assert held < 10.0
 
     def test_sortedness_probe_working_set_fits_the_state_budget(self):
         # 64-step blocks of its 8,000 states, with the sampler's workspace at 2^16 normals, peak at 8.5 MiB
         cfg = experiments.default_config("inverse")
-        assert self.traced_peak(experiments._run_sortedness_probe, cfg, cfg.field()) < 5.5
+        _, held = self.working_set(experiments._run_sortedness_probe, cfg, cfg.field())
+        assert held < 5.5
 
     @BLOCK_ROWS
     @pytest.mark.parametrize("field", ["builtin:geometric:0.5", "2-D"])

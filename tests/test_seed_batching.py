@@ -21,6 +21,7 @@ from flowlab.errors import BlowUpError
 from flowlab.experiments import default_config
 from flowlab.fraccalc import _endpoint_indices, _endpoint_peaks, lambda_alpha
 from flowlab.paths import GridPath, w_alpha_lambda_norm
+from flowlab.quadrature import _PATH_CHUNK
 from flowlab.sde import SolverConfig, _flow_marks, solve_forward_batch
 
 
@@ -386,11 +387,10 @@ def init_config(coefficients, **overrides):
     return default_config("init-continuity", **{**base, **overrides})
 
 
-@pytest.mark.parametrize("coefficients", [
-    "builtin:geometric:0.5",
-    "builtin:additive:0.8",
-    "builtin:linear-drift:0.8,0.3;-0.2,0.6",
-])
+INIT_FIELDS = ["builtin:geometric:0.5", "builtin:additive:0.8", "builtin:linear-drift:0.8,0.3;-0.2,0.6"]
+
+
+@pytest.mark.parametrize("coefficients", INIT_FIELDS)
 def test_batched_init_records_match_per_pair_records(coefficients):
     cfg = init_config(coefficients)
     batched = experiments._run_init_continuity(cfg)
@@ -426,6 +426,11 @@ BLOWN_SEED = 1
 @pytest.fixture
 def blown_driver(monkeypatch):
     """Scale seed 1's fine driver so that every solve under it crosses the blow-up guard."""
+    blow_seed(monkeypatch)
+
+
+def blow_seed(monkeypatch):
+    """The patch of ``blown_driver``, for a caller that is not a test."""
     real = experiments._fine_driver
 
     def scaled(config, seed, components=1):
@@ -433,6 +438,35 @@ def blown_driver(monkeypatch):
         return path * 400.0 if seed == BLOWN_SEED else path
 
     monkeypatch.setattr(experiments, "_fine_driver", scaled)
+
+
+def test_a_pair_block_is_a_whole_number_of_norm_chunks():
+    assert experiments._PAIR_BLOCK % _PATH_CHUNK == 0
+
+
+def pair_block_records(monkeypatch, cfg, block):
+    monkeypatch.setattr(experiments, "_PAIR_BLOCK", block)
+    return experiments._run_init_continuity(cfg)
+
+
+@pytest.mark.parametrize("block", [64, 128])
+@pytest.mark.parametrize("coefficients", INIT_FIELDS + ["builtin:sin"])
+def test_pair_blocks_give_the_one_block_records(coefficients, block, monkeypatch):
+    # 150 pairs per seed, so the last block is short; a block norms the chunks that one block over the seed norms
+    cfg = init_config(coefficients, pair_count=300)
+    whole = pair_block_records(monkeypatch, cfg, 10**9)
+    assert all(r["status"] == "ok" for r in whole)
+    assert exact_list(pair_block_records(monkeypatch, cfg, block)) == exact_list(whole)
+
+
+@pytest.mark.parametrize("block", [64, 128])
+def test_a_blown_seed_in_pair_blocks_records_the_one_block_text(block, monkeypatch, blown_driver):
+    # the first block crosses the guard on its own with another magnitude; the seed's pairs in one piece name theirs
+    cfg = init_config("builtin:geometric:0.5", pair_count=300)
+    whole = pair_block_records(monkeypatch, cfg, 10**9)
+    blown = {r["status"] for r in whole if r["seed"] == BLOWN_SEED}
+    assert len(blown) == 1 and "crossed the blow-up guard" in blown.pop()
+    assert exact_list(pair_block_records(monkeypatch, cfg, block)) == exact_list(whole)
 
 
 @pytest.mark.parametrize("closed_form", [True, False])
