@@ -7,16 +7,17 @@ limit.  The backward flow steps in reverse time and subtracts the
 increment evaluated at the right point, which makes it the exact grid
 inverse of the forward map for additive noise.
 
-Every solve runs through one stepping kernel, ``_march``.  It advances a
-batch of members, each from its own start index, against one shared
-driver or a driver per member (which members may share).  Its members
-come in stepping order (by start, ascending forward and descending
-backward), so the members that have started at a step are a prefix of
-the batch.  A member may march with a stride s: it steps only from the
+Every solve runs through one stepping kernel, ``_march``, which steps
+forward only.  It advances a batch of members, each from its own start
+index, against one shared driver or a driver per member (which members may
+share), and adds each step's increment or, for a backward solve on the
+time-reversed grid, subtracts it.  Its members come in stepping order (by
+ascending start), so the members that have started at a step are a prefix
+of the batch.  A member may march with a stride s: it steps only from the
 grid indices that s divides, over s indices at once, and does no
-arithmetic at the indices between.  That is the same solve, bit for
-bit, as on the grid decimated by s, so one march steps a whole ladder
-of grids in lockstep.  The blow-up guard is checked once per block of
+arithmetic at the indices between.  That is the same solve, bit for bit,
+as on the grid decimated by s, so one march steps a whole ladder of grids
+in lockstep.  The blow-up guard is checked once per block of
 steps, which holds at most ``_GUARD_BLOCK`` steps and at most
 ``_STATE_POINTS`` states (members times state components; at least one
 step however wide the batch).  The block is screened first by its largest
@@ -176,38 +177,37 @@ def _check_block(block, active, reached, bound, time_of) -> None:
             raise BlowUpError(_blowup_message(float(mag[j, :a][worst]), time_of(reached[j], worst[0])))
 
 
-def _march(x0s, starts, c, times, values, h, backward=False, strides=1, owner=None):
+def _march(x0s, starts, c, times, values, h, strides=1, owner=None, subtract=False):
     """The Euler stepping kernel: advance every member from its own start index.
 
     ``x0s`` is (B, ..., d); member i holds x0s[i] at grid index starts[i]
-    (an int or a (B,) array) and steps forward to the end of the grid, or
-    back to its first point when ``backward``.  The members come in
-    stepping order: ``starts`` ascends forward and descends backward, or
-    the first block raises ``ValueError``.  ``values`` is one shared
-    driver (n+1, m) or a stack of drivers (D, n+1, m): member i runs under
-    values[owner[i]], or under values[i] when ``owner`` is None.  ``h`` is
-    the drift step, one for all or one per member.  A member of stride s
-    (``strides``, an int or a (B,) array; s divides n and the member's
-    start) marches the coarser grid of every s-th index: it steps only
-    from the indices k that s divides, to k + s (k - s backward), with the
-    driver increment between the two.  Between two of its knots it reads
-    its state at the knot it is stepping to.  Yields ``(reached, states)``
-    per checked block, in stepping order: ``reached`` holds the grid
-    indices the steps reach and ``states`` (len(reached), B, ..., d) the
-    members' states there.  A block holds max(1, min(``_GUARD_BLOCK``,
-    ``_STATE_POINTS`` // x0s.size)) steps (the last one may hold fewer),
-    so a wide batch marches in shorter blocks.  A member that has not
-    started yet holds its initial point.  Every block is stepped into one
-    buffer of that many rows, so a yielded block is valid until the next
-    block is stepped: a caller that keeps states copies them.
+    (an int or a (B,) array) and steps forward to the end of the grid,
+    adding each increment, or subtracting it when ``subtract``.  The
+    members come in stepping order: ``starts`` ascends, or the first block
+    raises ``ValueError``.  ``values`` is one shared driver (n+1, m) or a
+    stack of drivers (D, n+1, m): member i runs under values[owner[i]], or
+    under values[i] when ``owner`` is None.  ``h`` is the drift step, one
+    for all or one per member.  A member of stride s (``strides``, an int
+    or a (B,) array; s divides n and the member's start) marches the
+    coarser grid of every s-th index: it steps only from the indices k
+    that s divides, to k + s, with the driver increment between the two.
+    Between two of its knots it reads its state at the knot it is stepping
+    to.  Yields ``(reached, states)`` per checked block, in stepping
+    order: ``reached`` holds the grid indices the steps reach and
+    ``states`` (len(reached), B, ..., d) the members' states there.  A
+    block holds max(1, min(``_GUARD_BLOCK``, ``_STATE_POINTS`` //
+    x0s.size)) steps (the last one may hold fewer), so a wide batch
+    marches in shorter blocks.  A member that has not started yet holds
+    its initial point.  Every block is stepped into one buffer of that
+    many rows, so a yielded block is valid until the next block is
+    stepped: a caller that keeps states copies them.
     """
     n = times.shape[0] - 1
     size = x0s.shape[0]
     starts = np.broadcast_to(np.asarray(starts, dtype=np.intp), (size,))
     strides = np.broadcast_to(np.asarray(strides, dtype=np.intp), (size,))
-    rank = -starts if backward else starts
-    if np.any(rank[1:] < rank[:-1]):  # then the members that have started at a step form a prefix
-        raise ValueError(f"starts must be in stepping order ({'descending' if backward else 'ascending'})")
+    if np.any(starts[1:] < starts[:-1]):  # then the members that have started at a step form a prefix
+        raise ValueError("starts must be in stepping order (ascending)")
     strided = bool(np.any(strides != 1))
     if np.ndim(h) or strided:  # one drift step per member, broadcast over the state axes between B and d
         h = np.broadcast_to(h, (size,)).reshape((size,) + (1,) * (x0s.ndim - 1))
@@ -219,15 +219,9 @@ def _march(x0s, starts, c, times, values, h, backward=False, strides=1, owner=No
         values = values[owner]
     per_member = strided or values.ndim == 3
     # a step is named by the grid index k it leaves
-    if backward:
-        steps = np.arange(starts[0], 0, -1)
-        active = np.searchsorted(-starts, -steps, side="right")
-        reached = steps - 1
-    else:
-        steps = np.arange(starts[0], n)
-        active = np.searchsorted(starts, steps, side="right")
-        reached = steps + 1
-    apply = np.subtract if backward else np.add
+    steps = np.arange(starts[0], n)
+    active = np.searchsorted(starts, steps, side="right")
+    apply = np.subtract if subtract else np.add
     bound = DEFAULT_BLOWUP_FACTOR * (1.0 + np.linalg.norm(x0s, axis=-1))
     # per-member increments (B, m) broadcast over the state axes between B and d
     contract = "b...dm,bm->b...d" if per_member else "...dm,m->...d"
@@ -262,7 +256,7 @@ def _march(x0s, starts, c, times, values, h, backward=False, strides=1, owner=No
 
     def time_of(r, i):  # the time of the knot member i is at, or stepping to, at grid index r
         s = strides[i]
-        return times[r // s * s if backward else -(-r // s) * s]
+        return times[-(-r // s) * s]
 
     by_stride = []  # each stride's members and the drivers they run under
     for g in set(strides.tolist()) if strided else ():
@@ -280,15 +274,14 @@ def _march(x0s, starts, c, times, values, h, backward=False, strides=1, owner=No
         ks = steps[lo : lo + block_rows]
         block = buffer[: ks.size]
         if strided:  # every member's increment over its own stride, from each index of the block
-            first = int(ks.min())
+            first = int(ks[0])
             span = spans[: ks.size]
             for rows, g, under in by_stride:
                 # only from the indices whose reach stays on the grid; the others are never read
-                a, b = (max(first, g), first + ks.size) if backward else (first, min(first + ks.size, n - g + 1))
-                if a < b:
-                    lower, upper = (a - g, a) if backward else (a, a + g)
-                    reach = values[:, upper : upper + b - a] - values[:, lower : lower + b - a]
-                    span[a - first : b - first, rows] = reach[under].swapaxes(0, 1)
+                b = min(first + ks.size, n - g + 1)
+                if first < b:
+                    reach = values[:, first + g : b + g] - values[:, first:b]
+                    span[: b - first, rows] = reach[under].swapaxes(0, 1)
         done = 0
         try:
             # steps past a crossing may overflow; they are checked below and discarded
@@ -306,8 +299,7 @@ def _march(x0s, starts, c, times, values, h, backward=False, strides=1, owner=No
                     if strided:
                         db = span[k - first, sel] if prefix else span[k - first].take(sel, axis=0)
                     else:
-                        near = k - 1 if backward else k
-                        db = values[sel, near + 1] - values[sel, near] if per_member else shared_db[near]
+                        db = values[sel, k + 1] - values[sel, k] if per_member else shared_db[k]
                     inc = increment(times[k], s, db, hs)
                     if prefix:
                         apply(s, inc, out=row[sel])
@@ -319,10 +311,10 @@ def _march(x0s, starts, c, times, values, h, backward=False, strides=1, owner=No
                     prev = row
                     done = j + 1
         except Exception:
-            _check_block(block[:done], active[lo:], reached[lo:], bound, time_of)
+            _check_block(block[:done], active[lo:], ks + 1, bound, time_of)
             raise
-        _check_block(block, active[lo:], reached[lo:], bound, time_of)
-        yield reached[lo : lo + ks.size], block
+        _check_block(block, active[lo:], ks + 1, bound, time_of)
+        yield ks + 1, block
 
 
 def solve_forward_batch(
@@ -363,16 +355,21 @@ def _flow_marks(x0s, starts, marks, c: CoefficientField, driver: Union[GridPath,
     solves on that grid decimated by s, with its step: at a mark that s
     divides it reads what a solve on the decimated grid reads there.  The
     members may come in any order: they march in stepping order, and their
-    states are put back in the caller's order.
+    states are put back in the caller's order.  Backward, index k marches
+    as n - k, over the reversed times and the reversed, negated driver, and
+    each step subtracts: the same increments, bit for bit, at the same t.
     """
     grid = driver[0] if isinstance(driver, list) else driver
     x0s = _prepare(x0s, c, grid, cfg)
+    n = grid.n_steps
     strides = np.asarray(strides, dtype=np.intp)
-    if np.any(strides < 1) or np.any(grid.n_steps % strides) or np.any(np.asarray(starts) % strides):
-        raise ValueError(f"each stride must be positive and divide the grid's {grid.n_steps} steps "
-                         "and its member's start")
+    if np.any(strides < 1) or np.any(n % strides) or np.any(np.asarray(starts) % strides):
+        raise ValueError(f"each stride must be positive and divide the grid's {n} steps and its member's start")
     starts = np.broadcast_to(np.asarray(starts, dtype=np.intp), x0s.shape[:1])
-    order = np.argsort(-starts if backward else starts, kind="stable")
+    marks = np.asarray(marks, dtype=np.intp)
+    if backward:
+        starts, marks = n - starts, n - marks
+    order = np.argsort(starts, kind="stable")
     starts = starts[order]
     if strides.ndim:
         strides = strides[order]
@@ -384,11 +381,13 @@ def _flow_marks(x0s, starts, marks, c: CoefficientField, driver: Union[GridPath,
         owner = None if len(slots) == len(driver) else owner
     else:
         values, owner = driver.values, None
-    h = (grid.times[-1] - grid.times[0]) / (grid.n_steps // strides)  # each decimated grid's step
-    marks = np.asarray(marks, dtype=np.intp)
-    slot = np.full(grid.n_steps + 1, marks.size)  # an unmarked index writes to a spare last row
+    times = grid.times
+    h = (times[-1] - times[0]) / (n // strides)  # each decimated grid's step
+    if backward:
+        times, values = times[::-1], np.negative(values[..., ::-1, :])
+    slot = np.full(n + 1, marks.size)  # an unmarked index writes to a spare last row
     slot[marks] = np.arange(marks.size)
     out = np.broadcast_to(x0s, (marks.size + 1,) + x0s.shape).copy()
-    for reached, states in _march(x0s[order], starts, c, grid.times, values, h, backward, strides, owner):
+    for reached, states in _march(x0s[order], starts, c, times, values, h, strides, owner, subtract=backward):
         out[slot[reached][:, None], order] = states
     return out[:-1]

@@ -15,9 +15,10 @@ import textwrap
 import pytest
 
 import test_fbm as fbm_tests
+import test_paths as paths_tests
 import test_sde as sde_tests
 import test_seed_batching as batching_tests
-from flowlab import experiments, fbm, sde
+from flowlab import experiments, fbm, paths, sde
 
 
 def mutant(func, old, new):
@@ -64,6 +65,55 @@ def zero_first_difference(monkeypatch):
         experiments._pair_differences, "np.subtract(x0s[0::2], x0s[1::2], out=diffs[0])", "diffs[0] = 0.0"))
 
 
+def patch_flow_marks(monkeypatch, old, new):
+    """``_flow_marks`` with ``old`` replaced by ``new``, in ``sde`` and in ``test_sde``'s import of it."""
+    marks = mutant(sde._flow_marks, old, new)
+    monkeypatch.setattr(sde, "_flow_marks", marks)
+    monkeypatch.setattr(sde_tests, "_flow_marks", marks)
+
+
+def unnegated_backward_driver(monkeypatch):
+    """A backward solve adds the reversed driver's unnegated increments with the drift step -h.
+
+    The values are the same, but -0.0 + 0.0 is +0.0 where -0.0 - 0.0 is -0.0.
+    """
+    patch_flow_marks(monkeypatch, "times, values = times[::-1], np.negative(values[..., ::-1, :])",
+                     "times, values, h, backward = times[::-1], values[..., ::-1, :], -h, False")
+
+
+def unreversed_backward_times(monkeypatch):
+    """A backward solve marches the reversed driver against the times in their own order."""
+    patch_flow_marks(monkeypatch, "times, values = times[::-1],", "times, values = times,")
+
+
+def unordered_scatter(monkeypatch):
+    """The states are put back in stepping order, not in the caller's."""
+    patch_flow_marks(monkeypatch, "out[slot[reached][:, None], order] = states", "out[slot[reached]] = states")
+
+
+def unordered_strides(monkeypatch):
+    """The members march in stepping order, their strides in the caller's."""
+    patch_flow_marks(monkeypatch, "strides = strides[order]", "pass")
+
+
+def unordered_driver_list(monkeypatch):
+    """The members march in stepping order, their drivers in the caller's."""
+    patch_flow_marks(monkeypatch, "driver = [driver[i] for i in order]", "pass")
+
+
+def unchecked_stepping_order(monkeypatch):
+    """``_march`` steps members whatever the order of their starts."""
+    monkeypatch.setattr(sde_tests, "_march", mutant(
+        sde._march, 'raise ValueError("starts must be in stepping order (ascending)")', "pass"))
+
+
+def negative_zero_lag_sup(monkeypatch):
+    """A zero lag sup comes back as -0.0."""
+    lag_sup = mutant(paths._lag_sup, "best = 0.0", "best = -0.0")
+    monkeypatch.setattr(paths, "_lag_sup", lag_sup)
+    monkeypatch.setattr(fbm, "_lag_sup", lag_sup)
+
+
 def fresh_block_array(monkeypatch):
     """Every block of a march is stepped into an array of its own."""
     march = mutant(sde._march, "block = buffer[: ks.size]", "block = np.empty((ks.size,) + x0s.shape)")
@@ -86,6 +136,7 @@ def blown_pair_blocks(mp):
 kernel = sde_tests.TestSteppingKernel()
 reductions = sde_tests.TestBlockReductions()
 guard = sde_tests.TestGuardScreen()
+strided = sde_tests.TestStridedMarch()
 sampler = fbm_tests.TestBlockedCirculantBatch()
 
 # (mutant, case id, case): a case takes the monkeypatch and runs one test case with it
@@ -101,9 +152,7 @@ for field in ("builtin:geometric:0.5", "2-D"):
     ROWS.append((zero_first_difference, f"pair-differences-{field}",
                  lambda mp, field=field: kernel.test_pair_differences_equal_the_differences_of_the_full_solve(
                      mp, field, None)))
-for backward, starts in ((False, 0), (True, [3 * sde._GUARD_BLOCK, 96])):
-    ROWS.append((fresh_block_array, f"shared-buffer-{'backward' if backward else 'forward'}",
-                 lambda mp, b=backward, s=starts: kernel.test_consecutive_march_blocks_share_one_buffer(b, s)))
+ROWS.append((fresh_block_array, "shared-buffer", lambda mp: kernel.test_consecutive_march_blocks_share_one_buffer()))
 for fan in (3, 8, 9):
     for zeros in (False, True):
         ROWS.append((dropped_last_fan_gap, f"fan-min-gap-{fan}-{zeros}",
@@ -123,6 +172,41 @@ for coefficients in ("builtin:geometric:0.5", "builtin:sin", "builtin:additive:0
                      lambda mp, c=coefficients, r=rows: kernel.test_probe_matches_oracle(mp, c, r, 1)))
         ROWS.append((guard_block_stride, f"moments-{coefficients}-{rows}",
                      lambda mp, c=coefficients, r=rows, k=counts: kernel.test_moments_match_oracle(mp, c, r, k, 1)))
+for spec in ("builtin:geometric:0.5", "builtin:sin"):
+    for per_member in (False, True):
+        ROWS.append((unnegated_backward_driver, f"zero-sign-{spec}-{per_member}",
+                     lambda mp, s=spec, p=per_member: kernel.test_backward_solves_keep_the_sign_of_a_zero_start(s, p)))
+for step in (1, sde._GUARD_BLOCK + 1):
+    ROWS.append((unreversed_backward_times, f"guard-crossing-{step}",
+                 lambda mp, step=step: kernel.test_guard_crossing_message_matches_oracle(mp, step, None)))
+for m in (1, 2):
+    ROWS.append((unreversed_backward_times, f"mixed-starts-backward-{m}",
+                 lambda mp, m=m: kernel.test_mixed_starts_match_single_solves(m, "as-listed", True)))
+    ROWS.append((unreversed_backward_times, f"batch-solvers-{m}",
+                 lambda mp, m=m: kernel.test_batch_solvers_match_oracle(m)))
+ROWS.append((unreversed_backward_times, "strided-crossing-backward",
+             lambda mp: strided.test_a_crossing_member_raises_the_error_it_raises_alone(
+                 True, 256, [1, 4, 2, 8], (96, 104))))
+for backward in (False, True):
+    ROWS.append((unordered_scatter, f"mixed-starts-reversed-{backward}",
+                 lambda mp, b=backward: kernel.test_mixed_starts_match_single_solves(1, "reversed", b)))
+    ROWS.append((unordered_driver_list, f"per-member-drivers-{backward}",
+                 lambda mp, b=backward: kernel.test_per_member_drivers_match_one_call_per_driver(1, b)))
+    for grid in sorted(sde_tests.TestStridedMarch.GRIDS):
+        ROWS.append((unordered_scatter, f"strided-reversed-{backward}-{grid}",
+                     lambda mp, b=backward, g=grid: strided.test_each_member_matches_its_decimated_grid(
+                         "builtin:sin", b, "shared", g, "reversed")))
+        ROWS.append((unordered_strides, f"strided-reversed-{backward}-{grid}",
+                     lambda mp, b=backward, g=grid: strided.test_each_member_matches_its_decimated_grid(
+                         "builtin:sin", b, "shared", g, "reversed")))
+        ROWS.append((unordered_driver_list, f"strided-per-member-{backward}-{grid}",
+                     lambda mp, b=backward, g=grid: strided.test_each_member_matches_its_decimated_grid(
+                         "builtin:sin", b, "per-member", g, "reversed")))
+ROWS.append((unchecked_stepping_order, "march-rejection",
+             lambda mp: kernel.test_march_rejects_starts_out_of_stepping_order()))
+for d in (1, 2, 3):
+    ROWS.append((negative_zero_lag_sup, f"no-lags-{d}", lambda mp, d=d: paths_tests.test_lag_sup_of_no_lags_is_zero(d)))
+ROWS.append((negative_zero_lag_sup, "constant-path", paths_tests.test_constant_path_takes_no_lag_peak))
 
 
 @pytest.mark.parametrize("patch, case", [(p, c) for p, _, c in ROWS],

@@ -496,7 +496,9 @@ def test_lag_sup_matches_ascending_scan(kind, n, d):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_lag_sup_of_no_lags_is_zero(d):
     vals = np.random.default_rng(d).normal(size=(4, d))
-    assert paths._lag_sup(vals, []) == ascending_lag_sup(vals, []) == 0.0
+    got, want = paths._lag_sup(vals, []), ascending_lag_sup(vals, [])
+    assert got == want == 0.0
+    assert np.float64(got).tobytes() == np.float64(want).tobytes() == np.float64(0.0).tobytes()  # not -0.0
 
 
 def _counted_lag_peaks(monkeypatch):
@@ -520,5 +522,6 @@ def test_constant_path_takes_no_lag_peak(monkeypatch):
     spec = fbm.FbmSpec(hurst=0.7, grid_size=256)
     fp = fbm.FbmPath(spec, GridPath(spec.times(), np.zeros((257, 1))))
     calls = _counted_lag_peaks(monkeypatch)
-    assert holder_seminorm(fp.path, 0.4) == fbm.modulus_constant(fp) == 0.0
+    got = np.array([holder_seminorm(fp.path, 0.4), fbm.modulus_constant(fp)])
+    assert got.tobytes() == np.zeros(2).tobytes()  # +0.0, which == cannot tell from -0.0
     assert calls == []

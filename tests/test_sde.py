@@ -455,6 +455,22 @@ class TestSteppingKernel:
             else:
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("spec", ["builtin:geometric:0.5", "builtin:sin"])
+    @pytest.mark.parametrize("per_member", [False, True], ids=["shared", "per-member"])
+    def test_backward_solves_keep_the_sign_of_a_zero_start(self, spec, per_member):
+        # sigma(0) = 0 holds a zero start at a signed zero, whose sign == cannot see
+        c = parse_field(spec)
+        n = 150
+        paths = [driver_of(seed=s, n=n) for s in (3, 4, 5, 6)]
+        x0s = np.array([[-0.0], [0.0], [-0.0], [0.7]])
+        starts = [150, 150, 97, 120]
+        got = _flow_marks(x0s, starts, range(n + 1), c, paths if per_member else paths[0],
+                          SolverConfig(0.3, n, 0.75), backward=True)
+        for i, k in enumerate(starts):
+            want = oracle_backward(x0s[i : i + 1], k, c, paths[i] if per_member else paths[0])
+            assert got[: k + 1, i : i + 1].swapaxes(0, 1).tobytes() == want.tobytes(), i
+        assert np.signbit(got[:, [0, 2]]).all()
+
     @BLOCK_ROWS
     @pytest.mark.parametrize("step", [1, _GUARD_BLOCK - 1, _GUARD_BLOCK, _GUARD_BLOCK + 1, 200])
     def test_guard_crossing_message_matches_oracle(self, monkeypatch, step, block_rows):
@@ -566,10 +582,11 @@ class TestSteppingKernel:
 
     @pytest.mark.parametrize("spec", ["builtin:geometric:0.5", "builtin:sin", "builtin:additive:0.8",
                                       "builtin:additive:0.5,1;0,1"])
-    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
     @pytest.mark.parametrize("per_member", [False, True], ids=["shared", "per-member"])
-    @pytest.mark.parametrize("entry", ["march", "flow-marks-reversed"])
-    def test_declared_zero_drift_matches_the_drift_kernel(self, spec, backward, per_member, entry):
+    @pytest.mark.parametrize("entry, backward", [("march", False), ("flow-marks-reversed", False),
+                                                 ("flow-marks-reversed", True)],
+                             ids=["march-forward", "flow-marks-reversed-forward", "flow-marks-reversed-backward"])
+    def test_declared_zero_drift_matches_the_drift_kernel(self, spec, per_member, entry, backward):
         c = parse_field(spec)
         assert c.drift_growth == 0.0
         n = 150  # more than two guard blocks
@@ -586,7 +603,7 @@ class TestSteppingKernel:
         want = drift_march(x0s, starts, c, grid.times, values, grid.step, backward)
         if entry == "march":
             got = np.full((len(starts), n + 1, c.dim), np.nan)
-            for reached, states in _march(x0s, starts, c, grid.times, values, grid.step, backward):
+            for reached, states in _march(x0s, starts, c, grid.times, values, grid.step):
                 got[:, reached] = states.swapaxes(0, 1)
             # NaN marks the start indices that no member steps to, in both
             assert np.array_equal(got, want, equal_nan=True)
@@ -662,19 +679,15 @@ class TestSteppingKernel:
         records, held = self.working_set(experiments._run_moments, experiments.default_config("moments"))
         assert held < 4.5
 
-    @pytest.mark.parametrize("backward, starts", [(False, 0), (True, [3 * _GUARD_BLOCK, 96])],
-                             ids=["forward", "backward"])
-    def test_consecutive_march_blocks_share_one_buffer(self, backward, starts):
+    def test_consecutive_march_blocks_share_one_buffer(self):
         f = builtin_field("sin")
         smooth = driver_of(seed=2, n=3 * _GUARD_BLOCK)
-        blocks = _march(np.array([[0.4], [-1.2]]), starts, f, smooth.times, smooth.values, smooth.step,
-                        backward=backward)
+        blocks = _march(np.array([[0.4], [-1.2]]), 0, f, smooth.times, smooth.values, smooth.step)
         (_, first), (_, second), (_, third) = blocks
         assert np.shares_memory(first, second) and np.shares_memory(second, third)
 
     @pytest.mark.parametrize("block_rows", [None, 1, 7], ids=["budget", "1-step-budget", "7-step-budget"])
-    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
-    def test_block_rows_follow_the_state_budget(self, monkeypatch, backward, block_rows):
+    def test_block_rows_follow_the_state_budget(self, monkeypatch, block_rows):
         f = builtin_field("sin")
         n = 150
         smooth = driver_of(seed=2, n=n)
@@ -684,21 +697,18 @@ class TestSteppingKernel:
         # a wide march steps blocks of the budget's rows, a narrow one keeps its 64-step blocks
         for members, want in ((10**4, wide), (40, _GUARD_BLOCK)):
             x0s = np.linspace(-1.0, 1.0, members)[:, None]
-            blocks = [len(reached) for reached, _ in _march(x0s, n if backward else 0, f, smooth.times,
-                                                            smooth.values, smooth.step, backward=backward)]
+            blocks = [len(reached) for reached, _ in _march(x0s, 0, f, smooth.times, smooth.values, smooth.step)]
             assert blocks == member_blocks(want, n), members
 
-    @pytest.mark.parametrize("backward, starts", [(False, [0, 64, 1]), (True, [150, 1, 65])],
-                             ids=["forward", "backward"])
-    def test_march_rejects_starts_out_of_stepping_order(self, backward, starts):
+    def test_march_rejects_starts_out_of_stepping_order(self):
         f = builtin_field("sin")
         smooth = driver_of(seed=2, n=150)
+        starts = [0, 64, 1]
         x0s = np.zeros((len(starts), 1))
         with pytest.raises(ValueError, match="stepping order"):
-            next(_march(x0s, starts, f, smooth.times, smooth.values, smooth.step, backward=backward))
+            next(_march(x0s, starts, f, smooth.times, smooth.values, smooth.step))
         # sorted into stepping order, the same members march
-        ordered = sorted(starts, reverse=backward)
-        assert len(list(_march(x0s, ordered, f, smooth.times, smooth.values, smooth.step, backward=backward))) == 3
+        assert len(list(_march(x0s, sorted(starts), f, smooth.times, smooth.values, smooth.step))) == 3
 
     @staticmethod
     def working_set(run, *args):
