@@ -37,8 +37,8 @@ __all__ = [
 _MAX_LAMBDA_EXPONENT = 600.0
 # init-continuity: squared pair norms must stay finite, or the pair sampler accepts nothing
 _MAX_BALL_RADIUS = 1e150
-# sampled marches (moments, sortedness probe): driver values per member block, about 4 MB
-_DRIVER_POINTS = 2**19
+# sampled marches (moments, sortedness probe): driver values per member block, about 1 MB
+_DRIVER_POINTS = 2**17
 # init-continuity: pairs marched and normed at a time, a whole number of the norm's path chunks
 _PAIR_BLOCK = 8 * _PATH_CHUNK
 

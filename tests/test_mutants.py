@@ -14,6 +14,7 @@ import textwrap
 
 import pytest
 
+import test_experiments as experiments_tests
 import test_fbm as fbm_tests
 import test_paths as paths_tests
 import test_sde as sde_tests
@@ -21,18 +22,28 @@ import test_seed_batching as batching_tests
 from flowlab import experiments, fbm, paths, sde
 
 
-def mutant(func, old, new):
-    """``func`` compiled against its own module's globals with the one ``old`` in its source replaced by ``new``."""
+def mutant(func, old, new, *edits):
+    """``func`` compiled against its own module's globals with the one ``old`` in its source replaced by ``new``.
+
+    Each further ``(old, new)`` pair in ``edits`` is replaced in turn.
+    """
     source = textwrap.dedent(inspect.getsource(func))
-    assert source.count(old) == 1, f"{old!r} is not once in {func.__name__}"
+    for old, new in ((old, new),) + edits:
+        assert source.count(old) == 1, f"{old!r} is not once in {func.__name__}"
+        source = source.replace(old, new)
     scope = {}
-    exec(compile(source.replace(old, new), inspect.getsourcefile(func), "exec"), func.__globals__, scope)
+    exec(compile(source, inspect.getsourcefile(func), "exec"), func.__globals__, scope)
     return scope[func.__name__]
 
 
 def huge_state_budget(monkeypatch):
     """Every march steps 64-step blocks again, however wide."""
     monkeypatch.setattr(sde, "_STATE_POINTS", 2**62)
+
+
+def driver_points_2_19(monkeypatch):
+    """The sampled marches draw member blocks of 2^19 driver values again."""
+    monkeypatch.setattr(experiments, "_DRIVER_POINTS", 2**19)
 
 
 def sample_points_2_16(monkeypatch):
@@ -46,6 +57,66 @@ def guard_block_stride(monkeypatch):
                    "for lo in range(0, steps.size, _GUARD_BLOCK):")
     monkeypatch.setattr(sde, "_march", march)
     monkeypatch.setattr(experiments, "_march", march)
+
+
+def patch_march(monkeypatch, old, new, *edits):
+    """``_march`` with ``old`` replaced by ``new``, in ``sde`` and where ``experiments`` and ``test_sde`` import it."""
+    march = mutant(sde._march, old, new, *edits)
+    for module in (sde, experiments, sde_tests):
+        monkeypatch.setattr(module, "_march", march)
+
+
+def unsigned_one_noise_step(monkeypatch):
+    """The one-noise step without einsum's zero start, so a step's sigma dB of -0.0 stays -0.0."""
+    patch_march(monkeypatch, "return np.add(inc, 0.0, out=inc)", "return inc")
+
+
+def sequential_noise_sum(monkeypatch):
+    """The one-noise step summed from 0 over every noise component in turn, at every noise dimension."""
+    patch_march(monkeypatch, "if c.noise_dim == 1:", "if True:", (
+        "inc = np.multiply(c.sigma(t, s)[..., 0], db.reshape(lift))",
+        "sig = c.sigma(t, s)\n"
+        "            inc = np.add(np.multiply(sig[..., 0], db[..., :1].reshape(lift)), 0.0)\n"
+        "            for j in range(1, sig.shape[-1]):\n"
+        "                inc += sig[..., j] * db[..., j : j + 1].reshape(lift)"))
+
+
+def unreplayed_block_error(monkeypatch):
+    """A member block's error is raised as it is, without marching the whole batch once more."""
+    monkeypatch.setattr(experiments, "_sampled_march", mutant(
+        experiments._sampled_march, 'drivers = fbm.sample_paths(spec, x0s.shape[0], method="circulant")', "raise"))
+
+
+def fresh_component_rngs(monkeypatch):
+    """Every member block draws from fresh component generators, so each block repeats the first."""
+    monkeypatch.setattr(fbm, "_circulant_batches", mutant(
+        fbm._circulant_batches, "_fill_circulant(out, rngs,",
+        "_fill_circulant(out, [_component_rng(spec.seed, j) for j in range(spec.components)],"))
+
+
+def members_from_zero(monkeypatch):
+    """Every member block's states are handed out as those of the first members."""
+    monkeypatch.setattr(experiments, "_sampled_march", mutant(
+        experiments._sampled_march, "members = slice(start, start + drivers.shape[0])",
+        "members = slice(0, drivers.shape[0])"))
+
+
+def screen_margin_one(monkeypatch):
+    """The guard's screen allows nothing for the rounding of a norm."""
+    monkeypatch.setattr(sde, "_SCREEN_MARGIN", 1.0)
+
+
+def screen_passes_nan(monkeypatch):
+    """The guard's screen returns on a block whose largest component is NaN."""
+    monkeypatch.setattr(sde, "_check_block", mutant(
+        sde._check_block, "top * math.sqrt(block.shape[-1]) * _SCREEN_MARGIN <= floor",
+        "not top * math.sqrt(block.shape[-1]) * _SCREEN_MARGIN > floor"))
+
+
+def unwindowed_screen(monkeypatch):
+    """The guard's screen takes any smallest bound, however near the underflow or overflow of a square."""
+    monkeypatch.setattr(sde, "_check_block", mutant(
+        sde._check_block, "_SCREEN_WINDOW[0] <= floor <= _SCREEN_WINDOW[1] and ", ""))
 
 
 def huge_pair_block(monkeypatch):
@@ -138,11 +209,14 @@ reductions = sde_tests.TestBlockReductions()
 guard = sde_tests.TestGuardScreen()
 strided = sde_tests.TestStridedMarch()
 sampler = fbm_tests.TestBlockedCirculantBatch()
+one_noise = sde_tests.TestOneNoiseStep()
+moments = experiments_tests.TestMomentsExperiment()
 
 # (mutant, case id, case): a case takes the monkeypatch and runs one test case with it
 ROWS = [
     (huge_state_budget, "probe-pin", lambda mp: kernel.test_sortedness_probe_working_set_fits_the_state_budget()),
-    (huge_state_budget, "moments-pin", lambda mp: kernel.test_moments_working_set_fits_the_state_budget()),
+    (driver_points_2_19, "probe-pin", lambda mp: kernel.test_sortedness_probe_working_set_fits_the_state_budget()),
+    (driver_points_2_19, "moments-pin", lambda mp: kernel.test_moments_working_set_fits_the_state_budget()),
     (sample_points_2_16, "sampler-pin", lambda mp: sampler.test_workspace_fits_the_normals_budget()),
     (huge_pair_block, "init-continuity-flat-pin",
      lambda mp: kernel.test_init_continuity_working_set_is_flat_in_the_pair_count()),
@@ -202,6 +276,50 @@ for backward in (False, True):
         ROWS.append((unordered_driver_list, f"strided-per-member-{backward}-{grid}",
                      lambda mp, b=backward, g=grid: strided.test_each_member_matches_its_decimated_grid(
                          "builtin:sin", b, "per-member", g, "reversed")))
+for spec in ("builtin:geometric:0.5", "builtin:sin"):
+    for per_member in (False, True):
+        ROWS.append((unsigned_one_noise_step, f"zero-sign-backward-{spec}-{per_member}",
+                     lambda mp, s=spec, p=per_member: kernel.test_backward_solves_keep_the_sign_of_a_zero_start(s, p)))
+        ROWS.append((unsigned_one_noise_step, f"zero-sign-forward-{spec}-{per_member}",
+                     lambda mp, s=spec, p=per_member: kernel.test_forward_solves_keep_the_sign_of_a_zero_start(s, p)))
+for per_member in (False, True):
+    for fan in (False, True):
+        ROWS.append((sequential_noise_sum, f"noise-3-{per_member}-{fan}",
+                     lambda mp, p=per_member, f=fan: one_noise.test_states_equal_the_einsum_steps(
+                         mp, None, "noise-3", p, f)))
+ROWS.append((unreplayed_block_error, "one-batch-text",
+             lambda mp: moments.test_blow_up_in_member_blocks_keeps_the_one_batch_text(mp)))
+for rows in ("1", "block-1", "block", "block+1"):
+    for m in (1, 3):
+        for hurst, n in ((0.75, 100), (0.3, 256)):
+            ROWS.append((fresh_component_rngs, f"member-blocks-{rows}-{m}-{hurst}",
+                         lambda mp, r=rows, m=m, h=hurst, n=n: sampler.test_member_blocks_concatenate_to_the_batch(
+                             r, m, h, n)))
+for coefficients in ("builtin:geometric:0.5", "builtin:sin", "builtin:additive:0.8"):
+    for rows in (1, 7):
+        ROWS.append((fresh_component_rngs, f"moments-{coefficients}-{rows}",
+                     lambda mp, c=coefficients, r=rows: kernel.test_moments_match_oracle(mp, c, r, (20, 45), None)))
+        ROWS.append((members_from_zero, f"moments-{coefficients}-{rows}",
+                     lambda mp, c=coefficients, r=rows: kernel.test_moments_match_oracle(mp, c, r, (20, 45), None)))
+        # not sin in 7-seed blocks: its smallest gap is seed 4's, which a repeated first block keeps
+        if (coefficients, rows) != ("builtin:sin", 7):
+            ROWS.append((fresh_component_rngs, f"probe-{coefficients}-{rows}",
+                         lambda mp, c=coefficients, r=rows: kernel.test_probe_matches_oracle(mp, c, r, None)))
+ROWS.append((screen_margin_one, "rounds-up-3",
+             lambda mp: guard.test_same_raise_and_text_as_the_exact_scan("rounds up", "d=3")))
+for layout in ("d=1", "d=2", "d=3", "probe"):
+    ROWS.append((screen_passes_nan, f"nan-{layout}",
+                 lambda mp, lay=layout: guard.test_same_raise_and_text_as_the_exact_scan("nan", lay)))
+for d in (1, 2, 3, 9):
+    ROWS.append((screen_passes_nan, f"random-blocks-{d}",
+                 lambda mp, d=d: guard.test_random_blocks_near_their_bounds(d)))
+ROWS.append((screen_passes_nan, "nan-state", lambda mp: kernel.test_nan_state_crosses_the_guard()))
+ROWS.append((screen_passes_nan, "overflow-after-crossing",
+             lambda mp: kernel.test_overflow_after_crossing_is_silent()))
+for name, layouts in (("overflowed square", ("d=1", "d=2", "d=3", "probe")), ("tiny bound", ("d=1", "probe"))):
+    for layout in layouts:
+        ROWS.append((unwindowed_screen, f"{name}-{layout}",
+                     lambda mp, n=name, lay=layout: guard.test_same_raise_and_text_as_the_exact_scan(n, lay)))
 ROWS.append((unchecked_stepping_order, "march-rejection",
              lambda mp: kernel.test_march_rejects_starts_out_of_stepping_order()))
 for d in (1, 2, 3):
