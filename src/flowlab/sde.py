@@ -30,10 +30,7 @@ member's crossing is timed at the knot it stepped to).  The guard bound
 is ``DEFAULT_BLOWUP_FACTOR`` times (1 + |x0|), read at each call; a
 non-finite state (say from a field that returns NaN) counts as a
 crossing.  A field that declares ``drift_growth == 0`` has b = 0, and
-its steps never call ``drift``.  With one noise component a step's
-sigma dB is sigma's one column times dB plus 0.0, einsum's zero start,
-so it gives ``np.einsum``'s bits, signed zeros included; fields with
-more noise components step through ``np.einsum``.
+its steps never call ``drift``.
 Blocks are handed back one at a time, each stepped into the same buffer,
 so a block is valid until the next one is stepped and a march holds one
 block of states however long its grid and, beyond one step's states,
@@ -226,23 +223,17 @@ def _march(x0s, starts, c, times, values, h, strides=1, owner=None, subtract=Fal
     active = np.searchsorted(starts, steps, side="right")
     apply = np.subtract if subtract else np.add
     bound = DEFAULT_BLOWUP_FACTOR * (1.0 + np.linalg.norm(x0s, axis=-1))
+    # per-member increments (B, m) broadcast over the state axes between B and d
+    contract = "b...dm,bm->b...d" if per_member else "...dm,m->...d"
     shared_db = None if per_member else np.diff(values, axis=0)
 
-    if c.noise_dim == 1:
-        # sigma's one column times dB, then einsum's own zero start, so that -0.0 + 0.0 gives its +0.0
-        lift = (-1,) + (1,) * (x0s.ndim - 1) if per_member else (1,)  # dB broadcast over the state axes
-
-        def diffusion(t, s, db):
-            inc = np.multiply(c.sigma(t, s)[..., 0], db.reshape(lift))
-            return np.add(inc, 0.0, out=inc)
-    else:
-        # per-member increments (B, m) broadcast over the state axes between B and d
-        contract = "b...dm,bm->b...d" if per_member else "...dm,m->...d"
-
-        def diffusion(t, s, db):
+    if c.drift_growth == 0.0:
+        # |b(x)| <= drift_growth (1 + |x|), so the field declares b = 0
+        def increment(t, s, db, h):
             return np.einsum(contract, c.sigma(t, s), db)
-
-    drifts = c.drift_growth != 0.0  # |b(x)| <= drift_growth (1 + |x|), so 0 declares b = 0
+    else:
+        def increment(t, s, db, h):
+            return np.einsum(contract, c.sigma(t, s), db) + c.drift(t, s) * h
 
     def move(a, phase):
         """Who steps from an index k = phase (mod every stride), with a members started.
@@ -309,9 +300,7 @@ def _march(x0s, starts, c, times, values, h, strides=1, owner=None, subtract=Fal
                         db = span[k - first, sel] if prefix else span[k - first].take(sel, axis=0)
                     else:
                         db = values[sel, k + 1] - values[sel, k] if per_member else shared_db[k]
-                    inc = diffusion(times[k], s, db)
-                    if drifts:
-                        inc = inc + c.drift(times[k], s) * hs
+                    inc = increment(times[k], s, db, hs)
                     if prefix:
                         apply(s, inc, out=row[sel])
                         if sel.stop < size:

@@ -22,17 +22,12 @@ import test_seed_batching as batching_tests
 from flowlab import experiments, fbm, paths, sde
 
 
-def mutant(func, old, new, *edits):
-    """``func`` compiled against its own module's globals with the one ``old`` in its source replaced by ``new``.
-
-    Each further ``(old, new)`` pair in ``edits`` is replaced in turn.
-    """
+def mutant(func, old, new):
+    """``func`` compiled against its own module's globals with the one ``old`` in its source replaced by ``new``."""
     source = textwrap.dedent(inspect.getsource(func))
-    for old, new in ((old, new),) + edits:
-        assert source.count(old) == 1, f"{old!r} is not once in {func.__name__}"
-        source = source.replace(old, new)
+    assert source.count(old) == 1, f"{old!r} is not once in {func.__name__}"
     scope = {}
-    exec(compile(source, inspect.getsourcefile(func), "exec"), func.__globals__, scope)
+    exec(compile(source.replace(old, new), inspect.getsourcefile(func), "exec"), func.__globals__, scope)
     return scope[func.__name__]
 
 
@@ -57,28 +52,6 @@ def guard_block_stride(monkeypatch):
                    "for lo in range(0, steps.size, _GUARD_BLOCK):")
     monkeypatch.setattr(sde, "_march", march)
     monkeypatch.setattr(experiments, "_march", march)
-
-
-def patch_march(monkeypatch, old, new, *edits):
-    """``_march`` with ``old`` replaced by ``new``, in ``sde`` and where ``experiments`` and ``test_sde`` import it."""
-    march = mutant(sde._march, old, new, *edits)
-    for module in (sde, experiments, sde_tests):
-        monkeypatch.setattr(module, "_march", march)
-
-
-def unsigned_one_noise_step(monkeypatch):
-    """The one-noise step without einsum's zero start, so a step's sigma dB of -0.0 stays -0.0."""
-    patch_march(monkeypatch, "return np.add(inc, 0.0, out=inc)", "return inc")
-
-
-def sequential_noise_sum(monkeypatch):
-    """The one-noise step summed from 0 over every noise component in turn, at every noise dimension."""
-    patch_march(monkeypatch, "if c.noise_dim == 1:", "if True:", (
-        "inc = np.multiply(c.sigma(t, s)[..., 0], db.reshape(lift))",
-        "sig = c.sigma(t, s)\n"
-        "            inc = np.add(np.multiply(sig[..., 0], db[..., :1].reshape(lift)), 0.0)\n"
-        "            for j in range(1, sig.shape[-1]):\n"
-        "                inc += sig[..., j] * db[..., j : j + 1].reshape(lift)"))
 
 
 def unreplayed_block_error(monkeypatch):
@@ -209,7 +182,6 @@ reductions = sde_tests.TestBlockReductions()
 guard = sde_tests.TestGuardScreen()
 strided = sde_tests.TestStridedMarch()
 sampler = fbm_tests.TestBlockedCirculantBatch()
-one_noise = sde_tests.TestOneNoiseStep()
 moments = experiments_tests.TestMomentsExperiment()
 
 # (mutant, case id, case): a case takes the monkeypatch and runs one test case with it
@@ -276,17 +248,6 @@ for backward in (False, True):
         ROWS.append((unordered_driver_list, f"strided-per-member-{backward}-{grid}",
                      lambda mp, b=backward, g=grid: strided.test_each_member_matches_its_decimated_grid(
                          "builtin:sin", b, "per-member", g, "reversed")))
-for spec in ("builtin:geometric:0.5", "builtin:sin"):
-    for per_member in (False, True):
-        ROWS.append((unsigned_one_noise_step, f"zero-sign-backward-{spec}-{per_member}",
-                     lambda mp, s=spec, p=per_member: kernel.test_backward_solves_keep_the_sign_of_a_zero_start(s, p)))
-        ROWS.append((unsigned_one_noise_step, f"zero-sign-forward-{spec}-{per_member}",
-                     lambda mp, s=spec, p=per_member: kernel.test_forward_solves_keep_the_sign_of_a_zero_start(s, p)))
-for per_member in (False, True):
-    for fan in (False, True):
-        ROWS.append((sequential_noise_sum, f"noise-3-{per_member}-{fan}",
-                     lambda mp, p=per_member, f=fan: one_noise.test_states_equal_the_einsum_steps(
-                         mp, None, "noise-3", p, f)))
 ROWS.append((unreplayed_block_error, "one-batch-text",
              lambda mp: moments.test_blow_up_in_member_blocks_keeps_the_one_batch_text(mp)))
 for rows in ("1", "block-1", "block", "block+1"):

@@ -1,14 +1,13 @@
 """Solver exactness, convergence, and flow and inverse structure."""
 
 import dataclasses
-import json
 import warnings
 
 import numpy as np
 import pytest
 
 from flowlab import experiments, fbm, sde
-from flowlab.coefficients import CoefficientField, builtin_field, load_expression_field, parse_field
+from flowlab.coefficients import CoefficientField, builtin_field, parse_field
 from flowlab.errors import BlowUpError
 from flowlab.paths import GridPath
 from flowlab.sde import (
@@ -808,73 +807,6 @@ class TestSteppingKernel:
         got = [r["sup_abs"] for r in experiments._run_moments(cfg)]
         want = [r["sup_abs"] for r in oracle_moments(cfg)]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-
-
-def noise_3_field():
-    """A 1-D state under three noise components, with a drift."""
-    def sigma(t, x):
-        return np.stack([np.sin(x), 0.3 * np.cos(x) + t, 0.5 * x], -1)
-
-    return CoefficientField(sigma, lambda t, x: -0.2 * x, 1, 3)
-
-
-def einsum_march(x0s, c, times, values, h):
-    """Every state of a ``_march`` from index 0, each step's sigma dB taken by ``np.einsum``: (n+1, B, ..., d)."""
-    per_member = values.ndim == 3
-    contract = "b...dm,bm->b...d" if per_member else "...dm,m->...d"
-    shared_db = None if per_member else np.diff(values, axis=0)
-    out = [x0s]
-    with np.errstate(all="ignore"):
-        for k in range(times.shape[0] - 1):
-            db = values[:, k + 1] - values[:, k] if per_member else shared_db[k]
-            inc = np.einsum(contract, c.sigma(times[k], out[-1]), db)
-            if c.drift_growth != 0.0:
-                inc = inc + c.drift(times[k], out[-1]) * h
-            out.append(out[-1] + inc)
-    return np.stack(out)
-
-
-class TestOneNoiseStep:
-    """``_march``'s step against the einsum step, byte for byte, with one noise component and with three."""
-
-    N = 70  # more than one guard block
-    # signed zeros, subnormals, infinities and NaN among ordinary starts
-    STARTS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-310, np.inf, -np.inf, np.nan, 0.7, -1.3, 1e-300, 3.0])
-
-    @staticmethod
-    def field(spec, tmp_path):
-        if spec == "noise-3":
-            return noise_3_field()
-        if spec == "expression":
-            target = tmp_path / "coeffs.json"
-            target.write_text(json.dumps({"dim": 1, "noise_dim": 1, "sigma": [["x1 * cos(t) + sin(x1)"]],
-                                          "drift": ["-x1"]}))
-            return load_expression_field(target)
-        return parse_field(spec)
-
-    @pytest.mark.parametrize("spec", ["builtin:geometric:0.5", "builtin:sin", "expression", "noise-3"])
-    @pytest.mark.parametrize("per_member", [False, True], ids=["shared", "per-member"])
-    @pytest.mark.parametrize("fan", [False, True], ids=["B-1", "B-8-1"])
-    def test_states_equal_the_einsum_steps(self, monkeypatch, tmp_path, spec, per_member, fan):
-        c = self.field(spec, tmp_path)
-        # a non-finite state crosses the guard; this test is about the arithmetic of the steps
-        monkeypatch.setattr(sde, "_check_block", lambda *args: None)
-        if fan:  # each member a fan of 8 points, as in the sortedness probe; every start shows up
-            x0s = self.STARTS[(5 * np.arange(6 * 8)).reshape(6, 8) % self.STARTS.size][..., None]
-        else:
-            x0s = self.STARTS[:, None]
-        grid = driver_of(seed=3, n=self.N, m=c.noise_dim)
-        if per_member:
-            values = np.stack([driver_of(seed=s, n=self.N, m=c.noise_dim).values for s in range(len(x0s))])
-            values[:, 10] = values[:, 9]  # a zero increment, which sends inf to NaN
-        else:
-            values = grid.values.copy()
-            values[10] = values[9]
-        want = einsum_march(x0s, c, grid.times, values, grid.step)
-        got = np.concatenate([x0s[None]] + [states.copy() for _, states in
-                                             _march(x0s, 0, c, grid.times, values, grid.step)])
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        assert np.isnan(got[-1]).any()
 
 
 class TestStridedMarch:
